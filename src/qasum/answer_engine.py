@@ -20,7 +20,12 @@ from typing import Protocol
 
 from .corpus import Paragraph, SegmentedCorpus, Sentence
 from .embedding import Embedder, cosine, tokenize
-from .errors import EmptyRetrievalError, NoAnswerError, UnlocatableSourceError
+from .errors import (
+    CorruptIndexError,
+    EmptyRetrievalError,
+    NoAnswerError,
+    UnlocatableSourceError,
+)
 from .question_bank import Question, QuestionBank, RetrievalParams, effective_params
 from .vector_index import SearchHit, VectorIndex
 
@@ -83,14 +88,24 @@ def retrieve_context(
     corpus: SegmentedCorpus,
     k: int,
 ) -> RetrievedContext:
-    """Top-k paragraphs for the question, concatenated in rank order."""
+    """Top-k paragraphs for the question, concatenated in rank order.
+
+    Raises CorruptIndexError when a hit names a paragraph the corpus does
+    not have (an index built from another corpus).
+    """
     hits = index.search(embedder(question.text), k, question.note_type_filter)
     if not hits:
         raise EmptyRetrievalError(
             f"question {question.q_id!r}: note-type filter "
             f"{sorted(question.note_type_filter or ())} matched no index entries"
         )
-    paragraphs = tuple(corpus.paragraph(hit.para_id) for hit in hits)
+    try:
+        paragraphs = tuple(corpus.paragraph(hit.para_id) for hit in hits)
+    except KeyError as exc:
+        raise CorruptIndexError(
+            f"index entry {exc.args[0]!r} is not a paragraph of the corpus; the index is stale, "
+            f"rebuild it with `qasum index`"
+        ) from None
     context_text = "\n\n".join(f"[{p.para_id}] {p.text}" for p in paragraphs)
     return RetrievedContext(
         question=question, hits=tuple(hits), paragraphs=paragraphs, context_text=context_text

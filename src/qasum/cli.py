@@ -28,7 +28,7 @@ from .errors import (
 )
 from .llm_gateway import Gateway, GatewayConfig
 from .question_bank import RetrievalParams, load_question_bank
-from .vector_index import IndexEntry, VectorIndex
+from .vector_index import MAX_DIM, IndexEntry, VectorIndex
 
 _PARAM_KEYS = ("k", "fusion_weight", "score_threshold", "dedup_cosine")
 
@@ -90,8 +90,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
     if spec.kind not in ("hashed-reference", "remote"):
         raise ValidationError(f"config: embedder.kind must be 'hashed-reference' or 'remote', got {spec.kind!r}")
-    if not (isinstance(spec.dim, int) and spec.dim >= 1):
-        raise ValidationError(f"config: embedder.dim must be a positive integer, got {spec.dim!r}")
+    if not (isinstance(spec.dim, int) and 1 <= spec.dim <= MAX_DIM):
+        raise ValidationError(
+            f"config: embedder.dim must be an integer from 1 to {MAX_DIM}, got {spec.dim!r}"
+        )
 
     params_override = data.get("params", {})
     if not isinstance(params_override, dict):

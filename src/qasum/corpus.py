@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -160,8 +162,10 @@ def _load_text_dir(path: Path) -> list[Document]:
     return docs
 
 
-def _byte_offsets(text: str) -> list[int]:
+def _byte_offsets(text: str) -> Sequence[int]:
     """Map codepoint index -> byte offset in the UTF-8 encoding of text."""
+    if text.isascii():
+        return range(len(text) + 1)
     offsets = [0] * (len(text) + 1)
     pos = 0
     for i, ch in enumerate(text):
@@ -352,11 +356,19 @@ def split_sentences(para: Paragraph) -> list[Sentence]:
 
 
 class SegmentedCorpus:
-    """Precomputed paragraph and sentence view over a loaded document list.
+    """Lazy paragraph and sentence view over a loaded document list.
 
-    Immutable after construction; lookups by id plus a global document-order
-    key (doc position, paragraph ordinal, sentence ordinal) used for
-    deterministic tie-breaking downstream.
+    Construction only indexes the documents. A document is segmented into
+    paragraphs on the first lookup that touches it, and its sentences are
+    split on the first sentence lookup; both are cached per document, so a
+    query pays only for the documents its hits come from. Ids carry their
+    document: a para_id is ``<doc_id>#<ordinal>`` and a sent_id is
+    ``<para_id>:<ordinal>``. Lookups of ids the corpus does not produce raise
+    KeyError with the id. The cache is filled under a lock, so concurrent
+    readers (``--workers``) see each document segmented exactly once.
+
+    ``order_key`` is a global document-order key (doc position, paragraph
+    ordinal, sentence ordinal) used for deterministic tie-breaking downstream.
     """
 
     def __init__(
@@ -365,34 +377,82 @@ class SegmentedCorpus:
         max_paragraph_tokens: int = DEFAULT_MAX_PARAGRAPH_TOKENS,
     ):
         self.documents = list(documents)
+        self._max_paragraph_tokens = max_paragraph_tokens
         self._doc_pos = {doc.doc_id: i for i, doc in enumerate(self.documents)}
         self._doc_by_id = {doc.doc_id: doc for doc in self.documents}
-        self.paragraphs: list[Paragraph] = []
-        self._para_by_id: dict[str, Paragraph] = {}
-        self._sents_by_para: dict[str, list[Sentence]] = {}
-        self._sent_by_id: dict[str, Sentence] = {}
-        for doc in self.documents:
-            for para in segment_paragraphs(doc, max_paragraph_tokens):
-                self.paragraphs.append(para)
-                self._para_by_id[para.para_id] = para
-                sents = split_sentences(para)
-                self._sents_by_para[para.para_id] = sents
-                for sent in sents:
-                    self._sent_by_id[sent.sent_id] = sent
+        self._paras_by_doc: dict[str, list[Paragraph]] = {}
+        self._sents_by_doc: dict[str, list[list[Sentence]]] = {}
+        self._all_paragraphs: list[Paragraph] | None = None
+        self._lock = threading.RLock()
+
+    def _cached(self, cache: dict, doc_id: str, compute):
+        value = cache.get(doc_id)
+        if value is None:
+            with self._lock:
+                value = cache.get(doc_id)
+                if value is None:
+                    value = cache[doc_id] = compute(doc_id)
+        return value
+
+    def _doc_paragraphs(self, doc_id: str) -> list[Paragraph]:
+        return self._cached(
+            self._paras_by_doc,
+            doc_id,
+            lambda d: segment_paragraphs(self._doc_by_id[d], self._max_paragraph_tokens),
+        )
+
+    def _doc_sentences(self, doc_id: str) -> list[list[Sentence]]:
+        return self._cached(
+            self._sents_by_doc,
+            doc_id,
+            lambda d: [split_sentences(para) for para in self._doc_paragraphs(d)],
+        )
+
+    def _locate(self, para_id: str) -> tuple[str, int]:
+        """(doc_id, paragraph ordinal) of a para_id the corpus produces, else KeyError."""
+        doc_id, i = _split_id(para_id, "#")
+        if doc_id in self._doc_by_id:
+            paras = self._doc_paragraphs(doc_id)
+            if 0 <= i < len(paras) and paras[i].para_id == para_id:
+                return doc_id, i
+        raise KeyError(para_id)
+
+    @property
+    def paragraphs(self) -> list[Paragraph]:
+        """Every paragraph in document order (segments the whole corpus once)."""
+        if self._all_paragraphs is None:
+            with self._lock:
+                if self._all_paragraphs is None:
+                    self._all_paragraphs = [
+                        para for doc in self.documents for para in self._doc_paragraphs(doc.doc_id)
+                    ]
+        return self._all_paragraphs
 
     def document(self, doc_id: str) -> Document:
         return self._doc_by_id[doc_id]
 
     def paragraph(self, para_id: str) -> Paragraph:
-        return self._para_by_id[para_id]
+        doc_id, i = self._locate(para_id)
+        return self._doc_paragraphs(doc_id)[i]
 
     def sentences(self, para_id: str) -> list[Sentence]:
-        return self._sents_by_para[para_id]
+        doc_id, i = self._locate(para_id)
+        return self._doc_sentences(doc_id)[i]
 
     def sentence(self, sent_id: str) -> Sentence:
-        return self._sent_by_id[sent_id]
+        para_id, i = _split_id(sent_id, ":")
+        sents = self.sentences(para_id)
+        if 0 <= i < len(sents) and sents[i].sent_id == sent_id:
+            return sents[i]
+        raise KeyError(sent_id)
 
     def order_key(self, sent_id: str) -> tuple[int, int, int]:
-        sent = self._sent_by_id[sent_id]
-        para = self._para_by_id[sent.para_id]
-        return (self._doc_pos[para.doc_id], para.ordinal, sent.ordinal)
+        sent = self.sentence(sent_id)
+        doc_id, para_ordinal = _split_id(sent.para_id, "#")
+        return (self._doc_pos[doc_id], para_ordinal, sent.ordinal)
+
+
+def _split_id(id_: str, sep: str) -> tuple[str, int]:
+    """Split ``<parent><sep><ordinal>``; the ordinal is -1 unless it is plain decimal."""
+    parent, _, ordinal = id_.rpartition(sep)
+    return parent, int(ordinal) if ordinal.isascii() and ordinal.isdigit() else -1

@@ -40,6 +40,16 @@ def test_remote_extractor_requires_gateway(pipeline_config):
         load_config(pipeline_config)
 
 
+def test_embedder_dim_must_fit_the_index_header(pipeline_config, capsys):
+    config_with(pipeline_config, embedder={"kind": "hashed-reference", "dim": 65535})
+    assert load_config(pipeline_config).embedder.dim == 65535
+    config_with(pipeline_config, embedder={"kind": "hashed-reference", "dim": 70000})
+    with pytest.raises(ValidationError, match="65535"):
+        load_config(pipeline_config)
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    assert "embedder.dim" in capsys.readouterr().err
+
+
 def test_unknown_param_key_rejected(pipeline_config):
     config_with(pipeline_config, params={"knn": 4})
     with pytest.raises(ValidationError, match="knn"):
@@ -106,6 +116,27 @@ def test_cmd_ask_composes_stage_oracles(pipeline_config, fixtures_dir, capsys):
     assert m == pytest.approx(m_oracle, abs=1e-5)
 
 
+def test_cmd_ask_segments_only_the_documents_of_its_hits(pipeline_config, capsys, monkeypatch):
+    import qasum.corpus
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    capsys.readouterr()
+    segmented = []
+    original = qasum.corpus.segment_paragraphs
+
+    def counting(doc, *args, **kwargs):
+        segmented.append(doc.doc_id)
+        return original(doc, *args, **kwargs)
+
+    monkeypatch.setattr(qasum.corpus, "segment_paragraphs", counting)
+    assert run(["ask", "--config", str(pipeline_config), "--k", "2",
+                "What medications were prescribed at discharge?"]) == 0
+    hits = re.findall(r"^  \d+\. (\S+)  score=", capsys.readouterr().out, re.MULTILINE)
+    hit_docs = {para_id.rpartition("#")[0] for para_id in hits}
+    assert len(hits) == 2
+    assert sorted(segmented) == sorted(hit_docs)
+
+
 def test_cmd_ask_no_content_tokens_exits_2(pipeline_config, capsys):
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert run(["ask", "--config", str(pipeline_config), "why was the of and?"]) == 2
@@ -137,6 +168,62 @@ def test_cmd_summarize_parallel_matches_golden(pipeline_config, tmp_path, golden
     assert run(summarize_args(pipeline_config, "--workers", "4")) == 0
     out = tmp_path / "out"
     assert (out / "summary.json").read_bytes() == (golden_dir / "summary.json").read_bytes()
+
+
+def _write_variant_corpus(fixtures_dir, path, rewrite):
+    lines = (fixtures_dir / "corpus.jsonl").read_text("utf-8").splitlines()
+    records = [rewrite(json.loads(line)) for line in lines if line.strip()]
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", "utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("stale", ["unknown_doc", "ordinal_past_end"])
+def test_stale_index_is_a_clear_error(pipeline_config, tmp_path, fixtures_dir, capsys, stale):
+    data = json.loads(pipeline_config.read_text("utf-8"))
+    fixture_corpus = data["corpus"]["path"]
+    if stale == "unknown_doc":
+        # Index a copy whose doc_ids the fixture corpus does not have.
+        data["corpus"]["path"] = _write_variant_corpus(
+            fixtures_dir, tmp_path / "renamed.jsonl", lambda r: dict(r, doc_id="x-" + r["doc_id"]))
+        index_corpus, query_corpus = data["corpus"]["path"], fixture_corpus
+    else:
+        # Query a copy whose documents keep only their first line (one paragraph each).
+        index_corpus = fixture_corpus
+        query_corpus = _write_variant_corpus(
+            fixtures_dir, tmp_path / "short.jsonl", lambda r: dict(r, text=r["text"].split("\n")[0]))
+    data["corpus"]["path"] = index_corpus
+    pipeline_config.write_text(json.dumps(data), "utf-8")
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    data["corpus"]["path"] = query_corpus
+    pipeline_config.write_text(json.dumps(data), "utf-8")
+    capsys.readouterr()
+
+    for argv in (summarize_args(pipeline_config),
+                 ["ask", "--config", str(pipeline_config), "What medications were prescribed at discharge?"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"index entry '[^']+#\d+' is not a paragraph of the corpus", err), err
+        assert "qasum index" in err
+        if stale == "unknown_doc":
+            assert "'x-" in err
+
+
+def test_cmd_summarize_parallel_segments_each_document_once(pipeline_config, tmp_path, monkeypatch):
+    from collections import Counter
+
+    import qasum.corpus
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    calls = Counter()
+    original = qasum.corpus.segment_paragraphs
+
+    def counting(doc, *args, **kwargs):
+        calls[doc.doc_id] += 1
+        return original(doc, *args, **kwargs)
+
+    monkeypatch.setattr(qasum.corpus, "segment_paragraphs", counting)
+    assert run(summarize_args(pipeline_config, "--workers", "4")) == 0
+    assert calls and set(calls.values()) == {1}
 
 
 def test_cmd_summarize_threshold_sweep_adds_items(pipeline_config, tmp_path):

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasum.corpus import (
     Document,
@@ -296,6 +298,26 @@ def test_multibyte_spans_are_byte_offsets():
     assert end - start == len("émigré café.".encode("utf-8"))
 
 
+# Fragments that drive the splitters (headers, sentence ends, abbreviations,
+# blank lines) mixed with arbitrary text; ASCII-only and full-Unicode variants.
+_FRAGMENTS = ["Fever. ", "She ", "MEDICATIONS:\n", "\n\n", "\r\n", "Dr. Lee; Then", "x! Y? ", "  "]
+
+
+def _document_text(codec):
+    piece = st.one_of(st.sampled_from(_FRAGMENTS), st.text(st.characters(codec=codec), max_size=6))
+    return st.lists(piece, max_size=25).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(_document_text("ascii"), _document_text("utf-8")),
+    cap=st.integers(min_value=1, max_value=12),
+)
+def test_byte_spans_recover_text_on_arbitrary_unicode(text, cap):
+    doc = make_doc(text)
+    assert_spans_valid(doc, segment_paragraphs(doc, max_paragraph_tokens=cap))
+
+
 # -- SegmentedCorpus --------------------------------------------------------
 
 
@@ -316,3 +338,68 @@ def test_order_key_follows_document_order(segmented):
         for sent in segmented.sentences(para.para_id)
     ]
     assert keys == sorted(keys)
+
+
+def test_lazy_lookups_match_full_segmentation(corpus_docs):
+    corpus = SegmentedCorpus(corpus_docs)
+    doc_pos = {doc.doc_id: i for i, doc in enumerate(corpus_docs)}
+    expected = [para for doc in corpus_docs for para in segment_paragraphs(doc)]
+    # Reverse order, so documents are cached in a different order than they are stored.
+    for para in reversed(expected):
+        assert corpus.paragraph(para.para_id) == para
+        sents = split_sentences(para)
+        assert corpus.sentences(para.para_id) == sents
+        for sent in sents:
+            assert corpus.sentence(sent.sent_id) == sent
+            assert corpus.order_key(sent.sent_id) == (doc_pos[para.doc_id], para.ordinal, sent.ordinal)
+    assert corpus.paragraphs == expected
+
+
+@pytest.mark.parametrize(
+    "para_id",
+    ["missing#0", "p001-discharge#99", "p001-discharge#01", "p001-discharge#-1",
+     "p001-discharge#x", "p001-discharge", ""],
+)
+def test_unknown_para_id_raises_key_error(segmented, para_id):
+    with pytest.raises(KeyError):
+        segmented.paragraph(para_id)
+    with pytest.raises(KeyError):
+        segmented.sentences(para_id)
+
+
+@pytest.mark.parametrize("sent_id", ["p001-discharge#0:99", "p001-discharge#0", "missing#0:0", "p001-discharge#0:00"])
+def test_unknown_sent_id_raises_key_error(segmented, sent_id):
+    with pytest.raises(KeyError):
+        segmented.sentence(sent_id)
+    with pytest.raises(KeyError):
+        segmented.order_key(sent_id)
+
+
+def test_concurrent_lookups_segment_each_document_once(corpus_docs, monkeypatch):
+    import sys
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    import qasum.corpus
+
+    calls = Counter()
+    original = qasum.corpus.segment_paragraphs
+
+    def counting(doc, *args, **kwargs):
+        calls[doc.doc_id] += 1
+        time.sleep(0.001)  # widen the window in which a second thread could segment it too
+        return original(doc, *args, **kwargs)
+
+    monkeypatch.setattr(qasum.corpus, "segment_paragraphs", counting)
+    corpus = SegmentedCorpus(corpus_docs)
+    sent_ids = [f"{doc.doc_id}#0:0" for doc in corpus_docs] * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(corpus.order_key, sent_id) for sent_id in sent_ids]
+            keys = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert keys == [(i % len(corpus_docs), 0, 0) for i in range(len(sent_ids))]
+    assert calls == Counter({doc.doc_id: 1 for doc in corpus_docs})

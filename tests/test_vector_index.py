@@ -1,7 +1,11 @@
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.knn_oracle import brute_force_search
 from qasum.embedding import reference_embedding
@@ -69,6 +73,11 @@ def test_dimension_mismatch_on_insert():
     index = make_index([IndexEntry("a#0", np.ones(256), "a", "other")])
     with pytest.raises(DimensionMismatchError):
         index.insert(IndexEntry("b#0", np.ones(128), "b", "other"))
+
+
+def test_dimension_beyond_header_range_rejected_on_insert():
+    with pytest.raises(PreconditionError, match="65535"):
+        VectorIndex().insert(IndexEntry("a#0", np.ones(65536), "a", "other"))
 
 
 def test_dimension_mismatch_on_search():
@@ -147,6 +156,14 @@ def test_ties_break_by_para_id_ascending():
     assert [h.rank for h in hits] == [1, 2, 3]
 
 
+def test_callable_filter_runs_once_per_note_type():
+    rng = np.random.default_rng(14)
+    index = make_index(random_entries(rng, 30))
+    seen = []
+    index.search(rng.normal(size=16), k=3, note_filter=lambda nt: seen.append(nt) or nt == "progress")
+    assert sorted(seen) == ["admission", "discharge", "progress"]
+
+
 # -- properties -------------------------------------------------------------
 
 
@@ -175,6 +192,53 @@ def test_search_k_is_prefix_of_k_plus_one():
             smaller = index.search(query, k=k)
             larger = index.search(query, k=k + 1)
             assert [h.para_id for h in smaller] == [h.para_id for h in larger][:k]
+
+
+_TYPES = ("admission", "discharge", "lab")
+
+
+@st.composite
+def search_cases(draw):
+    """A small index with forced ties and zero vectors, a query, k and a note filter.
+
+    Components are small integers, so the index and the oracle compute
+    bit-identical scores (and float32 storage is exact).
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(st.integers(-3, 3).map(float), min_size=dim, max_size=dim)
+    # Rows draw from a small pool, so duplicate vectors (tied scores) are common.
+    pool = draw(st.lists(vector, min_size=1, max_size=4)) + [[0.0] * dim]
+    n = draw(st.integers(min_value=1, max_value=14))
+    order = draw(st.permutations(range(n)))
+    entries = [
+        IndexEntry(f"p{order[i]:02d}#0", np.array(draw(st.sampled_from(pool))), f"p{order[i]:02d}",
+                   draw(st.sampled_from(_TYPES)))
+        for i in range(n)
+    ]
+    query = draw(st.one_of(vector, st.sampled_from(pool)))
+    k = draw(st.integers(min_value=1, max_value=n + 3))
+    allowed = draw(st.one_of(st.none(), st.sets(st.sampled_from(_TYPES + ("radiology",)))))
+    note_filter = allowed
+    if allowed is not None and draw(st.booleans()):
+        note_filter = lambda nt: nt in allowed  # noqa: E731
+    return entries, np.array(query), k, note_filter, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases())
+def test_search_matches_oracle_with_ties_zeros_and_filters(case):
+    entries, query, k, note_filter, allowed = case
+    expected = brute_force_search(as_oracle_entries(entries), list(query), k, allowed)
+    index = make_index(entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(Path(tmp) / "index.qidx")
+        loaded = VectorIndex.load(Path(tmp) / "index.qidx")
+    for searched in (index, loaded):
+        hits = searched.search(query, k=k, note_filter=note_filter)
+        assert [h.para_id for h in hits] == [pid for pid, _ in expected]
+        assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+        for hit, (_, score) in zip(hits, expected):
+            assert abs(hit.score - score) <= 1e-12
 
 
 # -- persistence ------------------------------------------------------------
@@ -248,6 +312,14 @@ def test_load_bad_checksum(saved_index):
     blob[len(blob) // 2] ^= 0xFF
     saved_index.write_bytes(bytes(blob))
     with pytest.raises(CorruptIndexError, match="checksum"):
+        VectorIndex.load(saved_index)
+
+
+def test_load_invalid_utf8_record(saved_index):
+    blob = bytearray(saved_index.read_bytes())
+    blob[len(MAGIC) + 12 + 2] = 0xFF  # first byte of the first para_id
+    saved_index.write_bytes(bytes(blob))
+    with pytest.raises(CorruptIndexError, match="UTF-8"):
         VectorIndex.load(saved_index)
 
 

@@ -4,6 +4,8 @@ One question flows through: embed the question, pull the top-k paragraphs
 from the index, build a prompt, extract a sentence-level answer with a
 confidence, compute the noun-phrase match score against the question, and
 fuse the two into the final score that the threshold gates.
+answer_question runs these steps for one question; `ask` and `summarize`
+both call it.
 
 Two extractors implement the same contract: MockExtractor (deterministic
 lexical overlap, for offline runs and CI) and RemoteExtractor (gateway
@@ -55,6 +57,21 @@ class ScoredAnswer:
     np_score: float
     score: float
     passed_threshold: bool
+    answer_text: str
+
+
+@dataclass(frozen=True)
+class QuestionResult:
+    """One question's outcome: its hits, and either its answer or why it has none."""
+
+    question: Question
+    hits: tuple[SearchHit, ...]
+    answer: ScoredAnswer | None
+    reason: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.answer is not None and self.answer.passed_threshold
 
 
 class AnswerExtractor(Protocol):
@@ -118,10 +135,6 @@ def build_prompt(ctx: RetrievedContext) -> str:
     head, rest = template.split("{question}", 1)
     mid, tail = rest.split("{context}", 1)
     return head + ctx.question.text + mid + ctx.context_text + tail
-
-
-def extract_answer(prompt: str, ctx: RetrievedContext, extractor: AnswerExtractor) -> RawAnswer:
-    return extractor.extract(prompt, ctx)
 
 
 class MockExtractor:
@@ -247,6 +260,7 @@ def fuse_and_threshold(
         np_score=np_score,
         score=score,
         passed_threshold=score >= params.score_threshold,
+        answer_text=raw.answer_text,
     )
 
 
@@ -257,15 +271,24 @@ def answer_question(
     corpus: SegmentedCorpus,
     extractor: AnswerExtractor,
     params: RetrievalParams,
-) -> list[ScoredAnswer]:
-    """Run one question end to end; raises NoAnswerError / EmptyRetrievalError."""
+) -> QuestionResult:
+    """Run one question end to end.
+
+    A question with no hits, no answer in its context, or a reply whose
+    source sentence is not in the context gets a result with no answer and
+    the reason; every other error propagates.
+    """
     eff = effective_params(question, params)
-    ctx = retrieve_context(question, index, embedder, corpus, eff.k)
-    prompt = build_prompt(ctx)
-    raw = extract_answer(prompt, ctx, extractor)
+    hits: tuple[SearchHit, ...] = ()
+    try:
+        ctx = retrieve_context(question, index, embedder, corpus, eff.k)
+        hits = ctx.hits
+        raw = extractor.extract(build_prompt(ctx), ctx)
+    except (EmptyRetrievalError, NoAnswerError, UnlocatableSourceError) as exc:
+        return QuestionResult(question, hits, None, str(exc))
     sentence = corpus.sentence(raw.source_sent_id)
     m = np_match_score(question.text, raw.answer_text, embedder)
-    return [fuse_and_threshold(raw, m, eff, question.q_id, sentence)]
+    return QuestionResult(question, hits, fuse_and_threshold(raw, m, eff, question.q_id, sentence))
 
 
 def answer_questions(
@@ -276,24 +299,18 @@ def answer_questions(
     extractor: AnswerExtractor,
     params: RetrievalParams | None = None,
     max_workers: int = 1,
-) -> dict[str, list[ScoredAnswer]]:
-    """Evaluate every bank question; results keyed by q_id in bank order.
+) -> list[QuestionResult]:
+    """Answer every bank question; results in bank order.
 
-    Questions that raise NoAnswerError or EmptyRetrievalError contribute an
-    empty list. Evaluation may run on a thread pool; the result order is
-    fixed by the bank regardless of completion order.
+    Evaluation may run on a thread pool; the result order is fixed by the
+    bank regardless of completion order.
     """
     params = params or bank.defaults
 
-    def run(question: Question) -> list[ScoredAnswer]:
-        try:
-            return answer_question(question, index, embedder, corpus, extractor, params)
-        except (NoAnswerError, EmptyRetrievalError):
-            return []
+    def run(question: Question) -> QuestionResult:
+        return answer_question(question, index, embedder, corpus, extractor, params)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, bank.questions))
-    else:
-        results = [run(q) for q in bank.questions]
-    return {q.q_id: answers for q, answers in zip(bank.questions, results)}
+            return list(pool.map(run, bank.questions))
+    return [run(q) for q in bank.questions]

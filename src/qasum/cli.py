@@ -18,19 +18,14 @@ from pathlib import Path
 
 from . import answer_engine, evaluation, summarizer
 from .corpus import SegmentedCorpus, load_corpus
-from .embedding import Embedder, EmbedderSpec, make_embedder
-from .errors import (
-    EmptyTextError,
-    IoError,
-    NoAnswerError,
-    QasumError,
-    ValidationError,
-)
+from .embedding import EmbedderSpec, build_embedder
+from .errors import EmptyTextError, IoError, QasumError, ValidationError
 from .llm_gateway import Gateway, GatewayConfig
-from .question_bank import RetrievalParams, load_question_bank
+from .question_bank import Question, RetrievalParams, load_question_bank
 from .vector_index import MAX_DIM, IndexEntry, VectorIndex
 
 _PARAM_KEYS = ("k", "fusion_weight", "score_threshold", "dedup_cosine")
+_EMBEDDER_KEYS = ("kind", "dim")
 
 
 @dataclass
@@ -82,12 +77,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     embedder_raw = data.get("embedder", {})
     if not isinstance(embedder_raw, dict):
         raise ValidationError("config: embedder must be an object")
-    spec = EmbedderSpec(
-        kind=embedder_raw.get("kind", "hashed-reference"),
-        dim=embedder_raw.get("dim", 256),
-        endpoint=embedder_raw.get("endpoint"),
-        model_name=embedder_raw.get("model_name"),
-    )
+    unknown = set(embedder_raw) - set(_EMBEDDER_KEYS)
+    if unknown:
+        raise ValidationError(f"config: embedder has unknown keys {sorted(unknown)}")
+    spec = EmbedderSpec(**embedder_raw)
     if spec.kind not in ("hashed-reference", "remote"):
         raise ValidationError(f"config: embedder.kind must be 'hashed-reference' or 'remote', got {spec.kind!r}")
     if not (isinstance(spec.dim, int) and 1 <= spec.dim <= MAX_DIM):
@@ -123,8 +116,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ValidationError(f"config: gateway: {exc}") from exc
     if extractor == "remote" and gateway is None:
         raise ValidationError("config: extractor 'remote' requires a gateway section")
-    if spec.kind == "remote" and gateway is None and not spec.endpoint:
-        raise ValidationError("config: remote embedder requires a gateway section or an endpoint")
+    if spec.kind == "remote" and gateway is None:
+        raise ValidationError("config: remote embedder requires a gateway section")
 
     workers = data.get("workers", 1)
     if not (isinstance(workers, int) and workers >= 1):
@@ -146,14 +139,21 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
 
 
-def _build_embedder(cfg: PipelineConfig) -> Embedder:
-    if cfg.embedder.kind == "remote":
-        gateway_cfg = cfg.gateway or GatewayConfig(
-            base_url=cfg.embedder.endpoint or "", model=cfg.embedder.model_name or ""
-        )
-        gateway = Gateway(gateway_cfg, seed=cfg.seed)
-        return lambda text: gateway.embed_remote([text])[0]
-    return make_embedder(cfg.embedder)
+def _build_gateway(cfg: PipelineConfig, extracts: bool) -> Gateway | None:
+    """The command's one gateway, shared by its remote embedder and extractor.
+
+    None when nothing the command runs is remote; extracts says whether the
+    command runs the extractor.
+    """
+    if cfg.embedder.kind == "remote" or (extracts and cfg.extractor == "remote"):
+        return Gateway(cfg.gateway, seed=cfg.seed)
+    return None
+
+
+def _build_extractor(cfg: PipelineConfig, corpus: SegmentedCorpus, gateway: Gateway | None):
+    if cfg.extractor == "remote":
+        return answer_engine.RemoteExtractor(gateway, corpus)
+    return answer_engine.MockExtractor(corpus)
 
 
 def _load_segmented(cfg: PipelineConfig) -> SegmentedCorpus:
@@ -190,7 +190,7 @@ def _timestamp(cfg: PipelineConfig) -> str:
 def cmd_index(cfg: PipelineConfig) -> int:
     docs = load_corpus(cfg.corpus_path, cfg.corpus_format)
     corpus = SegmentedCorpus(docs)
-    embedder = _build_embedder(cfg)
+    embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
     index = VectorIndex(dim=cfg.embedder.dim)
     doc_type = {doc.doc_id: doc.note_type for doc in docs}
     skipped = 0
@@ -216,42 +216,31 @@ def cmd_index(cfg: PipelineConfig) -> int:
 
 
 def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
-    from .question_bank import Question
-
     corpus = _load_segmented(cfg)
     index = VectorIndex.load(cfg.index_path)
     bank = load_question_bank(cfg.question_bank_path)
     params = _effective_params(cfg, bank.defaults)
-    embedder = _build_embedder(cfg)
-    extractor = _build_extractor(cfg, corpus)
+    gateway = _build_gateway(cfg, extracts=True)
+    embedder = build_embedder(cfg.embedder, gateway)
+    extractor = _build_extractor(cfg, corpus, gateway)
 
     question = Question(q_id="adhoc", text=question_text, order=0)
-    ctx = answer_engine.retrieve_context(question, index, embedder, corpus, params.k)
+    result = answer_engine.answer_question(question, index, embedder, corpus, extractor, params)
     print("hits:")
-    for hit in ctx.hits:
+    for hit in result.hits:
         print(f"  {hit.rank}. {hit.para_id}  score={hit.score:.6f}")
-    try:
-        raw = answer_engine.extract_answer(answer_engine.build_prompt(ctx), ctx, extractor)
-    except NoAnswerError as exc:
-        print(f"no answer: {exc}")
+    answer = result.answer
+    if answer is None:
+        print(f"no answer: {result.reason}")
         return 2
-    sentence = corpus.sentence(raw.source_sent_id)
-    m = answer_engine.np_match_score(question.text, raw.answer_text, embedder)
-    scored = answer_engine.fuse_and_threshold(raw, m, params, question.q_id, sentence)
-    print(f"answer: {raw.answer_text}")
-    print(f"source: {raw.source_sent_id}")
+    print(f"answer: {answer.answer_text}")
+    print(f"source: {answer.sentence.sent_id}")
     print(
-        f"confidence={scored.confidence:.6f} np_score={scored.np_score:.6f} "
-        f"fused={scored.score:.6f} threshold={params.score_threshold:.6f} "
-        f"passed={'yes' if scored.passed_threshold else 'no'}"
+        f"confidence={answer.confidence:.6f} np_score={answer.np_score:.6f} "
+        f"fused={answer.score:.6f} threshold={params.score_threshold:.6f} "
+        f"passed={'yes' if answer.passed_threshold else 'no'}"
     )
     return 0
-
-
-def _build_extractor(cfg: PipelineConfig, corpus: SegmentedCorpus):
-    if cfg.extractor == "remote":
-        return answer_engine.RemoteExtractor(Gateway(cfg.gateway, seed=cfg.seed), corpus)
-    return answer_engine.MockExtractor(corpus)
 
 
 def cmd_summarize(cfg: PipelineConfig) -> int:
@@ -259,17 +248,15 @@ def cmd_summarize(cfg: PipelineConfig) -> int:
     index = VectorIndex.load(cfg.index_path)
     bank = load_question_bank(cfg.question_bank_path)
     params = _effective_params(cfg, bank.defaults)
-    embedder = _build_embedder(cfg)
-    extractor = _build_extractor(cfg, corpus)
+    gateway = _build_gateway(cfg, extracts=True)
+    embedder = build_embedder(cfg.embedder, gateway)
+    extractor = _build_extractor(cfg, corpus, gateway)
 
     results = answer_engine.answer_questions(
         bank, index, embedder, corpus, extractor, params=params, max_workers=cfg.workers
     )
-    passed = {
-        q_id: [a for a in answers if a.passed_threshold] for q_id, answers in results.items()
-    }
     summary = summarizer.assemble(
-        passed,
+        [r.answer for r in results if r.passed],
         bank,
         corpus,
         embedder,
@@ -289,7 +276,7 @@ def cmd_summarize(cfg: PipelineConfig) -> int:
 def cmd_evaluate(
     cfg: PipelineConfig, candidate: str, reference: str, source: str, output_format: str = "table"
 ) -> int:
-    embedder = _build_embedder(cfg)
+    embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
     report = evaluation.evaluate(candidate, reference, source, embedder)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = cfg.output_dir / "metrics.json"
@@ -372,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.candidate, args.reference, args.source, args.output_format)
         raise ValidationError(f"unknown command {args.command!r}")
-    except NoAnswerError as exc:
-        print(f"no answer: {exc}", file=sys.stderr)
-        return 2
     except QasumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,8 +35,6 @@ def tokenize(text: str) -> list[str]:
 class EmbedderSpec:
     kind: str = "hashed-reference"
     dim: int = DEFAULT_DIM
-    endpoint: str | None = None
-    model_name: str | None = None
 
 
 def _feature_hash(feature: str) -> int:
@@ -69,25 +67,24 @@ def reference_embedding(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     return vec / norm
 
 
-def embed(text: str, spec: EmbedderSpec, gateway_cfg=None) -> np.ndarray:
-    """Embed one text per the spec; remote kinds delegate to the gateway."""
+def build_embedder(spec: EmbedderSpec, gateway=None) -> Embedder:
+    """The text -> vector callable for the spec; the remote kind embeds through the gateway.
+
+    Both kinds raise EmptyTextError on blank text.
+    """
     if spec.kind == "hashed-reference":
-        return reference_embedding(text, spec.dim)
+        return lambda text: reference_embedding(text, spec.dim)
     if spec.kind == "remote":
-        if not text.strip():
-            raise EmptyTextError("cannot embed empty text")
-        from . import llm_gateway
+        if gateway is None:
+            raise PreconditionError("the remote embedder requires a gateway")
 
-        cfg = gateway_cfg or llm_gateway.GatewayConfig(
-            base_url=spec.endpoint or "", model=spec.model_name or ""
-        )
-        return llm_gateway.embed_remote([text], cfg)[0]
+        def remote(text: str) -> np.ndarray:
+            if not text.strip():
+                raise EmptyTextError("cannot embed empty text")
+            return gateway.embed_remote([text])[0]
+
+        return remote
     raise PreconditionError(f"unknown embedder kind {spec.kind!r}")
-
-
-def make_embedder(spec: EmbedderSpec, gateway_cfg=None) -> Embedder:
-    """Bind a spec (and optional gateway config) into a text -> vector callable."""
-    return lambda text: embed(text, spec, gateway_cfg)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -283,11 +283,3 @@ def _parse_embeddings(payload) -> list[np.ndarray]:
             raise SchemaError(f"embedding reply vector {i} has zero norm")
         vectors.append(vector / norm)
     return vectors
-
-
-def chat_answer(prompt: str, cfg: GatewayConfig, seed: int | None = None) -> AnswerReply:
-    return Gateway(cfg, seed=seed).chat_answer(prompt)
-
-
-def embed_remote(texts: list[str], cfg: GatewayConfig, seed: int | None = None) -> list[np.ndarray]:
-    return Gateway(cfg, seed=seed).embed_remote(texts)

@@ -1,10 +1,9 @@
-"""Summary assembly: dedupe, deterministic ordering, post-processing, rendering.
+"""Summary assembly: dedupe, deterministic ordering, acronym expansion, rendering.
 
 Candidates that passed their thresholds are pooled across questions,
 deduplicated exactly (same sentence id) and by embedding near-match, ordered
-by (question order, document order), and run through the post-processing
-chain before emission. The chain has a named slot for reference resolution
-(currently a pass-through) followed by acronym expansion.
+by (question order, document order), and have their acronyms expanded
+before emission.
 """
 
 from __future__ import annotations
@@ -62,17 +61,6 @@ def expand_acronyms(text: str, table: dict[str, str]) -> str:
     return pattern.sub(lambda m: table[m.group()], text)
 
 
-def resolve_references(text: str) -> str:
-    """Reference-resolution slot in the post-processing chain; currently a no-op."""
-    return text
-
-
-def post_process(text: str, table: dict[str, str]) -> str:
-    for stage in (resolve_references, lambda t: expand_acronyms(t, table)):
-        text = stage(text)
-    return text
-
-
 def dedupe(
     candidates: list[ScoredAnswer],
     params: RetrievalParams,
@@ -119,7 +107,7 @@ def dedupe(
 
 
 def assemble(
-    passed_by_question: dict[str, list[ScoredAnswer]],
+    passed: list[ScoredAnswer],
     bank: QuestionBank,
     corpus: SegmentedCorpus,
     embedder: Embedder,
@@ -127,27 +115,26 @@ def assemble(
     corpus_id: str,
     timestamp: str,
 ) -> Summary:
-    """Dedupe, order, post-process, and attach run metadata.
+    """Dedupe, order, expand acronyms, and attach run metadata.
 
-    Every bank question must be present in passed_by_question (an empty list
-    for questions that produced no passing answer).
+    passed holds the answers that passed their thresholds, each for a bank
+    question, in any order.
     """
     question_order = {q.q_id: q.order for q in bank.questions}
-    pool = [a for q in bank.questions for a in passed_by_question.get(q.q_id, ())]
-    survivors = dedupe(pool, params, embedder, corpus.order_key, question_order)
+    survivors = dedupe(passed, params, embedder, corpus.order_key, question_order)
     survivors.sort(key=lambda a: (question_order[a.q_id], corpus.order_key(a.sentence.sent_id)))
 
     table = load_acronym_table()
     items = tuple(
         SummaryItem(
             q_id=a.q_id,
-            sentence_text=post_process(a.sentence.text, table),
+            sentence_text=expand_acronyms(a.sentence.text, table),
             sent_id=a.sentence.sent_id,
             score=a.score,
         )
         for a in survivors
     )
-    answered = sum(1 for q in bank.questions if passed_by_question.get(q.q_id))
+    answered = len({a.q_id for a in passed})
     meta = {
         "bank_name": bank.name,
         "bank_version": bank.version,

@@ -217,19 +217,17 @@ def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs,
 def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds):
     extractor = ae.MockExtractor(segmented)
     results = ae.answer_questions(bank, fixture_index, reference_embedding, segmented, extractor)
+    answers = [r.answer for r in results if r.answer is not None]
     summaries = []
     for tau in thresholds:
-        passed = {
-            q_id: [a for a in answers if a.score >= tau]
-            for q_id, answers in results.items()
-        }
+        passed = [a for a in answers if a.score >= tau]
         summaries.append(
             summarizer.assemble(
                 passed, bank, segmented, reference_embedding, bank.defaults,
                 corpus_id="fixture", timestamp="2026-01-15T00:00:00Z",
             )
         )
-    return results, summaries
+    return answers, summaries
 
 
 @criterion(4, "summary-diversity")
@@ -266,15 +264,10 @@ def test_criterion_5_fusion(bank, fixture_index, segmented):
         assert abs(answer.score - (w * c + (1.0 - w) * m)) <= 1e-12
         assert min(c, m) - 1e-12 <= answer.score <= max(c, m) + 1e-12
 
-    results, _ = _summaries_for_thresholds(bank, fixture_index, segmented, [])
+    answers, _ = _summaries_for_thresholds(bank, fixture_index, segmented, [])
     previous = None
     for tau in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
-        passed = {
-            (q_id, a.sentence.sent_id)
-            for q_id, answers in results.items()
-            for a in answers
-            if a.score >= tau
-        }
+        passed = {(a.q_id, a.sentence.sent_id) for a in answers if a.score >= tau}
         if previous is not None:
             assert passed <= previous, f"threshold sweep not monotone at tau={tau}"
         previous = passed

@@ -4,7 +4,12 @@ from oracles import embed_oracle, knn_oracle
 from qasum import answer_engine as ae
 from qasum.corpus import Document, SegmentedCorpus
 from qasum.embedding import reference_embedding
-from qasum.errors import EmptyRetrievalError, NoAnswerError, UnlocatableSourceError
+from qasum.errors import (
+    EmptyRetrievalError,
+    GatewayHttpError,
+    NoAnswerError,
+    UnlocatableSourceError,
+)
 from qasum.llm_gateway import AnswerReply
 from qasum.question_bank import Question, RetrievalParams, effective_params
 from qasum.vector_index import IndexEntry, VectorIndex
@@ -96,7 +101,7 @@ def test_mock_extractor_hand_example():
     corpus, index = mini_corpus(["Discharge medications included lisinopril and metformin."])
     q = question("What medications were prescribed at discharge?")
     ctx = ae.retrieve_context(q, index, reference_embedding, corpus, 1)
-    raw = ae.extract_answer(ae.build_prompt(ctx), ctx, ae.MockExtractor(corpus))
+    raw = ae.MockExtractor(corpus).extract(ae.build_prompt(ctx), ctx)
     assert raw.answer_text == "Discharge medications included lisinopril and metformin."
     assert raw.confidence == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert raw.source_sent_id == "d0#0:0"
@@ -287,9 +292,12 @@ def test_answer_questions_covers_every_question(bank, fixture_index, segmented):
     results = ae.answer_questions(
         bank, fixture_index, reference_embedding, segmented, ae.MockExtractor(segmented)
     )
-    assert set(results) == {q.q_id for q in bank.questions}
-    assert results["q-diet"] == []  # no content-token overlap anywhere
-    assert results["q-admit-reason"][0].passed_threshold
+    assert [r.question.q_id for r in results] == [q.q_id for q in bank.questions]
+    by_id = {r.question.q_id: r for r in results}
+    assert by_id["q-diet"].answer is None  # no content-token overlap anywhere
+    assert "content tokens" in by_id["q-diet"].reason
+    assert by_id["q-diet"].hits
+    assert by_id["q-admit-reason"].passed
 
 
 def test_answer_questions_parallel_matches_serial(bank, fixture_index, segmented):
@@ -301,3 +309,51 @@ def test_answer_questions_parallel_matches_serial(bank, fixture_index, segmented
         bank, fixture_index, reference_embedding, segmented, extractor, max_workers=4
     )
     assert serial == parallel
+
+
+# -- answer_question --------------------------------------------------------
+
+
+def test_answer_question_scores_the_extracted_sentence():
+    corpus, index = mini_corpus(["Discharge medications included lisinopril and metformin."])
+    q = question("What medications were prescribed at discharge?")
+    result = ae.answer_question(q, index, reference_embedding, corpus, ae.MockExtractor(corpus),
+                                RetrievalParams())
+    assert result.question == q
+    assert [h.para_id for h in result.hits] == ["d0#0"]
+    assert result.reason is None
+    assert result.answer.sentence.sent_id == "d0#0:0"
+    assert result.answer.answer_text == "Discharge medications included lisinopril and metformin."
+    assert result.answer.confidence == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert result.passed == result.answer.passed_threshold
+
+
+def test_answer_question_unlocatable_source_is_no_answer():
+    corpus, index = mini_corpus(["The patient was afebrile.  Discharged in stable condition."])
+    reply = AnswerReply(answer="x", source_sentence="Sentence not in context.", confidence=0.5)
+    result = ae.answer_question(question("Was the patient afebrile?"), index, reference_embedding,
+                                corpus, ae.RemoteExtractor(FakeGateway(reply), corpus),
+                                RetrievalParams(k=1))
+    assert result.answer is None and not result.passed
+    assert "source sentence not found" in result.reason
+    assert [h.para_id for h in result.hits] == ["d0#0"]
+
+
+def test_answer_question_empty_retrieval_is_no_answer(fixture_index, segmented):
+    q = question("Anything at all?", note_type_filter=frozenset({"lab"}))
+    result = ae.answer_question(q, fixture_index, reference_embedding, segmented,
+                                ae.MockExtractor(segmented), RetrievalParams())
+    assert result.hits == ()
+    assert result.answer is None
+    assert "matched no index entries" in result.reason
+
+
+def test_answer_question_other_errors_propagate():
+    class FailingGateway:
+        def chat_answer(self, prompt):
+            raise GatewayHttpError(503, "HTTP 503 from endpoint")
+
+    corpus, index = mini_corpus(["The patient was afebrile."])
+    with pytest.raises(GatewayHttpError):
+        ae.answer_question(question("Was the patient afebrile?"), index, reference_embedding,
+                           corpus, ae.RemoteExtractor(FailingGateway(), corpus), RetrievalParams())

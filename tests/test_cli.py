@@ -9,7 +9,7 @@ from qasum.cli import load_config, main
 from qasum.corpus import SegmentedCorpus, load_corpus
 from qasum.embedding import reference_embedding
 from qasum.errors import ValidationError
-from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, request_fingerprint
+from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, request_fingerprint
 from qasum.question_bank import effective_params, load_question_bank
 from qasum.vector_index import IndexEntry, VectorIndex
 
@@ -53,6 +53,19 @@ def test_embedder_dim_must_fit_the_index_header(pipeline_config, capsys):
 def test_unknown_param_key_rejected(pipeline_config):
     config_with(pipeline_config, params={"knn": 4})
     with pytest.raises(ValidationError, match="knn"):
+        load_config(pipeline_config)
+
+
+@pytest.mark.parametrize("key", ["endpoint", "model_name", "dims"])
+def test_unknown_embedder_key_rejected(pipeline_config, key):
+    config_with(pipeline_config, embedder={"kind": "hashed-reference", "dim": 256, key: "x"})
+    with pytest.raises(ValidationError, match=f"embedder has unknown keys \\['{key}'\\]"):
+        load_config(pipeline_config)
+
+
+def test_remote_embedder_requires_gateway(pipeline_config):
+    config_with(pipeline_config, embedder={"kind": "remote", "dim": 256})
+    with pytest.raises(ValidationError, match="remote embedder requires a gateway"):
         load_config(pipeline_config)
 
 
@@ -244,9 +257,8 @@ def test_cmd_summarize_empty_summary_is_success(pipeline_config, tmp_path):
     assert data["meta"]["counts"]["questions_asked"] == 6
 
 
-def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir):
-    # Record-style fixtures are synthesized for each question's request body,
-    # then the whole run must complete with no network access.
+def _replay_contexts(fixtures_dir):
+    """Each bank question's retrieved context, as a summarize over the fixture index sees it."""
     docs = load_corpus(fixtures_dir / "corpus.jsonl")
     corpus = SegmentedCorpus(docs)
     doc_type = {d.doc_id: d.note_type for d in docs}
@@ -255,40 +267,118 @@ def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, 
         index.insert(IndexEntry(para.para_id, reference_embedding(para.text),
                                 para.doc_id, doc_type[para.doc_id]))
     bank = load_question_bank(fixtures_dir / "question_bank.json")
-
-    fixtures = tmp_path / "replies"
-    fixtures.mkdir()
-    model = "replay-model"
+    contexts = {}
     for question in bank.questions:
         eff = effective_params(question, bank.defaults)
-        ctx = ae.retrieve_context(question, index, reference_embedding, corpus, eff.k)
-        prompt = ae.build_prompt(ctx)
-        body = {
-            "model": model,
-            "messages": [
-                {"role": "system", "content": JSON_REPLY_INSTRUCTION},
-                {"role": "user", "content": prompt},
-            ],
-        }
-        first_sentence = corpus.sentences(ctx.hits[0].para_id)[0]
-        reply = {"answer": first_sentence.text, "source_sentence": first_sentence.text,
-                 "confidence": 0.9}
-        if question.q_id == "q-diet":
-            reply = {"no_answer": True}
-        (fixtures / f"{request_fingerprint(body)}.json").write_text(
-            json.dumps({"status": 200, "body": reply}), "utf-8"
-        )
+        contexts[question.q_id] = ae.retrieve_context(question, index, reference_embedding, corpus, eff.k)
+    return corpus, contexts
 
+
+def _write_chat_fixture(fixtures, model, ctx, reply):
+    body = {
+        "model": model,
+        "messages": [
+            {"role": "system", "content": JSON_REPLY_INSTRUCTION},
+            {"role": "user", "content": ae.build_prompt(ctx)},
+        ],
+    }
+    (fixtures / f"{request_fingerprint(body)}.json").write_text(
+        json.dumps({"status": 200, "body": reply}), "utf-8"
+    )
+
+
+def _verbatim_reply(corpus, ctx):
+    first_sentence = corpus.sentences(ctx.hits[0].para_id)[0]
+    return {"answer": first_sentence.text, "source_sentence": first_sentence.text, "confidence": 0.9}
+
+
+def _use_replay_extractor(pipeline_config, model, fixtures):
     config_with(
         pipeline_config,
         extractor="remote",
         gateway={"base_url": "https://example.invalid", "model": model,
                  "mode": "replay", "fixtures_dir": str(fixtures)},
     )
+
+
+def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir):
+    # Record-style fixtures are synthesized for each question's request body,
+    # then the whole run must complete with no network access.
+    corpus, contexts = _replay_contexts(fixtures_dir)
+    fixtures = tmp_path / "replies"
+    fixtures.mkdir()
+    model = "replay-model"
+    for q_id, ctx in contexts.items():
+        reply = {"no_answer": True} if q_id == "q-diet" else _verbatim_reply(corpus, ctx)
+        _write_chat_fixture(fixtures, model, ctx, reply)
+
+    _use_replay_extractor(pipeline_config, model, fixtures)
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert run(summarize_args(pipeline_config)) == 0
     data = json.loads((tmp_path / "out" / "summary.json").read_text("utf-8"))
     assert data["meta"]["counts"]["questions_asked"] == 6
+
+
+def test_paraphrased_remote_reply_leaves_only_its_question_unanswered(
+    pipeline_config, tmp_path, fixtures_dir, capsys
+):
+    corpus, contexts = _replay_contexts(fixtures_dir)
+    fixtures = tmp_path / "replies"
+    fixtures.mkdir()
+    model = "replay-model"
+    for ctx in contexts.values():
+        _write_chat_fixture(fixtures, model, ctx, _verbatim_reply(corpus, ctx))
+    _use_replay_extractor(pipeline_config, model, fixtures)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert run(summarize_args(pipeline_config)) == 0
+    verbatim = json.loads((tmp_path / "out" / "summary.json").read_text("utf-8"))
+    assert "q-follow-up" in {item["q_id"] for item in verbatim["items"]}
+
+    # The model rewords the source sentence of one question, so it cannot be located.
+    ctx = contexts["q-follow-up"]
+    reply = _verbatim_reply(corpus, ctx)
+    reply["source_sentence"] = "In short, " + reply["source_sentence"].lower()
+    _write_chat_fixture(fixtures, model, ctx, reply)
+    capsys.readouterr()
+    assert run(summarize_args(pipeline_config)) == 0
+    paraphrased = json.loads((tmp_path / "out" / "summary.json").read_text("utf-8"))
+    assert paraphrased["items"] == [i for i in verbatim["items"] if i["q_id"] != "q-follow-up"]
+    answered = verbatim["meta"]["counts"]["questions_answered"]
+    assert paraphrased["meta"]["counts"]["questions_answered"] == answered - 1
+
+    # An ad-hoc ask of the same question sends the same request and gets no answer.
+    assert run(["ask", "--config", str(pipeline_config), ctx.question.text]) == 2
+    out = capsys.readouterr().out
+    assert "no answer: source sentence not found in retrieved context" in out
+    assert re.search(r"^  1\. \S+  score=", out, re.MULTILINE)
+
+
+def test_one_gateway_serves_remote_embedder_and_extractor(pipeline_config, monkeypatch):
+    import qasum.cli
+
+    class CountingGateway:
+        built = 0
+
+        def __init__(self, cfg, seed=None):
+            CountingGateway.built += 1
+
+        def embed_remote(self, texts):
+            return [reference_embedding(text) for text in texts]
+
+        def chat_answer(self, prompt):
+            return AnswerReply(answer="", source_sentence="", confidence=0.0, no_answer=True)
+
+    monkeypatch.setattr(qasum.cli, "Gateway", CountingGateway)
+    config_with(
+        pipeline_config,
+        embedder={"kind": "remote", "dim": 256},
+        extractor="remote",
+        gateway={"base_url": "https://example.invalid", "model": "m", "mode": "live"},
+    )
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    CountingGateway.built = 0
+    assert run(summarize_args(pipeline_config, "--workers", "2")) == 0
+    assert CountingGateway.built == 1
 
 
 def test_cmd_summarize_remote_live_without_key_exits_1(pipeline_config, tmp_path, monkeypatch, capsys):

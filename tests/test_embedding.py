@@ -8,15 +8,14 @@ from oracles import embed_oracle
 from qasum.embedding import (
     DEFAULT_DIM,
     EmbedderSpec,
+    build_embedder,
     cosine,
-    embed,
-    make_embedder,
     reference_embedding,
     tokenize,
 )
 from qasum.errors import DimensionMismatchError, EmptyTextError, PreconditionError
 
-SPEC = EmbedderSpec()
+embed = build_embedder(EmbedderSpec())
 
 WORDS = ["patient", "fever", "cough", "ceftriaxone", "stable", "admitted",
          "discharge", "pneumonia", "daily", "overnight", "oxygen", "renal",
@@ -32,15 +31,15 @@ def test_tokenize_lowercases_and_splits():
 
 
 def test_embed_is_deterministic():
-    a = embed("fever and productive cough", SPEC)
-    b = embed("fever and productive cough", SPEC)
+    a = embed("fever and productive cough")
+    b = embed("fever and productive cough")
     assert np.array_equal(a, b)
 
 
 def test_embed_unit_norm():
     rng = random.Random(11)
     for _ in range(20):
-        vec = embed(random_text(rng), SPEC)
+        vec = embed(random_text(rng))
         assert vec.shape == (DEFAULT_DIM,)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
@@ -49,7 +48,7 @@ def test_embed_matches_standalone_oracle():
     rng = random.Random(12)
     for _ in range(20):
         text = random_text(rng)
-        ours = embed(text, SPEC)
+        ours = embed(text)
         oracle = np.array(embed_oracle.hashed_embedding(text, DEFAULT_DIM))
         assert np.max(np.abs(ours - oracle)) <= 1e-12
 
@@ -57,8 +56,8 @@ def test_embed_matches_standalone_oracle():
 def test_disjoint_feature_texts_have_low_cosine():
     # Zero shared unigrams/bigrams; exact value recorded from the standalone
     # oracle script (no bucket collisions for this pair at d=256).
-    a = embed("ceftriaxone dosing schedule", SPEC)
-    b = embed("ambulates without assistance", SPEC)
+    a = embed("ceftriaxone dosing schedule")
+    b = embed("ambulates without assistance")
     value = cosine(a, b)
     assert abs(value) <= 0.25
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -67,24 +66,54 @@ def test_disjoint_feature_texts_have_low_cosine():
 def test_empty_text_rejected():
     for text in ("", "   ", "\n\t", "!!! ---"):
         with pytest.raises(EmptyTextError):
-            embed(text, SPEC)
+            embed(text)
 
 
 def test_unknown_embedder_kind():
     with pytest.raises(PreconditionError):
-        embed("x", EmbedderSpec(kind="glove"))
+        build_embedder(EmbedderSpec(kind="glove"))
 
 
-def test_make_embedder_binds_spec():
-    embedder = make_embedder(EmbedderSpec(dim=64))
+def test_build_embedder_binds_spec():
+    embedder = build_embedder(EmbedderSpec(dim=64))
     assert embedder("fever").shape == (64,)
+
+
+class RecordingGateway:
+    def __init__(self):
+        self.batches = []
+
+    def embed_remote(self, texts):
+        self.batches.append(list(texts))
+        return [reference_embedding(text) for text in texts]
+
+
+def test_remote_embedder_sends_one_text_through_its_gateway():
+    gateway = RecordingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    assert np.array_equal(embedder("fever"), reference_embedding("fever"))
+    assert gateway.batches == [["fever"]]
+
+
+def test_remote_embedder_rejects_blank_text_without_a_request():
+    gateway = RecordingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    for text in ("", "   ", "\n\t"):
+        with pytest.raises(EmptyTextError):
+            embedder(text)
+    assert gateway.batches == []
+
+
+def test_remote_embedder_requires_a_gateway():
+    with pytest.raises(PreconditionError, match="gateway"):
+        build_embedder(EmbedderSpec(kind="remote"))
 
 
 # -- cosine -----------------------------------------------------------------
 
 
 def test_cosine_identity():
-    v = embed("afebrile overnight", SPEC)
+    v = embed("afebrile overnight")
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -130,7 +159,7 @@ def test_cosine_rejects_non_finite():
 
 def test_repeated_text_not_required_to_match_single():
     # Normalization only: determinism and unit norm are the contract.
-    single = embed("x7", SPEC)
-    tripled = embed("x7 x7 x7", SPEC)
+    single = embed("x7")
+    tripled = embed("x7 x7 x7")
     assert abs(np.linalg.norm(tripled) - 1.0) <= 1e-9
     assert single.shape == tripled.shape

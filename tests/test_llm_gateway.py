@@ -20,7 +20,6 @@ from qasum.llm_gateway import (
     Gateway,
     GatewayConfig,
     canonical_body,
-    chat_answer,
     request_fingerprint,
 )
 
@@ -356,9 +355,3 @@ def test_in_flight_cap_enforced(monkeypatch):
         thread.join(timeout=5)
     assert state["max_active"] <= 2
 
-
-def test_module_level_convenience(tmp_path):
-    cfg = replay_cfg(tmp_path / "fx")
-    write_fixture(tmp_path / "fx", chat_body(cfg, "p"), 200,
-                  {"answer": "a", "source_sentence": "s", "confidence": 0.2})
-    assert chat_answer("p", cfg).confidence == 0.2

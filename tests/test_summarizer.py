@@ -15,9 +15,7 @@ from qasum.summarizer import (
     dedupe,
     expand_acronyms,
     load_acronym_table,
-    post_process,
     render_text,
-    resolve_references,
     summary_to_json,
     write_summary,
 )
@@ -34,7 +32,7 @@ def sent(sent_id, text):
 
 def answer(q_id, sent_id, text, score):
     return ScoredAnswer(q_id=q_id, sentence=sent(sent_id, text), confidence=score,
-                        np_score=score, score=score, passed_threshold=True)
+                        np_score=score, score=score, passed_threshold=True, answer_text=text)
 
 
 def simple_order_key(sent_id):
@@ -76,21 +74,13 @@ def test_bundled_table_has_unique_nonempty_entries():
     assert all(expansion for expansion in table.values())
 
 
-def test_resolve_references_is_passthrough():
-    assert resolve_references("He was admitted.") == "He was admitted."
-
-
-def test_post_process_runs_chain():
-    assert post_process("pt stable", {"pt": "patient"}) == "patient stable"
-
-
 # -- dedupe -------------------------------------------------------------------
 
 
 def test_exact_duplicate_keeps_higher_scored_question():
     shared = sent("d0#0:0", "Principal discharge diagnosis was pneumonia.")
-    low = ScoredAnswer("q-low", shared, 0.7, 0.7, 0.7, True)
-    high = ScoredAnswer("q-high", shared, 0.9, 0.9, 0.9, True)
+    low = ScoredAnswer("q-low", shared, 0.7, 0.7, 0.7, True, shared.text)
+    high = ScoredAnswer("q-high", shared, 0.9, 0.9, 0.9, True, shared.text)
     survivors = dedupe([low, high], RetrievalParams(), reference_embedding, simple_order_key)
     assert len(survivors) == 1
     assert survivors[0].q_id == "q-high"
@@ -160,7 +150,7 @@ def test_assemble_single_answer():
     corpus = tiny_corpus()
     bank = tiny_bank()
     s0 = corpus.sentences("d0#0")[0]
-    passed = {"qa": [ScoredAnswer("qa", s0, 0.8, 0.8, 0.8, True)], "qb": []}
+    passed = [ScoredAnswer("qa", s0, 0.8, 0.8, 0.8, True, s0.text)]
     summary = assemble(passed, bank, corpus, reference_embedding, RetrievalParams(),
                        corpus_id="abc123", timestamp="2026-01-15T00:00:00Z")
     assert len(summary.items) == 1
@@ -172,7 +162,7 @@ def test_assemble_single_answer():
 
 
 def test_assemble_empty_run_keeps_meta():
-    summary = assemble({"qa": [], "qb": []}, tiny_bank(), tiny_corpus(), reference_embedding,
+    summary = assemble([], tiny_bank(), tiny_corpus(), reference_embedding,
                        RetrievalParams(), corpus_id="abc123", timestamp="t")
     assert summary.items == ()
     assert summary.meta["counts"] == {
@@ -185,13 +175,11 @@ def test_assemble_orders_by_question_then_document():
     bank = tiny_bank()
     alpha, beta = corpus.sentences("d0#0")
     gamma = corpus.sentences("d1#0")[0]
-    passed = {
-        "qb": [ScoredAnswer("qb", alpha, 0.7, 0.7, 0.7, True)],
-        "qa": [
-            ScoredAnswer("qa", gamma, 0.9, 0.9, 0.9, True),
-            ScoredAnswer("qa", beta, 0.8, 0.8, 0.8, True),
-        ],
-    }
+    passed = [
+        ScoredAnswer("qb", alpha, 0.7, 0.7, 0.7, True, alpha.text),
+        ScoredAnswer("qa", gamma, 0.9, 0.9, 0.9, True, gamma.text),
+        ScoredAnswer("qa", beta, 0.8, 0.8, 0.8, True, beta.text),
+    ]
     summary = assemble(passed, bank, corpus, reference_embedding, RetrievalParams(),
                        corpus_id="x", timestamp="t")
     assert [i.sent_id for i in summary.items] == ["d0#0:1", "d1#0:0", "d0#0:0"]
@@ -202,7 +190,7 @@ def test_assemble_applies_acronym_expansion():
     docs = [Document("d0", "p", "progress", None, "Pt admitted with SOB.")]
     corpus = SegmentedCorpus(docs)
     s0 = corpus.sentences("d0#0")[0]
-    passed = {"qa": [ScoredAnswer("qa", s0, 0.9, 0.9, 0.9, True)], "qb": []}
+    passed = [ScoredAnswer("qa", s0, 0.9, 0.9, 0.9, True, s0.text)]
     summary = assemble(passed, tiny_bank(), corpus, reference_embedding, RetrievalParams(),
                        corpus_id="x", timestamp="t")
     assert summary.items[0].sentence_text == "Patient admitted with shortness of breath."
@@ -215,13 +203,12 @@ def test_assembled_summary_is_diverse():
         Document("d2", "p", "discharge", None, "Gamma fact three."),
     ])
     params = RetrievalParams()
-    passed = {
-        "qa": [ScoredAnswer("qa", corpus.sentences("d0#0")[0], 0.9, 0.9, 0.9, True)],
-        "qb": [
-            ScoredAnswer("qb", corpus.sentences("d1#0")[0], 0.8, 0.8, 0.8, True),
-            ScoredAnswer("qb", corpus.sentences("d2#0")[0], 0.7, 0.7, 0.7, True),
-        ],
-    }
+    d0, d1, d2 = (corpus.sentences(f"d{i}#0")[0] for i in range(3))
+    passed = [
+        ScoredAnswer("qa", d0, 0.9, 0.9, 0.9, True, d0.text),
+        ScoredAnswer("qb", d1, 0.8, 0.8, 0.8, True, d1.text),
+        ScoredAnswer("qb", d2, 0.7, 0.7, 0.7, True, d2.text),
+    ]
     summary = assemble(passed, tiny_bank(), corpus, reference_embedding, params,
                        corpus_id="x", timestamp="t")
     texts = [item.sentence_text for item in summary.items]
@@ -284,11 +271,10 @@ def test_write_summary_emits_both_files(tmp_path):
 def test_output_bytes_independent_of_input_ordering(bank, fixture_index, segmented):
     extractor = ae.MockExtractor(segmented)
     results = ae.answer_questions(bank, fixture_index, reference_embedding, segmented, extractor)
-    passed = {q: [a for a in answers if a.passed_threshold] for q, answers in results.items()}
+    passed = [r.answer for r in results if r.passed]
     forward = assemble(passed, bank, segmented, reference_embedding, bank.defaults,
                        corpus_id="c", timestamp="t")
-    shuffled = dict(reversed(list(passed.items())))
-    backward = assemble(shuffled, bank, segmented, reference_embedding, bank.defaults,
+    backward = assemble(passed[::-1], bank, segmented, reference_embedding, bank.defaults,
                         corpus_id="c", timestamp="t")
     assert summary_to_json(forward) == summary_to_json(backward)
     assert render_text(forward, bank) == render_text(backward, bank)

@@ -16,13 +16,23 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import answer_engine, evaluation, summarizer
 from .corpus import SegmentedCorpus, load_corpus
 from .embedding import EmbedderSpec, build_embedder
-from .errors import EmptyTextError, IoError, QasumError, ValidationError
+from .errors import (
+    CorruptIndexError,
+    DimensionMismatchError,
+    EmptyTextError,
+    IoError,
+    QasumError,
+    ValidationError,
+)
+from .fileio import write_atomic
 from .llm_gateway import Gateway, GatewayConfig
 from .question_bank import Question, RetrievalParams, load_question_bank
-from .vector_index import MAX_DIM, IndexEntry, VectorIndex
+from .vector_index import MAX_DIM, VectorIndex
 
 _PARAM_KEYS = ("k", "fusion_weight", "score_threshold", "dedup_cosine")
 _EMBEDDER_KEYS = ("kind", "dim")
@@ -120,8 +130,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ValidationError("config: remote embedder requires a gateway section")
 
     workers = data.get("workers", 1)
-    if not (isinstance(workers, int) and workers >= 1):
+    if not (type(workers) is int and workers >= 1):
         raise ValidationError(f"config: workers must be a positive integer, got {workers!r}")
+    seed = data.get("seed")
+    if not (seed is None or type(seed) is int):
+        raise ValidationError(f"config: seed must be an integer or null, got {seed!r}")
+    run_timestamp = data.get("run_timestamp")
+    if not (run_timestamp is None or isinstance(run_timestamp, str)):
+        raise ValidationError(f"config: run_timestamp must be a string or null, got {run_timestamp!r}")
 
     return PipelineConfig(
         corpus_path=resolve(corpus["path"]),
@@ -134,8 +150,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         gateway=gateway,
         output_dir=resolve(data["output_dir"]),
         workers=workers,
-        seed=data.get("seed"),
-        run_timestamp=data.get("run_timestamp"),
+        seed=seed,
+        run_timestamp=run_timestamp,
     )
 
 
@@ -154,6 +170,25 @@ def _build_extractor(cfg: PipelineConfig, corpus: SegmentedCorpus, gateway: Gate
     if cfg.extractor == "remote":
         return answer_engine.RemoteExtractor(gateway, corpus)
     return answer_engine.MockExtractor(corpus)
+
+
+def _embedder_identity(cfg: PipelineConfig) -> str:
+    """The name an index records for the embedder that made its vectors."""
+    if cfg.embedder.kind == "remote":
+        return f"remote:{cfg.gateway.model}"
+    return cfg.embedder.kind
+
+
+def _load_index(cfg: PipelineConfig) -> VectorIndex:
+    """The configured index, refused unless the configured embedder built it."""
+    index = VectorIndex.load(cfg.index_path)
+    expected = _embedder_identity(cfg)
+    if index.embedder != expected:
+        raise CorruptIndexError(
+            f"index {cfg.index_path} was built by embedder {index.embedder!r}, but the config "
+            f"uses {expected!r}; rebuild it with `qasum index`"
+        )
+    return index
 
 
 def _load_segmented(cfg: PipelineConfig) -> SegmentedCorpus:
@@ -191,25 +226,29 @@ def cmd_index(cfg: PipelineConfig) -> int:
     docs = load_corpus(cfg.corpus_path, cfg.corpus_format)
     corpus = SegmentedCorpus(docs)
     embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
-    index = VectorIndex(dim=cfg.embedder.dim)
     doc_type = {doc.doc_id: doc.note_type for doc in docs}
-    skipped = 0
+    dim = cfg.embedder.dim
+    matrix = np.empty((len(corpus.paragraphs), dim))
+    embedded = []
     for para in corpus.paragraphs:
         try:
             vector = embedder(para.text)
         except EmptyTextError:
-            skipped += 1
             continue
-        index.insert(
-            IndexEntry(
-                para_id=para.para_id,
-                vector=vector,
-                doc_id=para.doc_id,
-                note_type=doc_type[para.doc_id],
+        if np.shape(vector) != (dim,):
+            raise DimensionMismatchError(
+                f"embedder returned a vector of shape {np.shape(vector)} for {para.para_id}, expected ({dim},)"
             )
-        )
-    cfg.index_path.parent.mkdir(parents=True, exist_ok=True)
+        matrix[len(embedded)] = vector
+        embedded.append(para)
+    index = VectorIndex(
+        [para.para_id for para in embedded],
+        [doc_type[para.doc_id] for para in embedded],
+        matrix[: len(embedded)],
+        _embedder_identity(cfg),
+    )
     index.save(cfg.index_path)
+    skipped = len(corpus.paragraphs) - len(embedded)
     suffix = f" ({skipped} unembeddable skipped)" if skipped else ""
     print(f"indexed {len(docs)} docs / {len(corpus.paragraphs)} paragraphs{suffix} -> {cfg.index_path}")
     return 0
@@ -217,7 +256,7 @@ def cmd_index(cfg: PipelineConfig) -> int:
 
 def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
     corpus = _load_segmented(cfg)
-    index = VectorIndex.load(cfg.index_path)
+    index = _load_index(cfg)
     bank = load_question_bank(cfg.question_bank_path)
     params = _effective_params(cfg, bank.defaults)
     gateway = _build_gateway(cfg, extracts=True)
@@ -245,7 +284,7 @@ def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
 
 def cmd_summarize(cfg: PipelineConfig) -> int:
     corpus = _load_segmented(cfg)
-    index = VectorIndex.load(cfg.index_path)
+    index = _load_index(cfg)
     bank = load_question_bank(cfg.question_bank_path)
     params = _effective_params(cfg, bank.defaults)
     gateway = _build_gateway(cfg, extracts=True)
@@ -278,11 +317,11 @@ def cmd_evaluate(
 ) -> int:
     embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
     report = evaluation.evaluate(candidate, reference, source, embedder)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    report_json = evaluation.report_to_json(report)
     report_path = cfg.output_dir / "metrics.json"
-    report_path.write_text(evaluation.report_to_json(report), "utf-8")
+    write_atomic(report_path, report_json.encode("utf-8"))
     if output_format == "json":
-        print(evaluation.report_to_json(report), end="")
+        print(report_json, end="")
     else:
         print(evaluation.render_table(report), end="")
     print(f"report -> {report_path}")

@@ -17,6 +17,7 @@ or {"embeddings": [[...]]}.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -38,6 +39,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
+from .fileio import write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -165,10 +167,12 @@ class Gateway:
 
     def _record(self, body_bytes: bytes, status: int, payload) -> None:
         digest = hashlib.sha256(body_bytes).hexdigest()
-        fixtures = Path(self.cfg.fixtures_dir)
-        fixtures.mkdir(parents=True, exist_ok=True)
-        fixture = fixtures / f"{digest}.json"
-        fixture.write_text(json.dumps({"status": status, "body": payload}, indent=2), "utf-8")
+        fixture = Path(self.cfg.fixtures_dir) / f"{digest}.json"
+        recording = json.dumps({"status": status, "body": payload}, indent=2).encode("utf-8")
+        with contextlib.suppress(OSError):
+            if fixture.read_bytes() == recording:
+                return  # a repeated request got the same reply: it is recorded already
+        write_atomic(fixture, recording)
 
     def _live(self, path: str, body_bytes: bytes):
         import requests

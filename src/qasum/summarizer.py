@@ -21,7 +21,8 @@ import numpy as np
 from .answer_engine import ScoredAnswer
 from .corpus import SegmentedCorpus
 from .embedding import Embedder, cosine
-from .errors import EmptyTextError, IoError
+from .errors import EmptyTextError
+from .fileio import write_atomic
 from .question_bank import QuestionBank, RetrievalParams
 
 
@@ -193,14 +194,9 @@ def render_text(summary: Summary, bank: QuestionBank) -> str:
 
 
 def write_summary(summary: Summary, bank: QuestionBank, output_dir: str | Path) -> tuple[Path, Path]:
-    """Emit summary.json and summary.txt side by side; returns their paths."""
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        json_path = out / "summary.json"
-        text_path = out / "summary.txt"
-        json_path.write_text(summary_to_json(summary), "utf-8")
-        text_path.write_text(render_text(summary, bank), "utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write summary to {out}: {exc}") from exc
+    """Emit summary.json and summary.txt side by side, each atomically; returns their paths."""
+    json_path = Path(output_dir) / "summary.json"
+    text_path = Path(output_dir) / "summary.txt"
+    write_atomic(json_path, summary_to_json(summary).encode("utf-8"))
+    write_atomic(text_path, render_text(summary, bank).encode("utf-8"))
     return json_path, text_path

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from index_rows import Row, build_index
 from qasum.corpus import SegmentedCorpus, load_corpus
 from qasum.embedding import reference_embedding
 from qasum.question_bank import load_question_bank
-from qasum.vector_index import IndexEntry, VectorIndex
+from qasum.vector_index import VectorIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -41,7 +42,7 @@ def ref_embedder():
 def fixture_entries(corpus_docs, segmented):
     doc_type = {doc.doc_id: doc.note_type for doc in corpus_docs}
     return [
-        IndexEntry(
+        Row(
             para_id=para.para_id,
             vector=reference_embedding(para.text),
             doc_id=para.doc_id,
@@ -53,10 +54,7 @@ def fixture_entries(corpus_docs, segmented):
 
 @pytest.fixture(scope="session")
 def fixture_index(fixture_entries) -> VectorIndex:
-    index = VectorIndex()
-    for entry in fixture_entries:
-        index.insert(entry)
-    return index
+    return build_index(fixture_entries)
 
 
 @pytest.fixture(scope="session")

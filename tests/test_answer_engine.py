@@ -1,5 +1,6 @@
 import pytest
 
+from index_rows import Row, build_index
 from oracles import embed_oracle, knn_oracle
 from qasum import answer_engine as ae
 from qasum.corpus import Document, SegmentedCorpus
@@ -12,7 +13,6 @@ from qasum.errors import (
 )
 from qasum.llm_gateway import AnswerReply
 from qasum.question_bank import Question, RetrievalParams, effective_params
-from qasum.vector_index import IndexEntry, VectorIndex
 
 
 def mini_corpus(texts, note_type="progress"):
@@ -21,11 +21,9 @@ def mini_corpus(texts, note_type="progress"):
         for i, text in enumerate(texts)
     ]
     corpus = SegmentedCorpus(docs)
-    index = VectorIndex()
-    for para in corpus.paragraphs:
-        index.insert(
-            IndexEntry(para.para_id, reference_embedding(para.text), para.doc_id, note_type)
-        )
+    index = build_index(
+        [Row(para.para_id, reference_embedding(para.text), para.doc_id, note_type) for para in corpus.paragraphs]
+    )
     return corpus, index
 
 

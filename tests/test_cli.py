@@ -1,8 +1,10 @@
 import json
+import os
 import re
 
 import pytest
 
+from index_rows import Row, build_index
 from oracles import embed_oracle
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
@@ -11,7 +13,6 @@ from qasum.embedding import reference_embedding
 from qasum.errors import ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, request_fingerprint
 from qasum.question_bank import effective_params, load_question_bank
-from qasum.vector_index import IndexEntry, VectorIndex
 
 
 def run(argv):
@@ -50,6 +51,19 @@ def test_embedder_dim_must_fit_the_index_header(pipeline_config, capsys):
     assert "embedder.dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", [1]), ("seed", True), ("seed", "7"), ("seed", 1.5),
+     ("run_timestamp", 5), ("run_timestamp", ["2026-01-15"]), ("workers", True)],
+)
+def test_config_field_types_are_checked(pipeline_config, capsys, key, value):
+    config_with(pipeline_config, **{key: value})
+    with pytest.raises(ValidationError, match=f"config: {key} must be"):
+        load_config(pipeline_config)
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_unknown_param_key_rejected(pipeline_config):
     config_with(pipeline_config, params={"knn": 4})
     with pytest.raises(ValidationError, match="knn"):
@@ -84,6 +98,25 @@ def test_cmd_index_is_byte_deterministic(pipeline_config, tmp_path):
     first = (tmp_path / "out" / "index.qidx").read_bytes()
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert (tmp_path / "out" / "index.qidx").read_bytes() == first
+
+
+def test_failed_replace_keeps_the_previous_artifacts(pipeline_config, tmp_path, monkeypatch, capsys):
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert run(summarize_args(pipeline_config)) == 0
+    out = tmp_path / "out"
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) == {"index.qidx", "summary.json", "summary.txt"}
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    capsys.readouterr()
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    # A looser threshold would change both summary files.
+    assert run(summarize_args(pipeline_config, "--threshold", "0.2")) == 1
+    assert capsys.readouterr().err.count("No space left on device") == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_cmd_index_missing_corpus(pipeline_config, tmp_path, capsys):
@@ -262,10 +295,8 @@ def _replay_contexts(fixtures_dir):
     docs = load_corpus(fixtures_dir / "corpus.jsonl")
     corpus = SegmentedCorpus(docs)
     doc_type = {d.doc_id: d.note_type for d in docs}
-    index = VectorIndex()
-    for para in corpus.paragraphs:
-        index.insert(IndexEntry(para.para_id, reference_embedding(para.text),
-                                para.doc_id, doc_type[para.doc_id]))
+    index = build_index([Row(para.para_id, reference_embedding(para.text), para.doc_id, doc_type[para.doc_id])
+                         for para in corpus.paragraphs])
     bank = load_question_bank(fixtures_dir / "question_bank.json")
     contexts = {}
     for question in bank.questions:
@@ -379,6 +410,40 @@ def test_one_gateway_serves_remote_embedder_and_extractor(pipeline_config, monke
     CountingGateway.built = 0
     assert run(summarize_args(pipeline_config, "--workers", "2")) == 0
     assert CountingGateway.built == 1
+
+
+class ReferenceGateway:
+    """A gateway stand-in whose remote embeddings are the reference embedder's."""
+
+    def __init__(self, cfg, seed=None):
+        pass
+
+    def embed_remote(self, texts):
+        return [reference_embedding(text) for text in texts]
+
+
+def test_index_built_by_another_embedder_is_refused(pipeline_config, monkeypatch, capsys):
+    import qasum.cli
+
+    monkeypatch.setattr(qasum.cli, "Gateway", ReferenceGateway)
+    gateway = {"base_url": "https://example.invalid", "model": "m", "mode": "live"}
+    ask = ["ask", "--config", str(pipeline_config), "What medications were prescribed at discharge?"]
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    # Same dim and, here, the very same vectors: only the recorded identity differs.
+    config_with(pipeline_config, embedder={"kind": "remote", "dim": 256}, gateway=gateway)
+    for argv in (summarize_args(pipeline_config), ask):
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "'hashed-reference'" in err and "'remote:m'" in err and "qasum index" in err
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert run(ask) == 0
+    config_with(pipeline_config, gateway=dict(gateway, model="m2"))
+    capsys.readouterr()
+    assert run(ask) == 1
+    err = capsys.readouterr().err
+    assert "'remote:m'" in err and "'remote:m2'" in err
 
 
 def test_cmd_summarize_remote_live_without_key_exits_1(pipeline_config, tmp_path, monkeypatch, capsys):

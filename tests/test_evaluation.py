@@ -1,8 +1,11 @@
 import json
 import math
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import embed_oracle, metrics_oracle
 from qasum.embedding import reference_embedding
@@ -181,21 +184,31 @@ def test_embedding_similarity_empty_text():
 # -- properties against the standalone oracle ------------------------------------
 
 
-def test_metrics_match_standalone_oracle_on_random_pairs():
-    rng = random.Random(33)
-    for _ in range(20):
-        cand, ref = random_text(rng), random_text(rng)
-        for n in (1, 2):
-            ours = rouge_n(cand, ref, n)
-            recall, precision, f1 = metrics_oracle.rouge_n(cand, ref, n)
-            assert ours.recall == pytest.approx(recall, abs=1e-9)
-            assert ours.precision == pytest.approx(precision, abs=1e-9)
-            assert ours.f1 == pytest.approx(f1, abs=1e-9)
-        ours_l = rouge_l(cand, ref)
-        recall, precision, f1 = metrics_oracle.rouge_l(cand, ref)
-        assert ours_l.recall == pytest.approx(recall, abs=1e-9)
-        assert ours_l.f1 == pytest.approx(f1, abs=1e-9)
-        assert bleu(cand, ref) == pytest.approx(metrics_oracle.bleu(cand, ref), abs=1e-9)
+# Arbitrary Unicode (empty included), punctuation only, and word sequences
+# that share n-grams, some with non-ASCII letters around the ASCII tokens.
+metric_texts = st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet=string.punctuation + " \n\t", max_size=20),
+    st.lists(st.sampled_from(WORDS + ["Ünïcode", "naïve", "café", "İl", "ＡＢ", "\u212a", "—", "!?"]), max_size=30)
+    .map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cand=metric_texts, ref=metric_texts)
+def test_metrics_match_standalone_oracle_on_random_pairs(cand, ref):
+    for n in (1, 2):
+        ours = rouge_n(cand, ref, n)
+        recall, precision, f1 = metrics_oracle.rouge_n(cand, ref, n)
+        assert ours.recall == pytest.approx(recall, abs=1e-9)
+        assert ours.precision == pytest.approx(precision, abs=1e-9)
+        assert ours.f1 == pytest.approx(f1, abs=1e-9)
+    ours_l = rouge_l(cand, ref)
+    recall, precision, f1 = metrics_oracle.rouge_l(cand, ref)
+    assert ours_l.recall == pytest.approx(recall, abs=1e-9)
+    assert ours_l.precision == pytest.approx(precision, abs=1e-9)
+    assert ours_l.f1 == pytest.approx(f1, abs=1e-9)
+    assert bleu(cand, ref) == pytest.approx(metrics_oracle.bleu(cand, ref), abs=1e-9)
 
 
 def test_metric_ranges_on_random_pairs():

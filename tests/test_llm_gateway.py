@@ -255,6 +255,32 @@ def test_retry_succeeds_after_two_5xx(stub_server, monkeypatch):
     assert len(_StubHandler.requests_seen) == 3
 
 
+def test_record_writes_one_fixture_and_turns_write_errors_into_io_error(stub_server, monkeypatch, tmp_path):
+    monkeypatch.setenv(KEY_ENV, "test-key")
+    fixtures = tmp_path / "fixtures"
+    _StubHandler.script = [(200, GOOD_REPLY)]
+    recorder = Gateway(live_cfg(stub_server, mode="record", fixtures_dir=str(fixtures)), seed=1)
+    recorded = recorder.chat_answer("p")
+    fixture = fixtures / f"{request_fingerprint(chat_body(live_cfg(stub_server), 'p'))}.json"
+    assert list(fixtures.iterdir()) == [fixture]
+    assert Gateway(replay_cfg(fixtures, model="m")).chat_answer("p") == recorded
+
+    # The same reply again leaves the recording alone; a new reply replaces it.
+    inode = fixture.stat().st_ino
+    _StubHandler.script = [(200, GOOD_REPLY), (200, dict(GOOD_REPLY, answer="b"))]
+    recorder.chat_answer("p")
+    assert fixture.stat().st_ino == inode
+    assert recorder.chat_answer("p").answer == "b"
+    assert list(fixtures.iterdir()) == [fixture]
+    assert Gateway(replay_cfg(fixtures, model="m")).chat_answer("p").answer == "b"
+
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("", "utf-8")
+    _StubHandler.script = [(200, GOOD_REPLY)]
+    with pytest.raises(IoError, match="not-a-dir"):
+        Gateway(live_cfg(stub_server, mode="record", fixtures_dir=str(blocker / "fixtures")), seed=1).chat_answer("p")
+
+
 def test_retry_gives_up_after_three_5xx(stub_server, monkeypatch):
     monkeypatch.setenv(KEY_ENV, "test-key")
     _StubHandler.script = [(500, {}), (500, {}), (500, {})]

@@ -1,5 +1,6 @@
-import random
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_rows import Row, build_index
 from oracles.knn_oracle import brute_force_search
+from qasum.cli import load_config, main
 from qasum.embedding import reference_embedding
 from qasum.errors import (
     CorruptIndexError,
@@ -16,7 +19,7 @@ from qasum.errors import (
     IoError,
     PreconditionError,
 )
-from qasum.vector_index import FORMAT_VERSION, MAGIC, IndexEntry, VectorIndex
+from qasum.vector_index import FORMAT_VERSION, MAGIC, VectorIndex
 
 
 def unit(vec):
@@ -24,16 +27,9 @@ def unit(vec):
     return vec / np.linalg.norm(vec)
 
 
-def make_index(entries):
-    index = VectorIndex()
-    for entry in entries:
-        index.insert(entry)
-    return index
-
-
 def random_entries(rng, n, dim=16, note_types=("admission", "progress", "discharge")):
     return [
-        IndexEntry(
+        Row(
             para_id=f"d{i // 4}#{i % 4}",
             vector=rng.normal(size=dim),
             doc_id=f"d{i // 4}",
@@ -47,52 +43,47 @@ def as_oracle_entries(entries):
     return [(e.para_id, list(e.vector), e.doc_id, e.note_type) for e in entries]
 
 
-# -- insert / search --------------------------------------------------------
+# -- build / search ---------------------------------------------------------
 
 
 def test_self_match_scores_one():
     vec = unit([0.3, -0.2, 0.9, 0.1])
-    index = make_index([IndexEntry("a#0", vec, "a", "other")])
+    index = build_index([Row("a#0", vec, "a", "other")])
     hits = index.search(vec, k=1)
     assert hits[0].para_id == "a#0"
     assert hits[0].score == pytest.approx(1.0, abs=1e-12)
     assert hits[0].rank == 1
 
 
-def test_reinsert_replaces_vector():
-    v1 = unit([1.0, 0.0])
-    v2 = unit([0.0, 1.0])
-    index = make_index([IndexEntry("a#0", v1, "a", "other")])
-    index.insert(IndexEntry("a#0", v2, "a", "other"))
-    assert len(index) == 1
-    hits = index.search(v2, k=1)
-    assert hits[0].score == pytest.approx(1.0, abs=1e-12)
+def test_dimension_mismatch_on_insert(pipeline_config, monkeypatch, capsys):
+    """An embedder vector of the wrong length never reaches the index matrix."""
+    import qasum.cli
 
-
-def test_dimension_mismatch_on_insert():
-    index = make_index([IndexEntry("a#0", np.ones(256), "a", "other")])
-    with pytest.raises(DimensionMismatchError):
-        index.insert(IndexEntry("b#0", np.ones(128), "b", "other"))
+    monkeypatch.setattr(qasum.cli, "build_embedder", lambda spec, gateway: lambda text: np.ones(128))
+    with pytest.raises(DimensionMismatchError, match=r"expected \(256,\)"):
+        qasum.cli.cmd_index(load_config(pipeline_config))
+    assert main(["index", "--config", str(pipeline_config)]) == 1
+    assert "expected (256,)" in capsys.readouterr().err
 
 
 def test_dimension_beyond_header_range_rejected_on_insert():
     with pytest.raises(PreconditionError, match="65535"):
-        VectorIndex().insert(IndexEntry("a#0", np.ones(65536), "a", "other"))
+        VectorIndex(["a#0"], ["other"], np.ones((1, 65536)), "hashed-reference")
 
 
 def test_dimension_mismatch_on_search():
-    index = make_index([IndexEntry("a#0", np.ones(8), "a", "other")])
+    index = build_index([Row("a#0", np.ones(8), "a", "other")])
     with pytest.raises(DimensionMismatchError):
         index.search(np.ones(4), k=1)
 
 
 def test_search_empty_index():
     with pytest.raises(EmptyIndexError):
-        VectorIndex().search(np.ones(4), k=1)
+        build_index([]).search(np.ones(4), k=1)
 
 
 def test_search_invalid_k():
-    index = make_index([IndexEntry("a#0", np.ones(4), "a", "other")])
+    index = build_index([Row("a#0", np.ones(4), "a", "other")])
     with pytest.raises(PreconditionError):
         index.search(np.ones(4), k=0)
 
@@ -100,7 +91,7 @@ def test_search_invalid_k():
 def test_k_larger_than_index_returns_all_sorted():
     rng = np.random.default_rng(7)
     entries = random_entries(rng, 5)
-    index = make_index(entries)
+    index = build_index(entries)
     query = rng.normal(size=16)
     hits = index.search(query, k=50)
     assert len(hits) == 5
@@ -111,7 +102,7 @@ def test_k_larger_than_index_returns_all_sorted():
 def test_five_entry_search_matches_brute_force_oracle():
     rng = np.random.default_rng(8)
     entries = random_entries(rng, 5)
-    index = make_index(entries)
+    index = build_index(entries)
     query = rng.normal(size=16)
     expected = brute_force_search(as_oracle_entries(entries), list(query), 3)
     hits = index.search(query, k=3)
@@ -123,45 +114,29 @@ def test_five_entry_search_matches_brute_force_oracle():
 def test_note_type_filter():
     rng = np.random.default_rng(9)
     entries = random_entries(rng, 12)
-    index = make_index(entries)
+    index = build_index(entries)
     query = rng.normal(size=16)
     hits = index.search(query, k=12, note_filter={"discharge"})
     expected_ids = {e.para_id for e in entries if e.note_type == "discharge"}
     assert {h.para_id for h in hits} == expected_ids
 
 
-def test_callable_filter():
-    rng = np.random.default_rng(10)
-    entries = random_entries(rng, 6)
-    index = make_index(entries)
-    hits = index.search(rng.normal(size=16), k=6, note_filter=lambda nt: nt == "admission")
-    assert {h.para_id for h in hits} == {e.para_id for e in entries if e.note_type == "admission"}
-
-
 def test_filter_matching_nothing_returns_empty():
     rng = np.random.default_rng(11)
-    index = make_index(random_entries(rng, 4))
+    index = build_index(random_entries(rng, 4))
     assert index.search(rng.normal(size=16), k=2, note_filter={"lab"}) == []
 
 
 def test_ties_break_by_para_id_ascending():
     vec = unit([1.0, 1.0, 0.0])
     entries = [
-        IndexEntry("z#0", vec.copy(), "z", "other"),
-        IndexEntry("a#0", vec.copy(), "a", "other"),
-        IndexEntry("m#0", vec.copy(), "m", "other"),
+        Row("z#0", vec.copy(), "z", "other"),
+        Row("a#0", vec.copy(), "a", "other"),
+        Row("m#0", vec.copy(), "m", "other"),
     ]
-    hits = make_index(entries).search(vec, k=3)
+    hits = build_index(entries).search(vec, k=3)
     assert [h.para_id for h in hits] == ["a#0", "m#0", "z#0"]
     assert [h.rank for h in hits] == [1, 2, 3]
-
-
-def test_callable_filter_runs_once_per_note_type():
-    rng = np.random.default_rng(14)
-    index = make_index(random_entries(rng, 30))
-    seen = []
-    index.search(rng.normal(size=16), k=3, note_filter=lambda nt: seen.append(nt) or nt == "progress")
-    assert sorted(seen) == ["admission", "discharge", "progress"]
 
 
 # -- properties -------------------------------------------------------------
@@ -171,7 +146,7 @@ def test_oracle_equivalence_randomized():
     rng = np.random.default_rng(12)
     for n in (50, 250, 1000):
         entries = random_entries(rng, n)
-        index = make_index(entries)
+        index = build_index(entries)
         oracle_entries = as_oracle_entries(entries)
         for _ in range(5):
             query = rng.normal(size=16)
@@ -185,7 +160,7 @@ def test_oracle_equivalence_randomized():
 
 def test_search_k_is_prefix_of_k_plus_one():
     rng = np.random.default_rng(13)
-    index = make_index(random_entries(rng, 40))
+    index = build_index(random_entries(rng, 40))
     for _ in range(10):
         query = rng.normal(size=16)
         for k in (1, 3, 7):
@@ -211,30 +186,27 @@ def search_cases(draw):
     n = draw(st.integers(min_value=1, max_value=14))
     order = draw(st.permutations(range(n)))
     entries = [
-        IndexEntry(f"p{order[i]:02d}#0", np.array(draw(st.sampled_from(pool))), f"p{order[i]:02d}",
+        Row(f"p{order[i]:02d}#0", np.array(draw(st.sampled_from(pool))), f"p{order[i]:02d}",
                    draw(st.sampled_from(_TYPES)))
         for i in range(n)
     ]
     query = draw(st.one_of(vector, st.sampled_from(pool)))
     k = draw(st.integers(min_value=1, max_value=n + 3))
     allowed = draw(st.one_of(st.none(), st.sets(st.sampled_from(_TYPES + ("radiology",)))))
-    note_filter = allowed
-    if allowed is not None and draw(st.booleans()):
-        note_filter = lambda nt: nt in allowed  # noqa: E731
-    return entries, np.array(query), k, note_filter, allowed
+    return entries, np.array(query), k, allowed
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=search_cases())
 def test_search_matches_oracle_with_ties_zeros_and_filters(case):
-    entries, query, k, note_filter, allowed = case
+    entries, query, k, allowed = case
     expected = brute_force_search(as_oracle_entries(entries), list(query), k, allowed)
-    index = make_index(entries)
+    index = build_index(entries)
     with tempfile.TemporaryDirectory() as tmp:
         index.save(Path(tmp) / "index.qidx")
         loaded = VectorIndex.load(Path(tmp) / "index.qidx")
     for searched in (index, loaded):
-        hits = searched.search(query, k=k, note_filter=note_filter)
+        hits = searched.search(query, k=k, note_filter=allowed)
         assert [h.para_id for h in hits] == [pid for pid, _ in expected]
         assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
         for hit, (_, score) in zip(hits, expected):
@@ -271,6 +243,7 @@ def test_save_load_preserves_rankings(saved_index, fixture_index):
     loaded = VectorIndex.load(saved_index)
     assert len(loaded) == len(fixture_index)
     assert loaded.dim == fixture_index.dim
+    assert loaded.embedder == fixture_index.embedder == "hashed-reference"
     for query in fixture_queries():
         before = fixture_index.search(query, k=10)
         after = loaded.search(query, k=10)
@@ -315,24 +288,76 @@ def test_load_bad_checksum(saved_index):
         VectorIndex.load(saved_index)
 
 
+def with_checksum(path, payload):
+    """Write payload plus its CRC32, so load gets past the checksum to the check under test."""
+    payload = bytes(payload)
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def v2_file(path, table, count, dim=2):
+    """A v2 index file around the given string table (bytes) and count x dim zero vectors."""
+    header = struct.pack("<8sHHQQ", MAGIC, FORMAT_VERSION, dim, count, len(table))
+    with_checksum(path, header + table + bytes(4 * dim * count))
+
+
 def test_load_invalid_utf8_record(saved_index):
-    blob = bytearray(saved_index.read_bytes())
-    blob[len(MAGIC) + 12 + 2] = 0xFF  # first byte of the first para_id
-    saved_index.write_bytes(bytes(blob))
+    blob = bytearray(saved_index.read_bytes()[:-4])
+    first_para_id = blob.index(b'"para_ids":["') + len(b'"para_ids":["')
+    blob[first_para_id] = 0xFF
+    with_checksum(saved_index, blob)
     with pytest.raises(CorruptIndexError, match="UTF-8"):
         VectorIndex.load(saved_index)
 
 
 def test_load_unsupported_version(saved_index):
-    import struct
-    import zlib
-
-    blob = bytearray(saved_index.read_bytes())
+    blob = bytearray(saved_index.read_bytes()[:-4])
     struct.pack_into("<H", blob, 8, FORMAT_VERSION + 1)
-    payload = bytes(blob[:-4])
-    saved_index.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    with_checksum(saved_index, blob)
     with pytest.raises(CorruptIndexError, match="version"):
         VectorIndex.load(saved_index)
+
+
+def test_load_refuses_version_1_with_rebuild_hint(tmp_path):
+    path = tmp_path / "v1.qidx"
+    # The v1 header (magic, version, dim, count) of an empty index.
+    with_checksum(path, struct.pack("<8sHHQ", MAGIC, 1, 4, 0))
+    with pytest.raises(CorruptIndexError, match="version 1.*qasum index"):
+        VectorIndex.load(path)
+
+
+def test_load_trailing_bytes(saved_index):
+    blob = saved_index.read_bytes()
+    saved_index.write_bytes(blob + b"\0")
+    with pytest.raises(CorruptIndexError, match="trailing"):
+        VectorIndex.load(saved_index)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        b"not json",
+        b'["a#0"]',
+        b'{"para_ids":["a#0"],"note_types":["other"]}',
+        b'{"embedder":"hashed-reference","para_ids":["a#0","b#0"],"note_types":["other"]}',
+        b'{"embedder":"hashed-reference","para_ids":[1],"note_types":["other"]}',
+        b'{"embedder":"hashed-reference","para_ids":["a#0"],"note_types":[null]}',
+    ],
+    ids=["not_json", "not_object", "no_embedder", "wrong_length", "int_para_id", "null_note_type"],
+)
+def test_load_malformed_string_table(tmp_path, table):
+    path = tmp_path / "index.qidx"
+    v2_file(path, table, count=1)
+    with pytest.raises(CorruptIndexError, match="string table"):
+        VectorIndex.load(path)
+
+
+def test_empty_index_saves_and_loads(tmp_path):
+    path = tmp_path / "empty.qidx"
+    build_index([], dim=8).save(path)
+    loaded = VectorIndex.load(path)
+    assert (len(loaded), loaded.dim, loaded.embedder) == (0, 8, "hashed-reference")
+    with pytest.raises(EmptyIndexError):
+        loaded.search(np.ones(8), k=1)
 
 
 def test_load_missing_file(tmp_path):
@@ -347,12 +372,6 @@ def test_save_is_deterministic(tmp_path, fixture_index):
     fixture_index.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes()[:8] == MAGIC
-
-
-def test_entries_snapshot(fixture_index, fixture_entries):
-    snapshot = fixture_index.entries()
-    assert [e.para_id for e in snapshot] == [e.para_id for e in fixture_entries]
-    assert snapshot[0].note_type == fixture_entries[0].note_type
 
 
 def test_concurrent_searches_are_consistent(fixture_index):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -33,6 +34,8 @@ from .fileio import write_atomic
 from .llm_gateway import Gateway, GatewayConfig
 from .question_bank import Question, RetrievalParams, load_question_bank
 from .vector_index import MAX_DIM, VectorIndex
+
+log = logging.getLogger(__name__)
 
 _PARAM_KEYS = ("k", "fusion_weight", "score_threshold", "dedup_cosine")
 _EMBEDDER_KEYS = ("kind", "dim")
@@ -400,6 +403,11 @@ def main(argv: list[str] | None = None) -> int:
         raise ValidationError(f"unknown command {args.command!r}")
     except QasumError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # A bug, not an input error: one line for the operator, the traceback only in the debug log.
+        log.debug("internal error in %s", args.command, exc_info=True)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -196,29 +196,30 @@ def _line_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _blank_line_chunks(text: str) -> list[tuple[int, int]]:
+def _blank_line_chunks(text: str) -> list[list[tuple[int, int]]]:
+    """The line spans of each run of non-blank lines, in document order."""
     chunks = []
     current: list[tuple[int, int]] = []
     for start, end in _line_spans(text):
         if text[start:end].strip():
             current.append((start, end))
         elif current:
-            chunks.append((current[0][0], current[-1][1]))
+            chunks.append(current)
             current = []
     if current:
-        chunks.append((current[0][0], current[-1][1]))
+        chunks.append(current)
     return chunks
 
 
-def _split_on_headers(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    lines = [(s, e) for s, e in _line_spans(text) if s >= start and e <= end]
+def _split_on_headers(text: str, lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Split one chunk, given as its line spans, before each section-header line."""
     pieces = []
-    piece_start = start
+    piece_start = lines[0][0]
     for s, e in lines:
         if s > piece_start and _HEADER_RE.match(text[s:e]):
             pieces.append((piece_start, s))
             piece_start = s
-    pieces.append((piece_start, end))
+    pieces.append((piece_start, lines[-1][1]))
     return pieces
 
 
@@ -307,8 +308,8 @@ def segment_paragraphs(
     """
     text = doc.text
     pieces: list[tuple[int, int]] = []
-    for chunk in _blank_line_chunks(text):
-        for piece in _split_on_headers(text, *chunk):
+    for lines in _blank_line_chunks(text):
+        for piece in _split_on_headers(text, lines):
             pieces.extend(_enforce_token_cap(text, piece, max_paragraph_tokens))
 
     byte_of = _byte_offsets(text)

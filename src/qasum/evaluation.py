@@ -65,14 +65,15 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[len(a)][len(b)]
+    """Longest common subsequence length, keeping one row of the DP table."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diagonal = 0  # row[j - 1] before this pass overwrote it
+        for j, y in enumerate(b, 1):
+            above = row[j]
+            row[j] = diagonal + 1 if x == y else max(above, row[j - 1])
+            diagonal = above
+    return row[-1]
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:

@@ -6,6 +6,7 @@ import pytest
 
 from index_rows import Row, build_index
 from oracles import embed_oracle
+import qasum.cli
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
 from qasum.corpus import SegmentedCorpus, load_corpus
@@ -125,6 +126,17 @@ def test_cmd_index_missing_corpus(pipeline_config, tmp_path, capsys):
     pipeline_config.write_text(json.dumps(data), "utf-8")
     assert run(["index", "--config", str(pipeline_config)]) == 1
     assert "missing.jsonl" in capsys.readouterr().err
+
+
+def test_escaped_internal_error_exits_1_with_one_line(pipeline_config, monkeypatch, capsys):
+    def broken(cfg):
+        raise KeyError("para_7")
+
+    monkeypatch.setattr(qasum.cli, "cmd_index", broken)
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: KeyError: 'para_7'\n"
+    assert captured.out == ""
 
 
 # -- ask -----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qasum.embedding
 from oracles import embed_oracle
 from qasum.embedding import (
     DEFAULT_DIM,
+    FEATURE_MEMO_CAP,
     EmbedderSpec,
+    FeatureMemo,
     build_embedder,
     cosine,
     reference_embedding,
@@ -79,6 +85,72 @@ def test_build_embedder_binds_spec():
     assert embedder("fever").shape == (64,)
 
 
+# -- per-embedder feature memo -------------------------------------------------
+
+
+def embed_or_error(embedder, text):
+    try:
+        return embedder(text)
+    except EmptyTextError:
+        return EmptyTextError
+
+
+@st.composite
+def text_sequences(draw):
+    """Texts that share words and repeat, mixed with arbitrary Unicode."""
+    pool = draw(st.lists(
+        st.text(max_size=40)
+        | st.lists(st.sampled_from(WORDS + ["Zoë", "µg", "İ", "10mg", " ", "."]), max_size=10).map(" ".join),
+        min_size=1, max_size=8,
+    ))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+
+
+@pytest.mark.parametrize("cap", [FEATURE_MEMO_CAP, 5])
+@settings(max_examples=150, deadline=None)
+@given(texts=text_sequences(), dim=st.sampled_from([1, 7, DEFAULT_DIM]))
+def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim):
+    memos = []
+    traced = lambda text, dim, memo: memos.append(memo) or reference_embedding(text, dim, memo)
+    with mock.patch.object(qasum.embedding, "FEATURE_MEMO_CAP", cap), \
+            mock.patch.object(qasum.embedding, "reference_embedding", traced):
+        embedder = build_embedder(EmbedderSpec(dim=dim))
+        for text in texts:
+            ours = embed_or_error(embedder, text)
+            fresh = embed_or_error(lambda t: reference_embedding(t, dim), text)
+            if fresh is EmptyTextError:
+                assert ours is EmptyTextError
+                continue
+            assert ours is not EmptyTextError
+            assert ours.dtype == fresh.dtype and ours.tobytes() == fresh.tobytes()
+            # The per-feature loop of the standalone oracle gives the same bits.
+            assert fresh.tobytes() == np.array(embed_oracle.hashed_embedding(text, dim)).tobytes()
+    assert len(set(map(id, memos))) <= 1
+    assert all(len(memo) <= cap for memo in memos)
+
+
+def test_each_reference_embedder_has_its_own_memo(monkeypatch):
+    calls = []
+
+    def traced(text, dim, memo):
+        calls.append((text, memo))
+        return reference_embedding(text, dim, memo)
+
+    monkeypatch.setattr(qasum.embedding, "reference_embedding", traced)
+    first = build_embedder(EmbedderSpec())
+    second = build_embedder(EmbedderSpec())
+    first("fever and cough")
+    first("fever")
+    second("fever")
+    # Looked up at call time, once per text: a wrapper installed later still sees every call.
+    assert [text for text, _ in calls] == ["fever and cough", "fever", "fever"]
+    memos = [memo for _, memo in calls]
+    assert isinstance(memos[0], FeatureMemo)
+    assert memos[0] is memos[1] and memos[2] is not memos[0]
+    assert set(memos[0]) == {"fever", "and", "cough", "fever and", "and cough"}
+    assert set(memos[2]) == {"fever"}
+
+
 class RecordingGateway:
     def __init__(self):
         self.batches = []
@@ -93,6 +165,21 @@ def test_remote_embedder_sends_one_text_through_its_gateway():
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
     assert np.array_equal(embedder("fever"), reference_embedding("fever"))
     assert gateway.batches == [["fever"]]
+
+
+def test_remote_embedder_requests_a_repeated_text_once():
+    gateway = RecordingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    first = embedder("fever")
+    embedder("cough")
+    again = embedder("fever")
+    assert gateway.batches == [["fever"], ["cough"]]
+    assert again is first and not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0] = 1.0
+    # Another embedder, another memo.
+    build_embedder(EmbedderSpec(kind="remote"), gateway)("fever")
+    assert gateway.batches == [["fever"], ["cough"], ["fever"]]
 
 
 def test_remote_embedder_rejects_blank_text_without_a_request():

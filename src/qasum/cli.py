@@ -10,7 +10,6 @@ config file's directory.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import sys
 from dataclasses import dataclass, replace
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import answer_engine, evaluation, summarizer
-from .corpus import SegmentedCorpus, load_corpus
+from .corpus import SegmentedCorpus, read_corpus
 from .embedding import EmbedderSpec, build_embedder
 from .errors import (
     CorruptIndexError,
@@ -182,8 +181,14 @@ def _embedder_identity(cfg: PipelineConfig) -> str:
     return cfg.embedder.kind
 
 
-def _load_index(cfg: PipelineConfig) -> VectorIndex:
-    """The configured index, refused unless the configured embedder built it."""
+def _load_pinned(cfg: PipelineConfig) -> tuple[VectorIndex, SegmentedCorpus, str]:
+    """The configured index, the corpus it indexes, and the SHA-256 of that corpus's bytes.
+
+    Refuses an index that another embedder built, or that was built from
+    other corpus bytes or segmentation rules than the configured ones. The
+    corpus is read and hashed once; documents are parsed from those bytes
+    when a lookup first needs them.
+    """
     index = VectorIndex.load(cfg.index_path)
     expected = _embedder_identity(cfg)
     if index.embedder != expected:
@@ -191,32 +196,14 @@ def _load_index(cfg: PipelineConfig) -> VectorIndex:
             f"index {cfg.index_path} was built by embedder {index.embedder!r}, but the config "
             f"uses {expected!r}; rebuild it with `qasum index`"
         )
-    return index
-
-
-def _load_segmented(cfg: PipelineConfig) -> SegmentedCorpus:
-    return SegmentedCorpus(load_corpus(cfg.corpus_path, cfg.corpus_format))
+    source = read_corpus(cfg.corpus_path, cfg.corpus_format)
+    return index, SegmentedCorpus(source.pinned(index.corpus)), source.sha256
 
 
 def _effective_params(cfg: PipelineConfig, defaults: RetrievalParams) -> RetrievalParams:
     params = replace(defaults, **cfg.params_override)
     params.validate("params")
     return params
-
-
-def _corpus_id(cfg: PipelineConfig) -> str:
-    digest = hashlib.sha256()
-    path = cfg.corpus_path
-    try:
-        if path.is_dir():
-            for file in sorted(path.glob("*.txt")):
-                digest.update(file.name.encode("utf-8"))
-                digest.update(file.read_bytes())
-        else:
-            digest.update(path.read_bytes())
-    except OSError as exc:
-        raise IoError(f"cannot read corpus at {path}: {exc}") from exc
-    return digest.hexdigest()[:12]
 
 
 def _timestamp(cfg: PipelineConfig) -> str:
@@ -226,10 +213,10 @@ def _timestamp(cfg: PipelineConfig) -> str:
 
 
 def cmd_index(cfg: PipelineConfig) -> int:
-    docs = load_corpus(cfg.corpus_path, cfg.corpus_format)
+    docs, manifest = read_corpus(cfg.corpus_path, cfg.corpus_format).load()
     corpus = SegmentedCorpus(docs)
     embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
-    doc_type = {doc.doc_id: doc.note_type for doc in docs}
+    doc_pos = {doc_id: i for i, doc_id in enumerate(manifest.doc_ids)}
     dim = cfg.embedder.dim
     matrix = np.empty((len(corpus.paragraphs), dim))
     embedded = []
@@ -245,8 +232,9 @@ def cmd_index(cfg: PipelineConfig) -> int:
         matrix[len(embedded)] = vector
         embedded.append(para)
     index = VectorIndex(
-        [para.para_id for para in embedded],
-        [doc_type[para.doc_id] for para in embedded],
+        manifest,
+        [doc_pos[para.doc_id] for para in embedded],
+        [para.ordinal for para in embedded],
         matrix[: len(embedded)],
         _embedder_identity(cfg),
     )
@@ -258,8 +246,7 @@ def cmd_index(cfg: PipelineConfig) -> int:
 
 
 def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
-    corpus = _load_segmented(cfg)
-    index = _load_index(cfg)
+    index, corpus, _ = _load_pinned(cfg)
     bank = load_question_bank(cfg.question_bank_path)
     params = _effective_params(cfg, bank.defaults)
     gateway = _build_gateway(cfg, extracts=True)
@@ -286,8 +273,7 @@ def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
 
 
 def cmd_summarize(cfg: PipelineConfig) -> int:
-    corpus = _load_segmented(cfg)
-    index = _load_index(cfg)
+    index, corpus, corpus_sha256 = _load_pinned(cfg)
     bank = load_question_bank(cfg.question_bank_path)
     params = _effective_params(cfg, bank.defaults)
     gateway = _build_gateway(cfg, extracts=True)
@@ -303,7 +289,7 @@ def cmd_summarize(cfg: PipelineConfig) -> int:
         corpus,
         embedder,
         params,
-        corpus_id=_corpus_id(cfg),
+        corpus_id=corpus_sha256[:12],
         timestamp=_timestamp(cfg),
     )
     json_path, text_path = summarizer.write_summary(summary, bank, cfg.output_dir)

@@ -80,8 +80,13 @@ def canonical_body(body: dict) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _fixture_key(body_bytes: bytes) -> str:
+    """The record/replay fixture name (without .json) of a canonical request body."""
+    return hashlib.sha256(body_bytes).hexdigest()
+
+
 def request_fingerprint(body: dict) -> str:
-    return hashlib.sha256(canonical_body(body)).hexdigest()
+    return _fixture_key(canonical_body(body))
 
 
 def _validate_config(cfg: GatewayConfig) -> None:
@@ -153,7 +158,7 @@ class Gateway:
         return self._check_status(status, payload)
 
     def _replay(self, body_bytes: bytes):
-        digest = hashlib.sha256(body_bytes).hexdigest()
+        digest = _fixture_key(body_bytes)
         fixture = Path(self.cfg.fixtures_dir) / f"{digest}.json"
         if not fixture.exists():
             raise IoError(
@@ -166,7 +171,7 @@ class Gateway:
             raise SchemaError(f"replay fixture {fixture.name} is malformed: {exc}") from exc
 
     def _record(self, body_bytes: bytes, status: int, payload) -> None:
-        digest = hashlib.sha256(body_bytes).hexdigest()
+        digest = _fixture_key(body_bytes)
         fixture = Path(self.cfg.fixtures_dir) / f"{digest}.json"
         recording = json.dumps({"status": status, "body": payload}, indent=2).encode("utf-8")
         with contextlib.suppress(OSError):

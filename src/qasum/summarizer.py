@@ -57,9 +57,14 @@ def expand_acronyms(text: str, table: dict[str, str]) -> str:
     """Whole-token, case-sensitive replacement in one left-to-right pass."""
     if not table:
         return text
-    alternation = "|".join(re.escape(key) for key in sorted(table, key=len, reverse=True))
-    pattern = re.compile(rf"(?<![A-Za-z0-9])(?:{alternation})(?![A-Za-z0-9])")
-    return pattern.sub(lambda m: table[m.group()], text)
+    return _acronym_pattern(tuple(table)).sub(lambda m: table[m.group()], text)
+
+
+@lru_cache(maxsize=8)
+def _acronym_pattern(keys: tuple[str, ...]) -> re.Pattern:
+    """One compiled alternation per key set, longest key first."""
+    alternation = "|".join(re.escape(key) for key in sorted(keys, key=len, reverse=True))
+    return re.compile(rf"(?<![A-Za-z0-9])(?:{alternation})(?![A-Za-z0-9])")
 
 
 def dedupe(

@@ -8,20 +8,25 @@ candidates at or above the k-th score (ties at the k-th score included)
 before an exact sort by (-score, para_id). Every result can be checked
 against a brute-force oracle.
 
-An index is built once from its columns: the para_ids, the note types
-(held as per-row codes into the distinct names), one (n, dim) float64
-matrix with its row norms, and the identity of the embedder that made the
-vectors. Nothing changes a built index, so concurrent searches need no
-lock.
+An index is built once from its columns: the manifest of the corpus it
+indexes (corpus digest, segmentation digest, and per document its id, note
+type and locator), per row the position of its document in the manifest and
+its paragraph ordinal (so row i is paragraph ``<doc_id>#<ordinal>``), one
+(n, dim) float64 matrix with its row norms, and the identity of the
+embedder that made the vectors. Rows are in document order. A row's note
+type is its document's. Nothing changes a built index, so concurrent
+searches need no lock.
 
-The file (format v2) stores the same columns, little-endian: a header
+The file (format v3) stores the same columns, little-endian: a header
 (magic ``QASUMIDX``, version u16, dim u16, row count u64, string-table
 byte length u64), the string table as one UTF-8 JSON object
-``{"embedder": str, "para_ids": [str], "note_types": [str]}``, one
-contiguous block of count x dim float32 components, and a CRC32 over all
-preceding bytes. Vectors are float64 in memory and float32 on disk, so
-reloaded scores agree within 1e-6 and rankings are preserved. ``load``
-parses the table with one ``json.loads`` and the block with one
+``{"embedder": str, "corpus_sha256": str, "segmentation": str,
+"doc_ids": [str], "note_types": [str], "locators": [int | str],
+"doc_rows": [int], "ordinals": [int]}`` (doc_rows counts each document's
+rows), one contiguous block of count x dim float32 components, and a CRC32
+over all preceding bytes. Vectors are float64 in memory and float32 on
+disk, so reloaded scores agree within 1e-6 and rankings are preserved.
+``load`` parses the table with one ``json.loads`` and the block with one
 ``np.frombuffer``.
 """
 
@@ -36,6 +41,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
+from .corpus import CorpusManifest, paragraph_id
 from .errors import (
     CorruptIndexError,
     DimensionMismatchError,
@@ -46,7 +52,7 @@ from .errors import (
 from .fileio import write_atomic
 
 MAGIC = b"QASUMIDX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every version
 _HEADER = struct.Struct("<8sHHQQ")
@@ -76,26 +82,50 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
 
 
 class VectorIndex:
-    def __init__(self, para_ids: Sequence[str], note_types: Sequence[str], matrix: np.ndarray, embedder: str):
-        """Row i is (para_ids[i], note_types[i], matrix[i]); embedder names what made the vectors."""
+    def __init__(
+        self,
+        corpus: CorpusManifest,
+        row_docs: Sequence[int],
+        ordinals: Sequence[int],
+        matrix: np.ndarray,
+        embedder: str,
+    ):
+        """Row i is paragraph ordinals[i] of document row_docs[i] of corpus, with vector matrix[i].
+
+        Rows are in document order: by document position, then by ordinal,
+        each paragraph once. embedder names what made the vectors.
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or not len(para_ids) == len(note_types) == len(matrix):
+        row_docs = np.asarray(row_docs, dtype=np.intp)
+        ordinals = np.asarray(ordinals, dtype=np.intp)
+        if matrix.ndim != 2 or not row_docs.shape == ordinals.shape == (len(matrix),):
             raise PreconditionError(
-                f"index columns disagree: {len(para_ids)} para_ids, {len(note_types)} note types, "
+                f"index columns disagree: {row_docs.shape} row documents, {ordinals.shape} ordinals, "
                 f"vectors of shape {matrix.shape}"
             )
         if matrix.shape[1] > MAX_DIM:
             raise PreconditionError(f"index vectors have at most {MAX_DIM} components, got {matrix.shape[1]}")
-        self._para_ids = list(para_ids)
-        self._type_names = sorted(set(note_types))
+        if len(row_docs):
+            step_doc, step_ordinal = np.diff(row_docs), np.diff(ordinals)
+            in_order = ((step_doc > 0) | ((step_doc == 0) & (step_ordinal > 0))).all()
+            if not (in_order and row_docs[0] >= 0 and row_docs[-1] < len(corpus.doc_ids) and ordinals.min() >= 0):
+                raise PreconditionError(
+                    f"index rows must name paragraphs of the {len(corpus.doc_ids)} corpus documents, "
+                    "in document order, each once"
+                )
+        self._corpus = corpus
+        self._row_docs = row_docs
+        self._ordinals = ordinals
+        self._type_names = sorted(set(corpus.note_types))
         code = {name: i for i, name in enumerate(self._type_names)}
-        self._type_codes = np.fromiter(map(code.__getitem__, note_types), dtype=np.intp, count=len(note_types))
+        doc_types = np.fromiter(map(code.__getitem__, corpus.note_types), dtype=np.intp, count=len(corpus.note_types))
+        self._type_codes = doc_types[row_docs]
         self._matrix = matrix
         self._norms = _row_norms(matrix)
         self._embedder = embedder
 
     def __len__(self) -> int:
-        return len(self._para_ids)
+        return len(self._matrix)
 
     @property
     def dim(self) -> int:
@@ -106,6 +136,11 @@ class VectorIndex:
         """The identity of the embedder that made the vectors."""
         return self._embedder
 
+    @property
+    def corpus(self) -> CorpusManifest:
+        """The manifest of the corpus the index was built from."""
+        return self._corpus
+
     def search(self, query: np.ndarray, k: int, note_filter: Collection[str] | None = None) -> list[SearchHit]:
         """Exact top-k by cosine over the rows whose note type is in note_filter (all rows for None).
 
@@ -113,7 +148,7 @@ class VectorIndex:
         """
         if k < 1:
             raise PreconditionError(f"k must be positive, got {k}")
-        if not self._para_ids:
+        if not len(self):
             raise EmptyIndexError("search on an empty index")
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
@@ -136,22 +171,30 @@ class VectorIndex:
             kth = np.partition(candidates, len(rows) - k)[len(rows) - k]
             at_least_kth = candidates >= kth
             rows, candidates = rows[at_least_kth], candidates[at_least_kth]
-        scored = sorted(
-            zip(candidates.tolist(), (self._para_ids[i] for i in rows.tolist())),
-            key=lambda hit: (-hit[0], hit[1]),
-        )
+        doc_ids = self._corpus.doc_ids
+        para_ids = [
+            paragraph_id(doc_ids[d], ordinal)
+            for d, ordinal in zip(self._row_docs[rows].tolist(), self._ordinals[rows].tolist())
+        ]
+        scored = sorted(zip(candidates.tolist(), para_ids), key=lambda hit: (-hit[0], hit[1]))
         return [
             SearchHit(para_id=pid, score=score, rank=rank)
             for rank, (score, pid) in enumerate(scored[:k], start=1)
         ]
 
     def save(self, path: str | Path) -> None:
-        """Write the index as a v2 file, atomically; the same index always gives the same bytes."""
+        """Write the index as a v3 file, atomically; the same index always gives the same bytes."""
+        corpus = self._corpus
         table = json.dumps(
             {
                 "embedder": self._embedder,
-                "para_ids": self._para_ids,
-                "note_types": np.array(self._type_names, dtype=object)[self._type_codes].tolist(),
+                "corpus_sha256": corpus.sha256,
+                "segmentation": corpus.segmentation,
+                "doc_ids": list(corpus.doc_ids),
+                "note_types": list(corpus.note_types),
+                "locators": list(corpus.locators),
+                "doc_rows": np.bincount(self._row_docs, minlength=len(corpus.doc_ids)).tolist(),
+                "ordinals": self._ordinals.tolist(),
             },
             separators=(",", ":"),
         ).encode("utf-8")
@@ -172,9 +215,9 @@ class VectorIndex:
         magic, version = _PREFIX.unpack_from(blob)
         if magic != MAGIC:
             raise CorruptIndexError(f"index file {path} has bad magic bytes {magic!r}")
-        if version == 1:
+        if version in (1, 2):
             raise CorruptIndexError(
-                f"index file {path} has format version 1, which is no longer read; "
+                f"index file {path} has format version {version}, which is no longer read; "
                 "rebuild it with `qasum index`"
             )
         if version != FORMAT_VERSION:
@@ -199,15 +242,34 @@ class VectorIndex:
         except ValueError as exc:
             raise CorruptIndexError(f"index file {path} has a string table that is not JSON: {exc}") from exc
         fields = table if isinstance(table, dict) else {}
-        para_ids, note_types, embedder = (fields.get(key) for key in ("para_ids", "note_types", "embedder"))
-        if not (isinstance(embedder, str) and _are_strings(para_ids, count) and _are_strings(note_types, count)):
+        embedder, sha256, segmentation = (fields.get(key) for key in ("embedder", "corpus_sha256", "segmentation"))
+        doc_ids, note_types, locators, doc_rows, ordinals = (
+            fields.get(key) for key in ("doc_ids", "note_types", "locators", "doc_rows", "ordinals")
+        )
+        well_typed = (
+            all(isinstance(value, str) for value in (embedder, sha256, segmentation))
+            and _is_list_of(doc_ids, {str})
+            and _is_list_of(note_types, {str})
+            and _is_list_of(locators, {int, str})
+            and _is_list_of(doc_rows, {int})
+            and _is_list_of(ordinals, {int}, count)
+            and min(doc_rows, default=0) >= 0
+            and sum(doc_rows) == count
+        )
+        if not well_typed:
             raise CorruptIndexError(
-                f"index file {path} has a malformed string table "
-                f"(expected an embedder name and {count} para_ids and note types)"
+                f"index file {path} has a malformed string table (expected an embedder name, the corpus "
+                f"and segmentation digests, per-document doc_ids, note types, locators and row counts, "
+                f"and {count} paragraph ordinals)"
             )
-        vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=vectors_at)
-        return cls(para_ids, note_types, vectors.reshape(count, dim).astype(np.float64), embedder)
+        try:
+            corpus = CorpusManifest(sha256, segmentation, doc_ids, note_types, locators)
+            row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows)
+            vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=vectors_at)
+            return cls(corpus, row_docs, ordinals, vectors.reshape(count, dim).astype(np.float64), embedder)
+        except (PreconditionError, ValueError, OverflowError) as exc:
+            raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
 
 
-def _are_strings(value, count: int) -> bool:
-    return isinstance(value, list) and len(value) == count and set(map(type, value)) <= {str}
+def _is_list_of(value, types: set, count: int | None = None) -> bool:
+    return isinstance(value, list) and count in (None, len(value)) and set(map(type, value)) <= types

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from index_rows import Row, build_index
-from qasum.corpus import SegmentedCorpus, load_corpus
+from qasum.corpus import SegmentedCorpus, read_corpus
 from qasum.embedding import reference_embedding
 from qasum.question_bank import load_question_bank
 from qasum.vector_index import VectorIndex
@@ -25,7 +25,7 @@ def golden_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def corpus_docs():
-    return load_corpus(FIXTURES / "corpus.jsonl")
+    return read_corpus(FIXTURES / "corpus.jsonl").load()[0]
 
 
 @pytest.fixture(scope="session")

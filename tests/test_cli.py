@@ -9,7 +9,7 @@ from oracles import embed_oracle
 import qasum.cli
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
-from qasum.corpus import SegmentedCorpus, load_corpus
+from qasum.corpus import SegmentedCorpus, read_corpus
 from qasum.embedding import reference_embedding
 from qasum.errors import ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, request_fingerprint
@@ -158,7 +158,7 @@ def test_cmd_ask_composes_stage_oracles(pipeline_config, fixtures_dir, capsys):
     assert "The following medications were prescribed at discharge" in out
 
     # cross-check the printed scores against independently recomputed values
-    docs = load_corpus(fixtures_dir / "corpus.jsonl")
+    docs = read_corpus(fixtures_dir / "corpus.jsonl").load()[0]
     corpus = SegmentedCorpus(docs)
     sentence = corpus.sentence("p001-discharge#2:0")
     q_text = "What medications were prescribed at discharge?"
@@ -260,10 +260,122 @@ def test_stale_index_is_a_clear_error(pipeline_config, tmp_path, fixtures_dir, c
                  ["ask", "--config", str(pipeline_config), "What medications were prescribed at discharge?"]):
         assert run(argv) == 1
         err = capsys.readouterr().err
-        assert re.search(r"index entry '[^']+#\d+' is not a paragraph of the corpus", err), err
+        assert re.search(r"corpus \S+ is not the corpus the index was built from \(SHA-256", err), err
         assert "qasum index" in err
-        if stale == "unknown_doc":
-            assert "'x-" in err
+
+
+def _copy_corpus(fixtures_dir, tmp_path, edit):
+    """A copy of the fixture corpus with edit applied to its text; the config must point at it."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(edit((fixtures_dir / "corpus.jsonl").read_text("utf-8")), "utf-8")
+    return str(path)
+
+
+def _must_refuse(pipeline_config, capsys, cause):
+    for argv in (summarize_args(pipeline_config),
+                 ["ask", "--config", str(pipeline_config), "What medications were prescribed at discharge?"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.search(cause, err), err
+        assert "rebuild it with `qasum index`" in err
+
+
+def test_edited_corpus_with_the_same_doc_ids_is_refused(pipeline_config, tmp_path, fixtures_dir, capsys):
+    corpus = _copy_corpus(fixtures_dir, tmp_path, lambda text: text)
+    config_with(pipeline_config, corpus={"path": corpus, "format": "jsonl"})
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    original = (tmp_path / "corpus.jsonl").read_text("utf-8")
+    edited = original.replace("productive cough", "productive coughs", 1)
+    assert edited != original
+    (tmp_path / "corpus.jsonl").write_text(edited, "utf-8")
+    capsys.readouterr()
+    _must_refuse(pipeline_config, capsys, r"is not the corpus the index was built from \(SHA-256")
+
+
+def test_changed_abbreviation_list_is_refused(pipeline_config, capsys, monkeypatch):
+    import qasum.corpus
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    original = qasum.corpus._abbreviations_bytes
+    monkeypatch.setattr(qasum.corpus, "_abbreviations_bytes", lambda: original() + b"approx.\n")
+    capsys.readouterr()
+    _must_refuse(pipeline_config, capsys, r"other segmentation rules \(abbreviation list")
+
+
+def _rewrite_index_table(path, change):
+    """Apply change to the index file's string table, keeping its header and checksum consistent."""
+    import struct
+    import zlib
+
+    header = struct.Struct("<8sHHQQ")
+    blob = path.read_bytes()
+    magic, version, dim, count, table_bytes = header.unpack_from(blob)
+    table = json.loads(blob[header.size : header.size + table_bytes])
+    change(table)
+    table = json.dumps(table, separators=(",", ":")).encode()
+    body = header.pack(magic, version, dim, count, len(table)) + table + blob[header.size + table_bytes : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("shift", [1, 10**9])
+def test_malformed_locator_table_is_refused_before_any_search(pipeline_config, tmp_path, capsys, monkeypatch, shift):
+    from qasum.vector_index import VectorIndex
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    _rewrite_index_table(tmp_path / "out" / "index.qidx", lambda table: table["locators"].__setitem__(
+        1, table["locators"][1] + shift))
+    monkeypatch.setattr(VectorIndex, "search", lambda *a, **k: pytest.fail("searched a refused index"))
+    capsys.readouterr()
+    _must_refuse(pipeline_config, capsys, r"locators into corpus \S+ (are not all line starts|reach outside it)")
+
+
+def _summary_bytes(pipeline_config, tmp_path):
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert run(summarize_args(pipeline_config)) == 0
+    return [(tmp_path / "out" / name).read_bytes() for name in ("summary.json", "summary.txt")]
+
+
+@pytest.mark.parametrize("corpus_format", ["jsonl", "text-dir"])
+def test_lazy_and_full_parsing_give_identical_summaries(
+    pipeline_config, tmp_path, fixtures_dir, golden_dir, monkeypatch, corpus_format
+):
+    from qasum.corpus import CorpusFile
+
+    if corpus_format == "text-dir":
+        text_dir = tmp_path / "notes"
+        text_dir.mkdir()
+        for doc in read_corpus(fixtures_dir / "corpus.jsonl").load()[0]:
+            (text_dir / f"{doc.note_type}_{doc.doc_id}.txt").write_text(doc.text, "utf-8")
+        config_with(pipeline_config, corpus={"path": str(text_dir), "format": "text-dir"})
+    lazy = _summary_bytes(pipeline_config, tmp_path)
+    monkeypatch.setattr(CorpusFile, "pinned", lambda self, manifest: {d.doc_id: d for d in self.load()[0]})
+    full = _summary_bytes(pipeline_config, tmp_path)
+    assert lazy == full
+    assert json.loads(lazy[0])["items"]
+    if corpus_format == "jsonl":
+        assert lazy == [(golden_dir / name).read_bytes() for name in ("summary.json", "summary.txt")]
+
+
+def test_cmd_ask_json_loads_only_the_documents_of_its_hits(pipeline_config, capsys, monkeypatch):
+    import types
+
+    import qasum.corpus
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    capsys.readouterr()
+    loaded = []
+
+    def counting_loads(text):
+        record = json.loads(text)
+        loaded.append(record["doc_id"])
+        return record
+
+    monkeypatch.setattr(qasum.corpus, "json", types.SimpleNamespace(loads=counting_loads, JSONDecodeError=json.JSONDecodeError))
+    assert run(["ask", "--config", str(pipeline_config), "--k", "2",
+                "What medications were prescribed at discharge?"]) == 0
+    hits = re.findall(r"^  \d+\. (\S+)  score=", capsys.readouterr().out, re.MULTILINE)
+    assert len(hits) == 2
+    assert sorted(loaded) == sorted({para_id.rpartition("#")[0] for para_id in hits})
 
 
 def test_cmd_summarize_parallel_segments_each_document_once(pipeline_config, tmp_path, monkeypatch):
@@ -304,7 +416,7 @@ def test_cmd_summarize_empty_summary_is_success(pipeline_config, tmp_path):
 
 def _replay_contexts(fixtures_dir):
     """Each bank question's retrieved context, as a summarize over the fixture index sees it."""
-    docs = load_corpus(fixtures_dir / "corpus.jsonl")
+    docs = read_corpus(fixtures_dir / "corpus.jsonl").load()[0]
     corpus = SegmentedCorpus(docs)
     doc_type = {d.doc_id: d.note_type for d in docs}
     index = build_index([Row(para.para_id, reference_embedding(para.text), para.doc_id, doc_type[para.doc_id])

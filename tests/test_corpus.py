@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 from collections import Counter
@@ -11,18 +13,18 @@ from qasum.corpus import (
     Paragraph,
     SegmentedCorpus,
     load_abbreviations,
-    load_corpus,
+    read_corpus,
     segment_paragraphs,
     split_sentences,
 )
-from qasum.errors import DuplicateIdError, FormatError, IoError
+from qasum.errors import CorruptIndexError, DuplicateIdError, FormatError, IoError
 
 
 def make_doc(text, doc_id="d1", note_type="other"):
     return Document(doc_id=doc_id, patient_id="p", note_type=note_type, timestamp=None, text=text)
 
 
-# -- load_corpus ------------------------------------------------------------
+# -- read_corpus ------------------------------------------------------------
 
 
 def write_jsonl(path, records):
@@ -37,7 +39,7 @@ def record(doc_id, text="some text", note_type="other"):
 def test_load_jsonl_in_file_order(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a"), record("b"), record("c")])
-    docs = load_corpus(path)
+    docs = read_corpus(path).load()[0]
     assert [d.doc_id for d in docs] == ["a", "b", "c"]
     assert docs[0].text == "some text"
 
@@ -45,14 +47,14 @@ def test_load_jsonl_in_file_order(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("", "utf-8")
-    assert load_corpus(path) == []
+    assert read_corpus(path).load()[0] == []
 
 
 def test_duplicate_doc_id_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("dup"), record("dup")])
     with pytest.raises(DuplicateIdError) as err:
-        load_corpus(path)
+        read_corpus(path).load()
     assert "dup" in str(err.value)
     assert "line 2" in str(err.value) or ":2" in str(err.value)
 
@@ -61,7 +63,7 @@ def test_malformed_json_names_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record("a")) + "\n{not json\n", "utf-8")
     with pytest.raises(FormatError) as err:
-        load_corpus(path)
+        read_corpus(path).load()
     assert ":2" in str(err.value)
 
 
@@ -69,7 +71,7 @@ def test_bad_note_type_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", note_type="triage")])
     with pytest.raises(FormatError, match="note_type"):
-        load_corpus(path)
+        read_corpus(path).load()
 
 
 def test_missing_field_rejected(tmp_path):
@@ -78,26 +80,45 @@ def test_missing_field_rejected(tmp_path):
     del bad["patient_id"]
     write_jsonl(path, [bad])
     with pytest.raises(FormatError, match="patient_id"):
-        load_corpus(path)
+        read_corpus(path).load()
 
 
 def test_missing_path_is_io_error(tmp_path):
     with pytest.raises(IoError):
-        load_corpus(tmp_path / "nope.jsonl")
+        read_corpus(tmp_path / "nope.jsonl").load()
 
 
 def test_load_text_dir(tmp_path):
     (tmp_path / "admission_p9.txt").write_text("Admitted today.", "utf-8")
     (tmp_path / "discharge_p9.txt").write_text("Going home.", "utf-8")
     (tmp_path / "zz_consult.txt").write_text("Consult note.", "utf-8")
-    docs = load_corpus(tmp_path, format="text-dir")
+    docs = read_corpus(tmp_path, format="text-dir").load()[0]
     assert [d.doc_id for d in docs] == ["admission_p9", "discharge_p9", "zz_consult"]
     assert [d.note_type for d in docs] == ["admission", "discharge", "other"]
 
 
+def test_jsonl_locators_are_line_offsets_and_the_digest_covers_the_bytes(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = [json.dumps(record("a")), "", json.dumps(record("b", text="caf\u00e9"), ensure_ascii=False)]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    source = read_corpus(path)
+    docs, manifest = source.load()
+    data = path.read_bytes()
+    assert [d.doc_id for d in docs] == list(manifest.doc_ids) == ["a", "b"]
+    assert manifest.locators == [0, data.index(b'{"doc_id": "b"')]
+    assert source.sha256 == hashlib.sha256(data).hexdigest()
+
+
+def test_text_dir_reads_universal_newlines(tmp_path):
+    (tmp_path / "admission_p9.txt").write_bytes(b"Line one.\r\nLine two.\rLine three.")
+    docs, manifest = read_corpus(tmp_path, "text-dir").load()
+    assert docs[0].text == "Line one.\nLine two.\nLine three."
+    assert manifest.locators == ["admission_p9.txt"]
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(FormatError, match="format"):
-        load_corpus(tmp_path, format="csv")
+        read_corpus(tmp_path, format="csv").load()
 
 
 # -- segment_paragraphs -----------------------------------------------------
@@ -403,3 +424,75 @@ def test_concurrent_lookups_segment_each_document_once(corpus_docs, monkeypatch)
         sys.setswitchinterval(interval)
     assert keys == [(i % len(corpus_docs), 0, 0) for i in range(len(sent_ids))]
     assert calls == Counter({doc.doc_id: 1 for doc in corpus_docs})
+
+
+# -- pinned documents --------------------------------------------------------
+
+
+def _jsonl_corpus(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record("a", "Alpha text."), record("b", "Beta text."), record("c", "Gamma text.")])
+    return read_corpus(path)
+
+
+def test_pinned_documents_parse_only_what_is_looked_up(tmp_path, monkeypatch):
+    import qasum.corpus
+
+    source = _jsonl_corpus(tmp_path)
+    docs, manifest = source.load()
+    parsed = []
+    original = qasum.corpus._record_document
+
+    def recording(line, where):
+        parsed.append(where)
+        return original(line, where)
+
+    monkeypatch.setattr(qasum.corpus, "_record_document", recording)
+    corpus = SegmentedCorpus(source.pinned(manifest))
+    assert parsed == []
+    assert corpus.paragraph("b#0").text == "Beta text."
+    assert corpus.order_key("c#0:0") == (2, 0, 0)
+    assert len(parsed) == 2
+    assert corpus.paragraphs == SegmentedCorpus(docs).paragraphs
+
+
+@pytest.mark.parametrize(
+    "second",
+    [lambda size, at: size, lambda size, at: -1, lambda size, at: 10**30, lambda size, at: "b",
+     lambda size, at: at + 1],
+    ids=["past_end", "negative", "huge", "not_an_offset", "not_a_line_start"],
+)
+def test_malformed_jsonl_locators_are_refused(tmp_path, second):
+    source = _jsonl_corpus(tmp_path)
+    _, manifest = source.load()
+    locators = list(manifest.locators)
+    locators[1] = second(len(source.path.read_bytes()), locators[1])
+    with pytest.raises(CorruptIndexError, match="locators.*qasum index"):
+        source.pinned(dataclasses.replace(manifest, locators=locators))
+
+
+def test_locator_of_another_record_is_refused_on_lookup(tmp_path):
+    source = _jsonl_corpus(tmp_path)
+    _, manifest = source.load()
+    swapped = dataclasses.replace(manifest, locators=[manifest.locators[1], manifest.locators[0], manifest.locators[2]])
+    corpus = SegmentedCorpus(source.pinned(swapped))
+    with pytest.raises(CorruptIndexError, match="'a'.*qasum index"):
+        corpus.paragraph("a#0")
+    assert corpus.paragraph("c#0").text == "Gamma text."
+
+
+def test_unknown_text_dir_locator_is_refused(tmp_path):
+    (tmp_path / "admission_p9.txt").write_text("Admitted today.", "utf-8")
+    source = read_corpus(tmp_path, "text-dir")
+    _, manifest = source.load()
+    with pytest.raises(CorruptIndexError, match="'gone.txt'.*qasum index"):
+        source.pinned(dataclasses.replace(manifest, locators=["gone.txt"]))
+
+
+def test_pinned_refuses_other_bytes_and_rules(tmp_path):
+    source = _jsonl_corpus(tmp_path)
+    _, manifest = source.load()
+    with pytest.raises(CorruptIndexError, match="SHA-256.*qasum index"):
+        source.pinned(dataclasses.replace(manifest, sha256="0" * 64))
+    with pytest.raises(CorruptIndexError, match="segmentation rules.*qasum index"):
+        source.pinned(dataclasses.replace(manifest, segmentation="0" * 64))

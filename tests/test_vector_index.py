@@ -1,3 +1,4 @@
+import json
 import struct
 import tempfile
 import zlib
@@ -33,7 +34,7 @@ def random_entries(rng, n, dim=16, note_types=("admission", "progress", "dischar
             para_id=f"d{i // 4}#{i % 4}",
             vector=rng.normal(size=dim),
             doc_id=f"d{i // 4}",
-            note_type=note_types[i % len(note_types)],
+            note_type=note_types[(i // 4) % len(note_types)],
         )
         for i in range(n)
     ]
@@ -68,7 +69,7 @@ def test_dimension_mismatch_on_insert(pipeline_config, monkeypatch, capsys):
 
 def test_dimension_beyond_header_range_rejected_on_insert():
     with pytest.raises(PreconditionError, match="65535"):
-        VectorIndex(["a#0"], ["other"], np.ones((1, 65536)), "hashed-reference")
+        build_index([Row("a#0", np.ones(65536), "a", "other")])
 
 
 def test_dimension_mismatch_on_search():
@@ -294,16 +295,24 @@ def with_checksum(path, payload):
     path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
 
 
-def v2_file(path, table, count, dim=2):
-    """A v2 index file around the given string table (bytes) and count x dim zero vectors."""
-    header = struct.pack("<8sHHQQ", MAGIC, FORMAT_VERSION, dim, count, len(table))
+def index_file(path, table, count, dim=2, version=FORMAT_VERSION):
+    """An index file around the given string table (bytes) and count x dim zero vectors."""
+    header = struct.pack("<8sHHQQ", MAGIC, version, dim, count, len(table))
     with_checksum(path, header + table + bytes(4 * dim * count))
+
+
+def v3_table(**changes):
+    """A valid string table for one row of document "a", with the given fields replaced or (None) removed."""
+    table = {"embedder": "hashed-reference", "corpus_sha256": "0" * 64, "segmentation": "s",
+             "doc_ids": ["a"], "note_types": ["other"], "locators": [0], "doc_rows": [1], "ordinals": [0]}
+    table.update(changes)
+    return json.dumps({key: value for key, value in table.items() if value is not None}).encode()
 
 
 def test_load_invalid_utf8_record(saved_index):
     blob = bytearray(saved_index.read_bytes()[:-4])
-    first_para_id = blob.index(b'"para_ids":["') + len(b'"para_ids":["')
-    blob[first_para_id] = 0xFF
+    first_doc_id = blob.index(b'"doc_ids":["') + len(b'"doc_ids":["')
+    blob[first_doc_id] = 0xFF
     with_checksum(saved_index, blob)
     with pytest.raises(CorruptIndexError, match="UTF-8"):
         VectorIndex.load(saved_index)
@@ -325,6 +334,13 @@ def test_load_refuses_version_1_with_rebuild_hint(tmp_path):
         VectorIndex.load(path)
 
 
+def test_load_refuses_version_2_with_rebuild_hint(tmp_path):
+    path = tmp_path / "v2.qidx"
+    index_file(path, b'{"embedder":"hashed-reference","para_ids":[],"note_types":[]}', count=0, version=2)
+    with pytest.raises(CorruptIndexError, match="version 2.*qasum index"):
+        VectorIndex.load(path)
+
+
 def test_load_trailing_bytes(saved_index):
     blob = saved_index.read_bytes()
     saved_index.write_bytes(blob + b"\0")
@@ -337,18 +353,43 @@ def test_load_trailing_bytes(saved_index):
     [
         b"not json",
         b'["a#0"]',
-        b'{"para_ids":["a#0"],"note_types":["other"]}',
-        b'{"embedder":"hashed-reference","para_ids":["a#0","b#0"],"note_types":["other"]}',
-        b'{"embedder":"hashed-reference","para_ids":[1],"note_types":["other"]}',
-        b'{"embedder":"hashed-reference","para_ids":["a#0"],"note_types":[null]}',
+        v3_table(embedder=None),
+        v3_table(ordinals=[0, 1]),
+        v3_table(doc_ids=[1]),
+        v3_table(note_types=[None]),
+        v3_table(corpus_sha256=None),
+        v3_table(segmentation=7),
+        v3_table(locators=[0, 5]),
+        v3_table(locators=[0.5]),
+        v3_table(locators=[None]),
+        v3_table(doc_rows=[2]),
+        v3_table(doc_rows=[-1]),
+        v3_table(ordinals=[-1]),
+        v3_table(ordinals=[2**70]),
+        v3_table(doc_ids=["a", "a"], note_types=["other"] * 2, locators=[0, 1], doc_rows=[1, 0]),
     ],
-    ids=["not_json", "not_object", "no_embedder", "wrong_length", "int_para_id", "null_note_type"],
+    ids=["not_json", "not_object", "no_embedder", "wrong_length", "int_doc_id", "null_note_type",
+         "no_corpus_digest", "int_segmentation", "locator_count", "float_locator", "null_locator",
+         "rows_past_count", "negative_rows", "negative_ordinal", "huge_ordinal", "repeated_doc_id"],
 )
 def test_load_malformed_string_table(tmp_path, table):
     path = tmp_path / "index.qidx"
-    v2_file(path, table, count=1)
+    index_file(path, table, count=1)
     with pytest.raises(CorruptIndexError, match="string table"):
         VectorIndex.load(path)
+
+
+def test_load_rows_out_of_document_order(tmp_path):
+    path = tmp_path / "index.qidx"
+    table = v3_table(doc_ids=["a", "b"], note_types=["other"] * 2, locators=[0, 9], doc_rows=[2, 0],
+                     ordinals=[1, 0])
+    index_file(path, table, count=2)
+    with pytest.raises(CorruptIndexError, match="document order"):
+        VectorIndex.load(path)
+    index_file(path, v3_table(), count=1)
+    loaded = VectorIndex.load(path)
+    assert [hit.para_id for hit in loaded.search(np.ones(2), k=1)] == ["a#0"]
+    assert loaded.corpus.locators == [0]
 
 
 def test_empty_index_saves_and_loads(tmp_path):

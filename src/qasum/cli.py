@@ -14,6 +14,7 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,6 @@ from .corpus import SegmentedCorpus, read_corpus
 from .embedding import EmbedderSpec, build_embedder
 from .errors import (
     CorruptIndexError,
-    DimensionMismatchError,
-    EmptyTextError,
     IoError,
     QasumError,
     ValidationError,
@@ -38,6 +37,7 @@ log = logging.getLogger(__name__)
 
 _PARAM_KEYS = ("k", "fusion_weight", "score_threshold", "dedup_cosine")
 _EMBEDDER_KEYS = ("kind", "dim")
+_COMPACT_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -212,36 +212,40 @@ def _timestamp(cfg: PipelineConfig) -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _compact_rows(matrix: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """matrix[kept], made by moving the kept rows up inside matrix a block at a time.
+
+    The i-th kept row moves up from a row >= i, so each block reads only
+    rows that no earlier block wrote, and no matrix-sized copy is made.
+    """
+    if kept.all():
+        return matrix
+    rows = np.flatnonzero(kept)
+    for start in range(0, len(rows), _COMPACT_BLOCK_ROWS):
+        block = rows[start : start + _COMPACT_BLOCK_ROWS]
+        matrix[start : start + len(block)] = matrix[block]
+    return matrix[: len(rows)]
+
+
 def cmd_index(cfg: PipelineConfig) -> int:
     docs, manifest = read_corpus(cfg.corpus_path, cfg.corpus_format).load()
     corpus = SegmentedCorpus(docs)
     embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
     doc_pos = {doc_id: i for i, doc_id in enumerate(manifest.doc_ids)}
-    dim = cfg.embedder.dim
-    matrix = np.empty((len(corpus.paragraphs), dim))
-    embedded = []
-    for para in corpus.paragraphs:
-        try:
-            vector = embedder(para.text)
-        except EmptyTextError:
-            continue
-        if np.shape(vector) != (dim,):
-            raise DimensionMismatchError(
-                f"embedder returned a vector of shape {np.shape(vector)} for {para.para_id}, expected ({dim},)"
-            )
-        matrix[len(embedded)] = vector
-        embedded.append(para)
+    paragraphs = corpus.paragraphs
+    matrix, kept = embedder.embed_many([para.text for para in paragraphs])
+    embedded = list(compress(paragraphs, kept))
     index = VectorIndex(
         manifest,
         [doc_pos[para.doc_id] for para in embedded],
         [para.ordinal for para in embedded],
-        matrix[: len(embedded)],
+        _compact_rows(matrix, kept),
         _embedder_identity(cfg),
     )
     index.save(cfg.index_path)
-    skipped = len(corpus.paragraphs) - len(embedded)
+    skipped = len(paragraphs) - len(embedded)
     suffix = f" ({skipped} unembeddable skipped)" if skipped else ""
-    print(f"indexed {len(docs)} docs / {len(corpus.paragraphs)} paragraphs{suffix} -> {cfg.index_path}")
+    print(f"indexed {len(docs)} docs / {len(paragraphs)} paragraphs{suffix} -> {cfg.index_path}")
     return 0
 
 

@@ -24,6 +24,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -368,16 +369,16 @@ def _document_from_record(record: dict, where: str) -> Document:
     )
 
 
-def _byte_offsets(text: str) -> Sequence[int]:
-    """Map codepoint index -> byte offset in the UTF-8 encoding of text."""
+def _byte_offsets(text: str, positions: Iterable[int]) -> Mapping[int, int] | Sequence[int]:
+    """Map each of the given codepoint indexes of text to its byte offset in the UTF-8 encoding of text."""
     if text.isascii():
         return range(len(text) + 1)
-    offsets = [0] * (len(text) + 1)
-    pos = 0
-    for i, ch in enumerate(text):
-        offsets[i] = pos
-        pos += len(ch.encode("utf-8"))
-    offsets[len(text)] = pos
+    offsets = {}
+    pos = byte = 0
+    for end in sorted(set(positions)):
+        byte += len(text[pos:end].encode("utf-8"))
+        offsets[end] = byte
+        pos = end
     return offsets
 
 
@@ -518,12 +519,10 @@ def segment_paragraphs(
         for piece in _split_on_headers(text, lines):
             pieces.extend(_enforce_token_cap(text, piece, max_paragraph_tokens))
 
-    byte_of = _byte_offsets(text)
+    spans = [(start, end) for start, end in (_trim_span(text, *piece) for piece in pieces) if start < end]
+    byte_of = _byte_offsets(text, chain.from_iterable(spans))
     paragraphs = []
-    for start, end in pieces:
-        start, end = _trim_span(text, start, end)
-        if start >= end:
-            continue
+    for start, end in spans:
         ordinal = len(paragraphs)
         paragraphs.append(
             Paragraph(
@@ -546,9 +545,10 @@ def split_sentences(para: Paragraph) -> list[Sentence]:
     split.
     """
     text = para.text
-    byte_of = _byte_offsets(text)
+    spans = _sentence_spans(text)
+    byte_of = _byte_offsets(text, chain.from_iterable(spans))
     sentences = []
-    for start, end in _sentence_spans(text):
+    for start, end in spans:
         ordinal = len(sentences)
         sentences.append(
             Sentence(

@@ -155,34 +155,3 @@ def _question_from_dict(raw, where: str) -> Question:
         threshold_override=threshold_override,
         note_type_filter=note_type_filter,
     )
-
-
-def bank_to_dict(bank: QuestionBank) -> dict:
-    questions = []
-    for q in bank.questions:
-        raw: dict = {"q_id": q.q_id, "text": q.text, "order": q.order}
-        if q.k_override is not None:
-            raw["k"] = q.k_override
-        if q.threshold_override is not None:
-            raw["score_threshold"] = q.threshold_override
-        if q.note_type_filter is not None:
-            raw["note_type_filter"] = sorted(q.note_type_filter)
-        questions.append(raw)
-    return {
-        "name": bank.name,
-        "version": bank.version,
-        "defaults": {
-            "k": bank.defaults.k,
-            "fusion_weight": bank.defaults.fusion_weight,
-            "score_threshold": bank.defaults.score_threshold,
-            "dedup_cosine": bank.defaults.dedup_cosine,
-        },
-        "questions": questions,
-    }
-
-
-def save_question_bank(bank: QuestionBank, path: str | Path) -> None:
-    try:
-        Path(path).write_text(json.dumps(bank_to_dict(bank), indent=2) + "\n", "utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write question bank to {path}: {exc}") from exc

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from qasum.embedding import reference_embedding
 from qasum.errors import ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, request_fingerprint
 from qasum.question_bank import effective_params, load_question_bank
+from qasum.vector_index import VectorIndex
 
 
 def run(argv):
@@ -99,6 +101,29 @@ def test_cmd_index_is_byte_deterministic(pipeline_config, tmp_path):
     first = (tmp_path / "out" / "index.qidx").read_bytes()
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert (tmp_path / "out" / "index.qidx").read_bytes() == first
+
+
+def test_cmd_index_bytes_are_pinned(pipeline_config, tmp_path):
+    """The fixture index is byte-identical to the one the per-paragraph embedding loop wrote."""
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    index_bytes = (tmp_path / "out" / "index.qidx").read_bytes()
+    assert hashlib.sha256(index_bytes).hexdigest() == "04655bb971a4f5072045e89878f518b314b8779047fc62911c24237da02f8e8e"
+
+
+def test_cmd_index_leaves_out_unembeddable_paragraphs(pipeline_config, tmp_path, fixtures_dir, monkeypatch, capsys):
+    corpus = _copy_corpus(fixtures_dir, tmp_path, lambda text: text.replace("\\n\\nPLAN:", "\\n\\n* * *\\n\\nPLAN:"))
+    config_with(pipeline_config, corpus={"path": corpus, "format": "jsonl"})
+    # Small blocks, so the kept rows move up through several of them.
+    monkeypatch.setattr(qasum.cli, "_COMPACT_BLOCK_ROWS", 2)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert "12 docs / 35 paragraphs (3 unembeddable skipped)" in capsys.readouterr().out
+    index = VectorIndex.load(tmp_path / "out" / "index.qidx")
+    paragraphs = [p for p in SegmentedCorpus(read_corpus(corpus).load()[0]).paragraphs if p.text != "* * *"]
+    assert len(index) == len(paragraphs) == 32
+    for para in paragraphs:
+        hits = index.search(reference_embedding(para.text), k=len(index))
+        own = next(hit for hit in hits if hit.para_id == para.para_id)
+        assert own.score == pytest.approx(1.0, abs=1e-6)
 
 
 def test_failed_replace_keeps_the_previous_artifacts(pipeline_config, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -17,9 +20,10 @@ from qasum.embedding import (
     build_embedder,
     cosine,
     reference_embedding,
+    reference_embeddings,
     tokenize,
 )
-from qasum.errors import DimensionMismatchError, EmptyTextError, PreconditionError
+from qasum.errors import DimensionMismatchError, EmptyTextError, GatewayError, PreconditionError
 
 embed = build_embedder(EmbedderSpec())
 
@@ -34,6 +38,13 @@ def random_text(rng, n=None):
 
 def test_tokenize_lowercases_and_splits():
     assert tokenize("Pt c/o SOB, 10mg!") == ["pt", "c", "o", "sob", "10mg"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.characters(codec="utf-8") | st.characters(categories=["Cs"]) | st.sampled_from("\u0130\u212a\u0131\u017f\x00")))
+def test_tokenize_is_the_alphanumeric_runs_of_the_lowercased_text(text):
+    # Lowercasing comes first: "İ" lowers to "i" plus a combining dot, the Kelvin sign to "k".
+    assert tokenize(text) == re.findall("[a-z0-9]+", text.lower())
 
 
 def test_embed_is_deterministic():
@@ -108,24 +119,41 @@ def text_sequences(draw):
 
 @pytest.mark.parametrize("cap", [FEATURE_MEMO_CAP, 5])
 @settings(max_examples=150, deadline=None)
-@given(texts=text_sequences(), dim=st.sampled_from([1, 7, DEFAULT_DIM]))
-def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim):
+@given(
+    texts=text_sequences(),
+    dim=st.sampled_from([1, 7, DEFAULT_DIM]),
+    chunk=st.sampled_from([1, 3, qasum.embedding._EMBED_CHUNK]),
+)
+def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim, chunk):
+    fresh = [embed_or_error(lambda t: reference_embedding(t, dim), text) for text in texts]
     memos = []
     traced = lambda text, dim, memo: memos.append(memo) or reference_embedding(text, dim, memo)
+    traced_many = lambda texts, dim, memo: memos.append(memo) or reference_embeddings(texts, dim, memo)
     with mock.patch.object(qasum.embedding, "FEATURE_MEMO_CAP", cap), \
-            mock.patch.object(qasum.embedding, "reference_embedding", traced):
-        embedder = build_embedder(EmbedderSpec(dim=dim))
-        for text in texts:
-            ours = embed_or_error(embedder, text)
-            fresh = embed_or_error(lambda t: reference_embedding(t, dim), text)
-            if fresh is EmptyTextError:
-                assert ours is EmptyTextError
-                continue
-            assert ours is not EmptyTextError
-            assert ours.dtype == fresh.dtype and ours.tobytes() == fresh.tobytes()
-            # The per-feature loop of the standalone oracle gives the same bits.
-            assert fresh.tobytes() == np.array(embed_oracle.hashed_embedding(text, dim)).tobytes()
-    assert len(set(map(id, memos))) <= 1
+            mock.patch.object(qasum.embedding, "_EMBED_CHUNK", chunk), \
+            mock.patch.object(qasum.embedding, "reference_embedding", traced), \
+            mock.patch.object(qasum.embedding, "reference_embeddings", traced_many):
+        # One embedder fills its memo one text at a time first, the other in one batch first.
+        one_first = build_embedder(EmbedderSpec(dim=dim))
+        singles = [embed_or_error(one_first, text) for text in texts]
+        batches = [one_first.embed_many(texts)]
+        batch_first = build_embedder(EmbedderSpec(dim=dim))
+        batches.append(batch_first.embed_many(texts))
+        singles_after = [embed_or_error(batch_first, text) for text in texts]
+    for matrix, kept in batches:
+        assert matrix.shape == (len(texts), dim) and matrix.dtype == np.float64 and kept.dtype == bool
+        assert kept.tolist() == [f is not EmptyTextError for f in fresh]
+        assert not matrix[~kept].any()
+    for i, (text, expected) in enumerate(zip(texts, fresh)):
+        if expected is EmptyTextError:
+            assert singles[i] is singles_after[i] is EmptyTextError
+            continue
+        assert expected.dtype == np.float64
+        for ours in (singles[i], singles_after[i], batches[0][0][i], batches[1][0][i]):
+            assert ours.tobytes() == expected.tobytes()
+        # The per-feature loop of the standalone oracle gives the same bits.
+        assert expected.tobytes() == np.array(embed_oracle.hashed_embedding(text, dim)).tobytes()
+    assert len(set(map(id, memos))) == 2
     assert all(len(memo) <= cap for memo in memos)
 
 
@@ -149,6 +177,80 @@ def test_each_reference_embedder_has_its_own_memo(monkeypatch):
     assert memos[0] is memos[1] and memos[2] is not memos[0]
     assert set(memos[0]) == {"fever", "and", "cough", "fever and", "and cough"}
     assert set(memos[2]) == {"fever"}
+
+
+# -- batch kernel ----------------------------------------------------------------
+
+
+def assert_rows_equal_one_text_calls(texts, matrix, kept, dim=DEFAULT_DIM):
+    assert matrix.shape == (len(texts), dim)
+    for text, row, row_kept in zip(texts, matrix, kept):
+        single = embed_or_error(lambda t: reference_embedding(t, dim), text)
+        if single is EmptyTextError:
+            assert not row_kept and not row.any()
+        else:
+            assert row_kept and row.tobytes() == single.tobytes()
+            assert row.tobytes() == np.array(embed_oracle.hashed_embedding(text, dim)).tobytes()
+
+
+def test_embed_many_on_blank_punctuation_special_case_and_repeated_texts():
+    texts = ["", "  \n", "!!! ---", "\u0130V 40mg", "\u212aCl 20", "\u0130", "fever and cough", "fever and cough",
+             "\u00b5g/kg", "cough"]
+    matrix, kept = build_embedder(EmbedderSpec()).embed_many(texts)
+    assert kept.tolist() == [False, False, False, True, True, True, True, True, True, True]
+    assert_rows_equal_one_text_calls(texts, matrix, kept)
+    # The dotted capital I lowers to "i" plus a combining dot, which splits "iv"; the Kelvin sign lowers to "k".
+    assert matrix[3].tobytes() == reference_embedding("i v 40mg").tobytes()
+    assert matrix[4].tobytes() == reference_embedding("kcl 20").tobytes()
+
+
+def test_embed_many_spans_several_chunks():
+    rng = random.Random(15)
+    count = 2 * qasum.embedding._EMBED_CHUNK + 3
+    texts = [random_text(rng) if i % 9 else "-- * --" for i in range(count)]
+    memo = FeatureMemo()
+    matrix, kept = reference_embeddings(texts, DEFAULT_DIM, memo)
+    assert kept.sum() == count - len(range(0, count, 9))
+    assert_rows_equal_one_text_calls(texts, matrix, kept)
+
+
+def test_embed_many_of_no_texts():
+    matrix, kept = build_embedder(EmbedderSpec(dim=7)).embed_many([])
+    assert matrix.shape == (0, 7) and kept.shape == (0,)
+
+
+def test_bigrams_never_cross_texts():
+    memo = FeatureMemo()
+    apart, _ = reference_embeddings(["a", "b"], DEFAULT_DIM, memo)
+    assert set(memo) == {"a", "b"}
+    together, _ = reference_embeddings(["a b"], DEFAULT_DIM, memo)
+    assert set(memo) == {"a", "b", "a b"}
+    assert apart[0].tobytes() == reference_embedding("a").tobytes()
+    assert apart[1].tobytes() == reference_embedding("b").tobytes()
+    assert together[0].tobytes() == reference_embedding("a b").tobytes()
+
+
+def test_no_text_with_tokens_cancels_to_a_zero_vector():
+    # n tokens give n unigram and n - 1 bigram occurrences, an odd number of +-1 terms. At dim=1 they
+    # all land in the one bucket, so its sum is odd: every vector is exactly [1.0] or [-1.0].
+    rng = random.Random(16)
+    texts = [random_text(rng) for _ in range(300)]
+    matrix, kept = reference_embeddings(texts, 1)
+    assert kept.all() and set(np.abs(matrix[:, 0]).tolist()) == {1.0}
+    assert set(matrix[:, 0].tolist()) == {1.0, -1.0}
+
+
+def test_one_text_errors_name_why_the_text_was_dropped(monkeypatch):
+    with pytest.raises(EmptyTextError, match="cannot embed empty text"):
+        reference_embedding(" \t")
+    with pytest.raises(EmptyTextError, match="no alphanumeric tokens"):
+        reference_embedding("!!! ---")
+    # The kernel drops a text with tokens only if its vector is zero.
+    monkeypatch.setattr(
+        qasum.embedding, "reference_embeddings", lambda texts, dim, memo: (np.zeros((1, dim)), np.array([False]))
+    )
+    with pytest.raises(EmptyTextError, match="cancelled to a zero vector"):
+        reference_embedding("fever", 1)
 
 
 class RecordingGateway:
@@ -180,6 +282,104 @@ def test_remote_embedder_requests_a_repeated_text_once():
     # Another embedder, another memo.
     build_embedder(EmbedderSpec(kind="remote"), gateway)("fever")
     assert gateway.batches == [["fever"], ["cough"], ["fever"]]
+
+
+class BlockingGateway:
+    """Holds every embed request until released; fails them while failing is set."""
+
+    def __init__(self):
+        self.requests = []
+        self.release = threading.Event()
+        self.failing = False
+
+    def embed_remote(self, texts):
+        self.requests.append(list(texts))
+        assert self.release.wait(10)
+        if self.failing:
+            raise GatewayError("embedding service unavailable")
+        return [reference_embedding(text) for text in texts]
+
+
+def call_in_threads(embedder, gateway, text, count=2):
+    """Call embedder(text) in count threads that start while the first request is in flight."""
+    outcomes = [None] * count
+
+    def call(i):
+        try:
+            outcomes[i] = embedder(text)
+        except GatewayError as exc:
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(count)]
+    threads[0].start()
+    while not gateway.requests:
+        threads[0].join(0.001)
+    for thread in threads[1:]:
+        thread.start()
+        # Long enough for a caller that does not wait on the first request to make its own.
+        thread.join(0.2)
+        assert thread.is_alive()
+    gateway.release.set()
+    for thread in threads:
+        thread.join(10)
+    return outcomes
+
+
+def test_concurrent_callers_of_one_text_share_one_request():
+    gateway = BlockingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    first, second = call_in_threads(embedder, gateway, "fever")
+    assert gateway.requests == [["fever"]]
+    assert first is second and np.array_equal(first, reference_embedding("fever"))
+    assert embedder("fever") is first and gateway.requests == [["fever"]]
+
+
+def test_a_failed_request_raises_in_every_waiter_and_is_not_remembered():
+    gateway = BlockingGateway()
+    gateway.failing = True
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    outcomes = call_in_threads(embedder, gateway, "fever", count=3)
+    assert all(isinstance(outcome, GatewayError) for outcome in outcomes)
+    assert gateway.requests == [["fever"]]
+    gateway.failing = False
+    assert np.array_equal(embedder("fever"), reference_embedding("fever"))
+    assert gateway.requests == [["fever"], ["fever"]]
+
+
+def test_many_threads_request_each_text_once():
+    gateway = RecordingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    texts = [f"note {i}" for i in range(40)]
+    results = {}
+
+    def work(seed):
+        order = random.Random(seed).sample(texts, len(texts))
+        results[seed] = {text: embedder(text) for text in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 8
+    assert sorted(batch[0] for batch in gateway.batches) == sorted(texts)
+    for text in texts:
+        assert len({id(vectors[text]) for vectors in results.values()}) == 1
+
+
+def test_remote_embed_many_loops_over_the_memo():
+    gateway = RecordingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote", dim=DEFAULT_DIM), gateway)
+    texts = ["fever", " ", "cough", "fever"]
+    matrix, kept = embedder.embed_many(texts)
+    assert gateway.batches == [["fever"], ["cough"]]
+    assert kept.tolist() == [True, False, True, True]
+    assert_rows_equal_one_text_calls(texts, matrix, kept)
 
 
 def test_remote_embedder_rejects_blank_text_without_a_request():

@@ -6,10 +6,8 @@ from qasum.errors import IoError, ValidationError
 from qasum.question_bank import (
     Question,
     RetrievalParams,
-    bank_to_dict,
     effective_params,
     load_question_bank,
-    save_question_bank,
 )
 
 
@@ -103,14 +101,6 @@ def test_unknown_note_type_rejected(tmp_path):
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_question_bank(tmp_path / "missing.json")
-
-
-def test_reload_idempotence(tmp_path, bank):
-    path = tmp_path / "roundtrip.json"
-    save_question_bank(bank, path)
-    reloaded = load_question_bank(path)
-    assert reloaded == bank
-    assert bank_to_dict(reloaded) == bank_to_dict(bank)
 
 
 def test_effective_params_applies_overrides():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from index_rows import Row, build_index
 from oracles.knn_oracle import brute_force_search
 from qasum.cli import load_config, main
-from qasum.embedding import reference_embedding
+from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding
 from qasum.errors import (
     CorruptIndexError,
     DimensionMismatchError,
@@ -57,10 +57,16 @@ def test_self_match_scores_one():
 
 
 def test_dimension_mismatch_on_insert(pipeline_config, monkeypatch, capsys):
-    """An embedder vector of the wrong length never reaches the index matrix."""
+    """A remote vector of the wrong length never reaches the index matrix."""
     import qasum.cli
 
-    monkeypatch.setattr(qasum.cli, "build_embedder", lambda spec, gateway: lambda text: np.ones(128))
+    class ShortVectors:
+        def embed_remote(self, texts):
+            return [np.ones(128) for _ in texts]
+
+    monkeypatch.setattr(
+        qasum.cli, "build_embedder", lambda spec, gateway: build_embedder(EmbedderSpec("remote", 256), ShortVectors())
+    )
     with pytest.raises(DimensionMismatchError, match=r"expected \(256,\)"):
         qasum.cli.cmd_index(load_config(pipeline_config))
     assert main(["index", "--config", str(pipeline_config)]) == 1

@@ -30,12 +30,11 @@ from .errors import (
 )
 from .fileio import write_atomic
 from .llm_gateway import Gateway, GatewayConfig
-from .question_bank import Question, RetrievalParams, load_question_bank
+from .question_bank import Question, check_params, load_question_bank
 from .vector_index import MAX_DIM, VectorIndex
 
 log = logging.getLogger(__name__)
 
-_PARAM_KEYS = ("k", "fusion_weight", "score_threshold", "dedup_cosine")
 _EMBEDDER_KEYS = ("kind", "dim")
 _COMPACT_BLOCK_ROWS = 1024
 
@@ -56,7 +55,13 @@ class PipelineConfig:
     run_timestamp: str | None = None
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
+    """The config file at path, with overrides (config keys, as the flags set them) in place.
+
+    overrides replace the file's values, and their ``params`` are merged
+    into the file's key by key, before any value is checked; every value is
+    checked here, so a bad one fails before a command reads anything else.
+    """
     import json
 
     path = Path(path)
@@ -68,6 +73,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ValidationError(f"config {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config {path}: top level must be a JSON object")
+    for key, value in (overrides or {}).items():
+        if key == "params" and "params" in data:
+            value = {**check_params(data["params"], "params"), **value}
+        data[key] = value
 
     base = path.parent
 
@@ -76,7 +85,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         return p if p.is_absolute() else base / p
 
     corpus = data.get("corpus")
-    if not isinstance(corpus, dict) or "path" not in corpus:
+    if not (isinstance(corpus, dict) and isinstance(corpus.get("path"), str)):
         raise ValidationError("config: corpus.path is required")
     corpus_format = corpus.get("format", "jsonl")
     if corpus_format not in ("jsonl", "text-dir"):
@@ -95,17 +104,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     spec = EmbedderSpec(**embedder_raw)
     if spec.kind not in ("hashed-reference", "remote"):
         raise ValidationError(f"config: embedder.kind must be 'hashed-reference' or 'remote', got {spec.kind!r}")
-    if not (isinstance(spec.dim, int) and 1 <= spec.dim <= MAX_DIM):
+    if not (type(spec.dim) is int and 1 <= spec.dim <= MAX_DIM):
         raise ValidationError(
             f"config: embedder.dim must be an integer from 1 to {MAX_DIM}, got {spec.dim!r}"
         )
 
-    params_override = data.get("params", {})
-    if not isinstance(params_override, dict):
-        raise ValidationError("config: params must be an object")
-    unknown = set(params_override) - set(_PARAM_KEYS)
-    if unknown:
-        raise ValidationError(f"config: params has unknown keys {sorted(unknown)}")
+    params_override = check_params(data.get("params", {}), "params")
 
     extractor = data.get("extractor", "mock")
     if extractor not in ("mock", "remote"):
@@ -116,16 +120,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = data["gateway"]
         if not isinstance(raw, dict):
             raise ValidationError("config: gateway must be an object")
-        known = {f for f in GatewayConfig.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"config: gateway has unknown keys {sorted(unknown)}")
-        if raw.get("fixtures_dir"):
-            raw = dict(raw, fixtures_dir=str(resolve(raw["fixtures_dir"])))
         try:
             gateway = GatewayConfig(**raw)
-        except TypeError as exc:
+        except TypeError as exc:  # an unknown or a missing key
             raise ValidationError(f"config: gateway: {exc}") from exc
+        if gateway.fixtures_dir:
+            gateway = replace(gateway, fixtures_dir=str(resolve(gateway.fixtures_dir)))
     if extractor == "remote" and gateway is None:
         raise ValidationError("config: extractor 'remote' requires a gateway section")
     if spec.kind == "remote" and gateway is None:
@@ -200,12 +200,6 @@ def _load_pinned(cfg: PipelineConfig) -> tuple[VectorIndex, SegmentedCorpus, str
     return index, SegmentedCorpus(source.pinned(index.corpus)), source.sha256
 
 
-def _effective_params(cfg: PipelineConfig, defaults: RetrievalParams) -> RetrievalParams:
-    params = replace(defaults, **cfg.params_override)
-    params.validate("params")
-    return params
-
-
 def _timestamp(cfg: PipelineConfig) -> str:
     if cfg.run_timestamp:
         return cfg.run_timestamp
@@ -250,9 +244,9 @@ def cmd_index(cfg: PipelineConfig) -> int:
 
 
 def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
-    index, corpus, _ = _load_pinned(cfg)
     bank = load_question_bank(cfg.question_bank_path)
-    params = _effective_params(cfg, bank.defaults)
+    params = replace(bank.defaults, **cfg.params_override)
+    index, corpus, _ = _load_pinned(cfg)
     gateway = _build_gateway(cfg, extracts=True)
     embedder = build_embedder(cfg.embedder, gateway)
     extractor = _build_extractor(cfg, corpus, gateway)
@@ -277,9 +271,9 @@ def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
 
 
 def cmd_summarize(cfg: PipelineConfig) -> int:
-    index, corpus, corpus_sha256 = _load_pinned(cfg)
     bank = load_question_bank(cfg.question_bank_path)
-    params = _effective_params(cfg, bank.defaults)
+    params = replace(bank.defaults, **cfg.params_override)
+    index, corpus, corpus_sha256 = _load_pinned(cfg)
     gateway = _build_gateway(cfg, extracts=True)
     embedder = build_embedder(cfg.embedder, gateway)
     extractor = _build_extractor(cfg, corpus, gateway)
@@ -321,30 +315,26 @@ def cmd_evaluate(
     return 0
 
 
-def _apply_flag_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "output_dir", None):
-        cfg.output_dir = Path(args.output_dir)
-    if getattr(args, "extractor", None):
-        if args.extractor == "remote" and cfg.gateway is None:
-            raise ValidationError("extractor 'remote' requires a gateway section in the config")
-        cfg.extractor = args.extractor
-    for flag, key in (("k", "k"), ("threshold", "score_threshold"), ("weight", "fusion_weight")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg.params_override = dict(cfg.params_override, **{key: value})
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "timestamp", None):
-        cfg.run_timestamp = args.timestamp
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ValidationError("--workers must be a positive integer")
-        cfg.workers = args.workers
-    return cfg
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # A usage error is a failure like any other: exit 1 with one error line.
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+# Flags whose argparse dest is a config key: retrieval params (set under "params") and top-level keys.
+_PARAM_FLAGS = ("k", "score_threshold", "fusion_weight")
+_CONFIG_FLAGS = ("extractor", "workers", "seed", "run_timestamp")
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """The config values the given flags set, under their config keys."""
+    overrides = {key: getattr(args, key) for key in _CONFIG_FLAGS if getattr(args, key) is not None}
+    params = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
+    return {**overrides, "params": params} if params else overrides
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qasum", description="Question-driven corpus summarization")
+    parser = _Parser(prog="qasum", description="Question-driven corpus summarization")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -352,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", help="Override the configured output directory")
         p.add_argument("--extractor", choices=("mock", "remote"), help="Override the extractor")
         p.add_argument("--k", type=int, help="Override retrieval k")
-        p.add_argument("--threshold", type=float, help="Override the score threshold")
-        p.add_argument("--weight", type=float, help="Override the fusion weight")
+        p.add_argument("--threshold", type=float, dest="score_threshold", help="Override the score threshold")
+        p.add_argument("--weight", type=float, dest="fusion_weight", help="Override the fusion weight")
         p.add_argument("--seed", type=int, help="Seed for retry jitter")
-        p.add_argument("--timestamp", help="Fixed run timestamp for reproducible output")
+        p.add_argument("--timestamp", dest="run_timestamp", help="Fixed run timestamp for reproducible output")
         p.add_argument("--workers", type=int, help="Parallel question evaluation workers")
 
     p_index = sub.add_parser("index", help="Segment and embed the corpus into the vector index")
@@ -379,9 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_flag_overrides(load_config(args.config), args)
+        args = build_parser().parse_args(argv)
+        cfg = load_config(args.config, _flag_overrides(args))
+        if args.output_dir:
+            # Relative to the working directory, unlike the config's output_dir.
+            cfg.output_dir = Path(args.output_dir)
         if args.command == "index":
             return cmd_index(cfg)
         if args.command == "ask":
@@ -396,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except Exception as exc:
         # A bug, not an input error: one line for the operator, the traceback only in the debug log.
-        log.debug("internal error in %s", args.command, exc_info=True)
+        log.debug("internal error", exc_info=True)
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -200,6 +200,9 @@ class CorpusFile:
 class _PinnedDocuments(Mapping):
     """doc_id -> Document over a verified manifest; a document is parsed on every lookup.
 
+    A lookup raises FormatError, naming the locator, when the record there is
+    not a valid document, and CorruptIndexError when it is another document.
+
     SegmentedCorpus caches what it derives from a document, so each is
     looked up once.
     """
@@ -211,11 +214,8 @@ class _PinnedDocuments(Mapping):
 
     def __getitem__(self, doc_id: str) -> Document:
         locator = self._locators[doc_id]
-        try:
-            doc = self._source._document_at(locator)
-        except FormatError:
-            doc = None
-        if doc is None or doc.doc_id != doc_id:
+        doc = self._source._document_at(locator)
+        if doc.doc_id != doc_id:
             raise CorruptIndexError(
                 f"the index locates document {doc_id!r} at {locator!r} in corpus {self._source.path}, "
                 "which holds no such record there; rebuild it with `qasum index`"
@@ -340,7 +340,14 @@ def _record_document(line: str, where: str) -> Document:
         raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise FormatError(f"{where}: record is not a JSON object")
-    return _document_from_record(record, where)
+    doc = _document_from_record(record, where)
+    if "\\u" in line:  # valid UTF-8 can spell a lone surrogate only as a \u escape
+        for key in ("doc_id", "patient_id", "timestamp", "text"):
+            try:
+                (getattr(doc, key) or "").encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise FormatError(f"{where}: field {key!r} is not valid Unicode: {exc}") from exc
+    return doc
 
 
 def _document_from_record(record: dict, where: str) -> Document:
@@ -581,15 +588,10 @@ class SegmentedCorpus:
     ordinal, sentence ordinal) used for deterministic tie-breaking downstream.
     """
 
-    def __init__(
-        self,
-        documents: Iterable[Document] | Mapping[str, Document],
-        max_paragraph_tokens: int = DEFAULT_MAX_PARAGRAPH_TOKENS,
-    ):
+    def __init__(self, documents: Iterable[Document] | Mapping[str, Document]):
         if not isinstance(documents, Mapping):
             documents = {doc.doc_id: doc for doc in documents}
         self._documents = documents
-        self._max_paragraph_tokens = max_paragraph_tokens
         self._doc_pos = {doc_id: i for i, doc_id in enumerate(documents)}
         self._paras_by_doc: dict[str, list[Paragraph]] = {}
         self._sents_by_doc: dict[str, list[list[Sentence]]] = {}
@@ -606,11 +608,7 @@ class SegmentedCorpus:
         return value
 
     def _doc_paragraphs(self, doc_id: str) -> list[Paragraph]:
-        return self._cached(
-            self._paras_by_doc,
-            doc_id,
-            lambda d: segment_paragraphs(self._documents[d], self._max_paragraph_tokens),
-        )
+        return self._cached(self._paras_by_doc, doc_id, lambda d: segment_paragraphs(self._documents[d]))
 
     def _doc_sentences(self, doc_id: str) -> list[list[Sentence]]:
         return self._cached(

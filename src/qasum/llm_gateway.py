@@ -54,6 +54,8 @@ JSON_REPLY_INSTRUCTION = (
 
 @dataclass(frozen=True)
 class GatewayConfig:
+    """A gateway's settings; construction checks each field (ValidationError naming gateway.<field>)."""
+
     base_url: str
     model: str
     api_key_env: str = "QASUM_API_KEY"
@@ -65,6 +67,21 @@ class GatewayConfig:
     chat_path: str = "/v1/chat/completions"
     embed_path: str = "/v1/embeddings"
     backoff_base_ms: int = 500
+
+    def __post_init__(self):
+        def require(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise ValidationError(f"gateway.{name}: must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("base_url", "model", "api_key_env", "mode", "chat_path", "embed_path"):
+            require(type(getattr(self, name)) is str, name, "a string")
+        for name, low in (("timeout_ms", 1000), ("max_retries", 0), ("max_in_flight", 1), ("backoff_base_ms", 0)):
+            value = getattr(self, name)
+            require(type(value) is int and value >= low, name, f"an integer >= {low}")
+        require(self.mode in ("live", "replay", "record"), "mode", "'live', 'replay' or 'record'")
+        require(self.base_url.startswith(("http://", "https://")), "base_url", "an http(s) URL")
+        require(self.fixtures_dir is None or type(self.fixtures_dir) is str, "fixtures_dir", "a string or null")
+        require(self.mode == "live" or bool(self.fixtures_dir), "fixtures_dir", f"set for mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -89,26 +106,10 @@ def request_fingerprint(body: dict) -> str:
     return _fixture_key(canonical_body(body))
 
 
-def _validate_config(cfg: GatewayConfig) -> None:
-    if cfg.mode not in ("live", "replay", "record"):
-        raise ValidationError(f"gateway.mode: unknown mode {cfg.mode!r}")
-    if not (cfg.base_url.startswith("http://") or cfg.base_url.startswith("https://")):
-        raise ValidationError(f"gateway.base_url: not a valid http(s) URL: {cfg.base_url!r}")
-    if cfg.timeout_ms < 1000:
-        raise ValidationError(f"gateway.timeout_ms: must be >= 1000, got {cfg.timeout_ms}")
-    if cfg.max_retries < 0:
-        raise ValidationError("gateway.max_retries: must be >= 0")
-    if cfg.max_in_flight < 1:
-        raise ValidationError("gateway.max_in_flight: must be >= 1")
-    if cfg.mode in ("replay", "record") and not cfg.fixtures_dir:
-        raise ValidationError(f"gateway.fixtures_dir: required for mode={cfg.mode!r}")
-
-
 class Gateway:
     """A configured client; share one instance so the in-flight cap is global."""
 
     def __init__(self, cfg: GatewayConfig, seed: int | None = None):
-        _validate_config(cfg)
         self.cfg = cfg
         if cfg.mode in ("live", "record") and not os.environ.get(cfg.api_key_env):
             raise AuthError(

@@ -22,13 +22,41 @@ class RetrievalParams:
     score_threshold: float = 0.6
     dedup_cosine: float = 0.95
 
-    def validate(self, where: str = "params") -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValidationError(f"{where}.k: must be a positive integer, got {self.k!r}")
-        for name in ("fusion_weight", "score_threshold", "dedup_cosine"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-                raise ValidationError(f"{where}.{name}: must be in [0, 1], got {value!r}")
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _unit_number(value) -> bool:
+    # NaN fails the range test; bool is not a number here.
+    return type(value) in (int, float) and 0.0 <= value <= 1.0
+
+
+# The one rule of each retrieval param, for bank defaults, config params and
+# a question's k/score_threshold: name -> (check, what it must be).
+_PARAM_RULES = {
+    "k": (_positive_int, "a positive integer"),
+    "fusion_weight": (_unit_number, "a number in [0, 1]"),
+    "score_threshold": (_unit_number, "a number in [0, 1]"),
+    "dedup_cosine": (_unit_number, "a number in [0, 1]"),
+}
+
+
+def check_params(raw, where: str) -> dict:
+    """raw, once it is an object of retrieval params that each keep their rule.
+
+    Otherwise raises ValidationError naming where.<key>.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: must be a JSON object")
+    unknown = set(raw) - set(_PARAM_RULES)
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in raw.items():
+        check, what = _PARAM_RULES[key]
+        if not check(value):
+            raise ValidationError(f"{where}.{key}: must be {what}, got {value!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -82,8 +110,7 @@ def bank_from_dict(data: dict) -> QuestionBank:
     if not isinstance(version, str) or not version:
         raise ValidationError("version: must be a nonempty string")
 
-    defaults = RetrievalParams(**_check_keys(data.get("defaults", {}), "defaults"))
-    defaults.validate("defaults")
+    defaults = RetrievalParams(**check_params(data.get("defaults", {}), "defaults"))
 
     raw_questions = data.get("questions")
     if not isinstance(raw_questions, list) or not raw_questions:
@@ -105,16 +132,6 @@ def bank_from_dict(data: dict) -> QuestionBank:
     return QuestionBank(name=name, version=version, defaults=defaults, questions=tuple(questions))
 
 
-def _check_keys(raw: dict, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: must be a JSON object")
-    allowed = {"k", "fusion_weight", "score_threshold", "dedup_cosine"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-    return raw
-
-
 def _question_from_dict(raw, where: str) -> Question:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be a JSON object")
@@ -125,19 +142,10 @@ def _question_from_dict(raw, where: str) -> Question:
         raise ValidationError(f"{where}.q_id: must be a nonempty string")
     if not isinstance(text, str) or not text.strip():
         raise ValidationError(f"{where}.text: must be a nonempty string")
-    if not isinstance(order, int) or order < 0:
-        raise ValidationError(f"{where}.order: must be a non-negative integer")
-
-    k_override = raw.get("k")
-    if k_override is not None and not (isinstance(k_override, int) and k_override >= 1):
-        raise ValidationError(f"{where}.k: must be a positive integer, got {k_override!r}")
-    threshold_override = raw.get("score_threshold")
-    if threshold_override is not None and not (
-        isinstance(threshold_override, (int, float)) and 0.0 <= threshold_override <= 1.0
-    ):
-        raise ValidationError(
-            f"{where}.score_threshold: must be in [0, 1], got {threshold_override!r}"
-        )
+    if not (type(order) is int and order >= 0):
+        raise ValidationError(f"{where}.order: must be a non-negative integer, got {order!r}")
+    overrides = {key: raw[key] for key in ("k", "score_threshold") if raw.get(key) is not None}
+    check_params(overrides, where)
     note_type_filter = raw.get("note_type_filter")
     if note_type_filter is not None:
         if not isinstance(note_type_filter, list) or not note_type_filter:
@@ -151,7 +159,7 @@ def _question_from_dict(raw, where: str) -> Question:
         q_id=q_id,
         text=text,
         order=order,
-        k_override=k_override,
-        threshold_override=threshold_override,
+        k_override=overrides.get("k"),
+        threshold_override=overrides.get("score_threshold"),
         note_type_filter=note_type_filter,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -144,12 +144,7 @@ def assemble(
     meta = {
         "bank_name": bank.name,
         "bank_version": bank.version,
-        "params": {
-            "k": params.k,
-            "fusion_weight": params.fusion_weight,
-            "score_threshold": params.score_threshold,
-            "dedup_cosine": params.dedup_cosine,
-        },
+        "params": asdict(params),
         "corpus_id": corpus_id,
         "timestamp": timestamp,
         "counts": {

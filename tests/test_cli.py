@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -54,23 +55,114 @@ def test_embedder_dim_must_fit_the_index_header(pipeline_config, capsys):
     assert "embedder.dim" in capsys.readouterr().err
 
 
+REPLAY_GATEWAY = {"base_url": "https://example.invalid", "model": "m", "mode": "replay", "fixtures_dir": "fx"}
+BAD_GATEWAY_FIELDS = [
+    ("base_url", 5), ("base_url", "ftp://x"), ("model", None), ("api_key_env", 1),
+    ("timeout_ms", "30"), ("timeout_ms", 10), ("max_retries", 1.5), ("max_retries", -1),
+    ("max_in_flight", True), ("mode", 5), ("mode", "offline"), ("fixtures_dir", 5), ("fixtures_dir", None),
+    ("chat_path", ["/v1"]), ("embed_path", None), ("backoff_base_ms", "10"), ("backoff_base_ms", -1),
+]
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("seed", [1]), ("seed", True), ("seed", "7"), ("seed", 1.5),
-     ("run_timestamp", 5), ("run_timestamp", ["2026-01-15"]), ("workers", True)],
+     ("run_timestamp", 5), ("run_timestamp", ["2026-01-15"]), ("workers", True), ("workers", 0),
+     *((f"gateway.{field}", value) for field, value in BAD_GATEWAY_FIELDS)],
 )
 def test_config_field_types_are_checked(pipeline_config, capsys, key, value):
-    config_with(pipeline_config, **{key: value})
-    with pytest.raises(ValidationError, match=f"config: {key} must be"):
+    if key.startswith("gateway."):
+        # Checked on load even when, as here, no command uses the gateway.
+        config_with(pipeline_config, gateway=dict(REPLAY_GATEWAY, **{key.partition(".")[2]: value}))
+    else:
+        config_with(pipeline_config, **{key: value})
+    with pytest.raises(ValidationError, match=f"{re.escape(key)}:? must be"):
         load_config(pipeline_config)
     assert run(["index", "--config", str(pipeline_config)]) == 1
-    assert f"{key} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal error" not in err
+    assert key in err
 
 
-def test_unknown_param_key_rejected(pipeline_config):
-    config_with(pipeline_config, params={"knn": 4})
-    with pytest.raises(ValidationError, match="knn"):
-        load_config(pipeline_config)
+# Bad values of each retrieval param: a bool, a string, NaN, out of range, and a fraction for k.
+BAD_PARAM_VALUES = {
+    "k": [True, "1", math.nan, 0, 2.5],
+    "fusion_weight": [False, "1", math.nan, 1.5],
+    "score_threshold": [True, "1", math.nan, 1.5],
+    "dedup_cosine": [True, "1", math.nan, -0.5],
+}
+PARAM_FLAGS = {"k": "--k", "score_threshold": "--threshold", "fusion_weight": "--weight"}
+
+
+def _bad_param_cases():
+    for key, values in BAD_PARAM_VALUES.items():
+        for value in values:
+            yield "config", key, value
+            yield "defaults", key, value
+            if key in ("k", "score_threshold"):
+                yield "question", key, value
+            if key in PARAM_FLAGS and value != "1":  # a flag value is always a string
+                yield "flag", key, value
+    yield "config", "knn", 4
+    yield "defaults", "knn", 4
+
+
+@pytest.mark.parametrize("entry, key, value", list(_bad_param_cases()))
+def test_retrieval_params_keep_one_rule_at_every_entry_point(
+    pipeline_config, tmp_path, fixtures_dir, capsys, entry, key, value
+):
+    # No index exists: the bad value must be reported before the index is read.
+    updates = {"index_path": "missing/index.qidx"}
+    argv = summarize_args(pipeline_config)
+    if entry == "config":
+        updates["params"] = {key: value}
+        named = [f"params.{key}" if key != "knn" else "'knn'"]
+    elif entry == "flag":
+        argv += [PARAM_FLAGS[key], str(value).lower()]
+        named = [f"params.{key}", f"argument {PARAM_FLAGS[key]}:"]
+    else:
+        bank = json.loads((fixtures_dir / "question_bank.json").read_text("utf-8"))
+        if entry == "defaults":
+            bank["defaults"][key] = value
+            named = [f"defaults.{key}" if key != "knn" else "'knn'"]
+        else:
+            bank["questions"][0][key] = value
+            named = [f"questions[0].{key}"]
+        updates["question_bank_path"] = str(tmp_path / "bank.json")
+        (tmp_path / "bank.json").write_text(json.dumps(bank), "utf-8")
+    config_with(pipeline_config, **updates)
+    if entry == "config":
+        with pytest.raises(ValidationError, match=re.escape(named[0])):
+            load_config(pipeline_config)
+    elif entry != "flag":
+        with pytest.raises(ValidationError, match=re.escape(named[0])):
+            load_question_bank(tmp_path / "bank.json")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal error" not in err
+    assert any(name in err for name in named) and "index.qidx" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["summarize", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+     (["ask"], "the following arguments are required: question"),
+     (["report"], "invalid choice: 'report'"),
+     (["summarize", "--workers", "0"], "config: workers must be a positive integer, got 0"),
+     (["summarize", "--extractor", "remote"], "extractor 'remote' requires a gateway section")],
+)
+def test_usage_and_flag_errors_exit_1_with_one_line(pipeline_config, capsys, argv, named):
+    assert run([*argv, "--config", str(pipeline_config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert named in captured.err and captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["summarize", "--help"])
+    assert exit_info.value.code == 0
+    assert "--threshold" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["endpoint", "model_name", "dims"])
@@ -151,6 +243,16 @@ def test_cmd_index_missing_corpus(pipeline_config, tmp_path, capsys):
     pipeline_config.write_text(json.dumps(data), "utf-8")
     assert run(["index", "--config", str(pipeline_config)]) == 1
     assert "missing.jsonl" in capsys.readouterr().err
+
+
+def test_lone_surrogate_in_the_corpus_exits_1(pipeline_config, tmp_path, fixtures_dir, capsys):
+    corpus = _copy_corpus(fixtures_dir, tmp_path, lambda text: text.replace("productive cough", "productive \\ud800 cough", 1))
+    lines = (tmp_path / "corpus.jsonl").read_text("utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if "\\ud800" in line)
+    config_with(pipeline_config, corpus={"path": corpus, "format": "jsonl"})
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}:{lineno}: field 'text' is not valid Unicode") and err.count("\n") == 1
 
 
 def test_escaped_internal_error_exits_1_with_one_line(pipeline_config, monkeypatch, capsys):

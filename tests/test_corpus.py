@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qasum.corpus import (
+    CorpusManifest,
     Document,
     Paragraph,
     SegmentedCorpus,
     load_abbreviations,
     read_corpus,
     segment_paragraphs,
+    segmentation_digest,
     split_sentences,
 )
 from qasum.errors import CorruptIndexError, DuplicateIdError, FormatError, IoError
@@ -81,6 +83,25 @@ def test_missing_field_rejected(tmp_path):
     write_jsonl(path, [bad])
     with pytest.raises(FormatError, match="patient_id"):
         read_corpus(path).load()
+
+
+@pytest.mark.parametrize("field", ["text", "doc_id", "patient_id", "timestamp"])
+def test_lone_surrogate_is_a_format_error_on_both_paths(tmp_path, field):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record("a"), dict(record("b"), **{field: "Pain \ud800 noted."})])
+    with pytest.raises(FormatError, match=rf"c\.jsonl:2: field '{field}' is not valid Unicode"):
+        read_corpus(path).load()
+
+    # The query path parses a record on its first lookup, under the manifest an index records.
+    source = read_corpus(path)
+    offset = path.read_bytes().index(b"\n") + 1
+    doc_id = "Pain \ud800 noted." if field == "doc_id" else "b"
+    manifest = CorpusManifest(sha256=source.sha256, segmentation=segmentation_digest(), doc_ids=["a", doc_id],
+                              note_types=["other", "other"], locators=[0, offset])
+    pinned = source.pinned(manifest)
+    assert pinned["a"].text == "some text"
+    with pytest.raises(FormatError, match=rf"c\.jsonl@{offset}: field '{field}' is not valid Unicode"):
+        pinned[doc_id]
 
 
 def test_missing_path_is_io_error(tmp_path):

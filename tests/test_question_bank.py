@@ -56,13 +56,6 @@ def test_duplicate_q_id_rejected(tmp_path):
         load_question_bank(write_bank(tmp_path, data))
 
 
-def test_out_of_range_threshold_names_field(tmp_path):
-    data = base_bank()
-    data["questions"][1]["score_threshold"] = 1.5
-    with pytest.raises(ValidationError, match=r"questions\[1\].score_threshold"):
-        load_question_bank(write_bank(tmp_path, data))
-
-
 def test_out_of_range_default_names_field(tmp_path):
     data = base_bank()
     data["defaults"]["dedup_cosine"] = 1.2
@@ -74,6 +67,14 @@ def test_empty_text_rejected(tmp_path):
     data = base_bank()
     data["questions"][0]["text"] = "   "
     with pytest.raises(ValidationError, match=r"questions\[0\].text"):
+        load_question_bank(write_bank(tmp_path, data))
+
+
+@pytest.mark.parametrize("order", [True, -1])
+def test_order_must_be_a_non_negative_integer(tmp_path, order):
+    data = base_bank()
+    data["questions"][0]["order"] = order
+    with pytest.raises(ValidationError, match=r"questions\[0\].order: must be a non-negative integer"):
         load_question_bank(write_bank(tmp_path, data))
 
 

@@ -25,6 +25,7 @@ from .embedding import Embedder, cosine, tokenize
 from .errors import (
     CorruptIndexError,
     EmptyRetrievalError,
+    EmptyTextError,
     NoAnswerError,
     UnlocatableSourceError,
 )
@@ -107,10 +108,14 @@ def retrieve_context(
 ) -> RetrievedContext:
     """Top-k paragraphs for the question, concatenated in rank order.
 
-    Raises CorruptIndexError when a hit names a paragraph the corpus does
-    not have (an index built from another corpus).
+    Raises EmptyTextError when the question has nothing to embed, and
+    CorruptIndexError when a hit names a paragraph the corpus does not
+    have (an index built from another corpus).
     """
-    hits = index.search(embedder(question.text), k, question.note_type_filter)
+    vectors, kept = embedder.embed_many([question.text])
+    if not kept[0]:
+        raise EmptyTextError(f"question {question.q_id!r}: {question.text[:50]!r} has no words to embed")
+    hits = index.search(vectors[0], k, question.note_type_filter)
     if not hits:
         raise EmptyRetrievalError(
             f"question {question.q_id!r}: note-type filter "
@@ -234,10 +239,11 @@ def np_match_score(q_text: str, a_text: str, embedder: Embedder) -> float:
     a_phrases = extract_noun_phrases(a_text)
     if not q_phrases or not a_phrases:
         return 0.0
-    a_vectors = [embedder(p) for p in a_phrases]
+    # A phrase is a run of tokens, so every row is kept.
+    vectors, _ = embedder.embed_many(q_phrases + a_phrases)
+    a_vectors = list(vectors[len(q_phrases):])  # one row view each, not one per comparison
     total = 0.0
-    for phrase in q_phrases:
-        q_vec = embedder(phrase)
+    for q_vec in vectors[: len(q_phrases)]:
         best = max(cosine(q_vec, a_vec) for a_vec in a_vectors)
         total += min(1.0, max(0.0, best))
     return total / len(q_phrases)

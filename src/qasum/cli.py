@@ -30,11 +30,15 @@ from .errors import (
 )
 from .fileio import write_atomic
 from .llm_gateway import Gateway, GatewayConfig
-from .question_bank import Question, check_params, load_question_bank
+from .question_bank import Question, check_known_keys, check_params, load_question_bank
 from .vector_index import MAX_DIM, VectorIndex
 
 log = logging.getLogger(__name__)
 
+_CONFIG_KEYS = (
+    "corpus", "embedder", "index_path", "question_bank_path", "params", "extractor", "gateway", "output_dir",
+    "workers", "seed", "run_timestamp",
+)
 _EMBEDDER_KEYS = ("kind", "dim")
 _COMPACT_BLOCK_ROWS = 1024
 
@@ -73,6 +77,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ValidationError(f"config {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config {path}: top level must be a JSON object")
+    check_known_keys(data, _CONFIG_KEYS, "config")
     for key, value in (overrides or {}).items():
         if key == "params" and "params" in data:
             value = {**check_params(data["params"], "params"), **value}
@@ -98,9 +103,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     embedder_raw = data.get("embedder", {})
     if not isinstance(embedder_raw, dict):
         raise ValidationError("config: embedder must be an object")
-    unknown = set(embedder_raw) - set(_EMBEDDER_KEYS)
-    if unknown:
-        raise ValidationError(f"config: embedder has unknown keys {sorted(unknown)}")
+    check_known_keys(embedder_raw, _EMBEDDER_KEYS, "config: embedder")
     spec = EmbedderSpec(**embedder_raw)
     if spec.kind not in ("hashed-reference", "remote"):
         raise ValidationError(f"config: embedder.kind must be 'hashed-reference' or 'remote', got {spec.kind!r}")

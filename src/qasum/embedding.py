@@ -33,12 +33,8 @@ _EMBED_CHUNK = 256
 # is exactly the [a-z0-9]+ runs of the string.
 _ALNUM = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256))
 
-Embedder = Callable[[str], np.ndarray]
 
-
-class BatchEmbedder(Protocol):
-    def __call__(self, text: str) -> np.ndarray: ...
-
+class Embedder(Protocol):
     def embed_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]: ...
 
 
@@ -123,11 +119,11 @@ def reference_embeddings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The reference vectors of texts as rows of one (len(texts), dim) matrix, and which texts are kept.
 
-    A text that is blank, has no alphanumeric tokens or hashes to a zero
-    vector is not kept: its row is zeros. Row i is bit-identical to
-    reference_embedding(texts[i], dim): every bucket and every squared norm
-    is an integer sum of +-1 terms, exact in float64 in any order, and sqrt
-    and division are correctly rounded. Texts are embedded _EMBED_CHUNK at
+    A text that is blank or has no alphanumeric tokens is not kept: its
+    row is zeros. Row i is bit-identical to reference_embedding(texts[i],
+    dim): every bucket and every squared norm is an integer sum of +-1
+    terms, exact in float64 in any order, and sqrt and division are
+    correctly rounded. Texts are embedded _EMBED_CHUNK at
     a time; each chunk builds each distinct unigram and bigram string
     once, and the memo, when given, supplies the hashes of features it
     has seen.
@@ -141,21 +137,19 @@ def reference_embeddings(
     return matrix, kept
 
 
-def reference_embedding(text: str, dim: int = DEFAULT_DIM, memo: FeatureMemo | None = None) -> np.ndarray:
+def reference_embedding(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Hash unigram and adjacent-bigram features into a signed, unit-norm vector.
 
     Each feature occurrence adds +1 or -1 (bit 63 of the 64-bit hash) to
-    bucket hash % dim. A memo, when given, supplies the hashes of the
-    features it has seen; the vector does not depend on it. Raises
-    EmptyTextError if the text is blank or has no alphanumeric tokens.
+    bucket hash % dim. n tokens add 2n - 1 such terms, an odd sum, so a
+    text with tokens never hashes to a zero vector. Raises EmptyTextError
+    if the text is blank or has no alphanumeric tokens.
     """
     if not text.strip():
         raise EmptyTextError("cannot embed empty text")
-    matrix, kept = reference_embeddings([text], dim, memo)
+    matrix, kept = reference_embeddings([text], dim)
     if not kept[0]:
-        if not tokenize(text):
-            raise EmptyTextError(f"text has no alphanumeric tokens: {text[:50]!r}")
-        raise EmptyTextError(f"feature hashes cancelled to a zero vector: {text[:50]!r}")
+        raise EmptyTextError(f"text has no alphanumeric tokens: {text[:50]!r}")
     return matrix[0]
 
 
@@ -166,9 +160,6 @@ class _ReferenceEmbedder:
         self._dim = dim
         self._memo = FeatureMemo()
 
-    def __call__(self, text: str) -> np.ndarray:
-        return reference_embedding(text, self._dim, self._memo)
-
     def embed_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         return reference_embeddings(texts, self._dim, self._memo)
 
@@ -178,8 +169,9 @@ class _RemoteEmbedder:
 
     The first caller of a text owns its request; a concurrent caller of the
     same text waits on the owner's future, which the memo holds only until
-    the vector arrives. A failed request raises in the owner and every
-    waiter, and is not remembered, so a later call retries.
+    the vector arrives. A failed request, or a vector of the wrong length,
+    raises in the owner and every waiter and is not remembered, so a later
+    call retries.
     """
 
     def __init__(self, gateway, dim: int):
@@ -188,9 +180,7 @@ class _RemoteEmbedder:
         self._lock = threading.Lock()
         self._memo: dict[str, np.ndarray | Future] = {}
 
-    def __call__(self, text: str) -> np.ndarray:
-        if not text.strip():
-            raise EmptyTextError("cannot embed empty text")
+    def _vector(self, text: str) -> np.ndarray:
         with self._lock:
             entry = self._memo.get(text)
             if entry is None:
@@ -199,7 +189,11 @@ class _RemoteEmbedder:
             return entry.result() if isinstance(entry, Future) else entry
         try:
             vector = self._gateway.embed_remote([text])[0]
-            vector.setflags(write=False)
+            if np.shape(vector) != (self._dim,):
+                raise DimensionMismatchError(
+                    f"remote embedder returned a vector of shape {np.shape(vector)} for {text[:50]!r}, "
+                    f"expected ({self._dim},)"
+                )
         except BaseException as exc:
             with self._lock:
                 del self._memo[text]
@@ -214,32 +208,25 @@ class _RemoteEmbedder:
         matrix = np.zeros((len(texts), self._dim))
         kept = np.zeros(len(texts), dtype=bool)
         for i, text in enumerate(texts):
-            try:
-                vector = self(text)
-            except EmptyTextError:
-                continue
-            if np.shape(vector) != (self._dim,):
-                raise DimensionMismatchError(
-                    f"remote embedder returned a vector of shape {np.shape(vector)} for {text[:50]!r}, "
-                    f"expected ({self._dim},)"
-                )
-            matrix[i] = vector
-            kept[i] = True
+            if text.strip():
+                matrix[i] = self._vector(text)
+                kept[i] = True
         return matrix, kept
 
 
-def build_embedder(spec: EmbedderSpec, gateway=None) -> BatchEmbedder:
+def build_embedder(spec: EmbedderSpec, gateway=None) -> Embedder:
     """The embedder for the spec; the remote kind embeds through the gateway.
 
-    The embedder is callable on one text and has embed_many(texts) ->
-    (matrix, kept), whose rows equal one-text calls. Each call builds a new
-    embedder with its own memo, so a memo lasts as long as the command that
-    built the embedder. The reference kind memoizes feature hashes
-    (FeatureMemo), embeds one text with reference_embedding and many with
-    the reference_embeddings kernel. The remote kind memoizes whole
-    vectors, one gateway request of one text per distinct text, returns
-    them read-only, and embeds many texts one by one. Both kinds raise
-    EmptyTextError on blank text.
+    The embedder's one method, embed_many(texts) -> (matrix, kept), gives
+    the vectors of texts as the rows of a (len(texts), dim) matrix and
+    which texts were embedded; a row that is not kept is zeros. Each call
+    builds a new embedder with its own memo, so a memo lasts as long as the
+    command that built the embedder. The reference kind memoizes feature
+    hashes (FeatureMemo) and embeds with the reference_embeddings kernel;
+    it drops a text without alphanumeric tokens. The remote kind memoizes
+    whole vectors, one gateway request of one text per distinct text; it
+    drops a blank text without a request and raises DimensionMismatchError
+    for a vector that is not (dim,).
     """
     if spec.kind == "hashed-reference":
         return _ReferenceEmbedder(spec.dim)

@@ -117,9 +117,10 @@ def compression_ratio(summary: str, source: str) -> float:
 
 def embedding_similarity(candidate: str, reference: str, embedder: Embedder) -> float:
     """Whole-text embedding cosine with the configured embedder."""
-    if not candidate.strip() or not reference.strip():
-        raise EmptyTextError("embedding similarity requires nonempty texts")
-    return cosine(embedder(candidate), embedder(reference))
+    vectors, kept = embedder.embed_many([candidate, reference])
+    if not kept.all():
+        raise EmptyTextError("embedding similarity requires texts the embedder can embed")
+    return cosine(vectors[0], vectors[1])
 
 
 def evaluate(

@@ -42,6 +42,13 @@ _PARAM_RULES = {
 }
 
 
+def check_known_keys(raw: dict, known, where: str) -> None:
+    """Raise ValidationError naming where and every key of raw that is not known."""
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+
+
 def check_params(raw, where: str) -> dict:
     """raw, once it is an object of retrieval params that each keep their rule.
 
@@ -49,9 +56,7 @@ def check_params(raw, where: str) -> dict:
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be a JSON object")
-    unknown = set(raw) - set(_PARAM_RULES)
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    check_known_keys(raw, _PARAM_RULES, where)
     for key, value in raw.items():
         check, what = _PARAM_RULES[key]
         if not check(value):
@@ -103,6 +108,7 @@ def load_question_bank(path: str | Path) -> QuestionBank:
 
 
 def bank_from_dict(data: dict) -> QuestionBank:
+    check_known_keys(data, ("name", "version", "defaults", "questions"), "question bank")
     name = data.get("name")
     version = data.get("version")
     if not isinstance(name, str) or not name:
@@ -135,6 +141,7 @@ def bank_from_dict(data: dict) -> QuestionBank:
 def _question_from_dict(raw, where: str) -> Question:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be a JSON object")
+    check_known_keys(raw, ("q_id", "text", "order", "k", "score_threshold", "note_type_filter"), where)
     q_id = raw.get("q_id")
     text = raw.get("text")
     order = raw.get("order")

@@ -21,7 +21,6 @@ import numpy as np
 from .answer_engine import ScoredAnswer
 from .corpus import SegmentedCorpus
 from .embedding import Embedder, cosine
-from .errors import EmptyTextError
 from .fileio import write_atomic
 from .question_bank import QuestionBank, RetrievalParams
 
@@ -91,23 +90,18 @@ def dedupe(
             question_order.get(a.q_id, 0),
         ),
     )
+    vectors, embedded = embedder.embed_many([a.sentence.text for a in ranked])
     survivors: list[ScoredAnswer] = []
     kept_ids: set[str] = set()
     kept_vectors: list[np.ndarray] = []
-    for candidate in ranked:
+    for candidate, vector, has_vector in zip(ranked, vectors, embedded):
         if candidate.sentence.sent_id in kept_ids:
             continue
-        try:
-            vector = embedder(candidate.sentence.text)
-        except EmptyTextError:
-            vector = None
-        if vector is not None and any(
-            cosine(vector, kept) >= params.dedup_cosine for kept in kept_vectors
-        ):
+        if has_vector and any(cosine(vector, kept) >= params.dedup_cosine for kept in kept_vectors):
             continue
         survivors.append(candidate)
         kept_ids.add(candidate.sentence.sent_id)
-        if vector is not None:
+        if has_vector:
             kept_vectors.append(vector)
     return survivors
 

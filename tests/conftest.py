@@ -5,7 +5,7 @@ import pytest
 
 from index_rows import Row, build_index
 from qasum.corpus import SegmentedCorpus, read_corpus
-from qasum.embedding import reference_embedding
+from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding
 from qasum.question_bank import load_question_bank
 from qasum.vector_index import VectorIndex
 
@@ -35,7 +35,8 @@ def segmented(corpus_docs) -> SegmentedCorpus:
 
 @pytest.fixture(scope="session")
 def ref_embedder():
-    return reference_embedding
+    """The reference embedder that ask, summarize and evaluate build from the default config."""
+    return build_embedder(EmbedderSpec())
 
 
 @pytest.fixture(scope="session")

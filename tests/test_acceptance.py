@@ -214,16 +214,16 @@ def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs,
         assert abs(got[q_id][1] - score) <= 1e-9
 
 
-def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds):
+def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds, ref_embedder):
     extractor = ae.MockExtractor(segmented)
-    results = ae.answer_questions(bank, fixture_index, reference_embedding, segmented, extractor)
+    results = ae.answer_questions(bank, fixture_index, ref_embedder, segmented, extractor)
     answers = [r.answer for r in results if r.answer is not None]
     summaries = []
     for tau in thresholds:
         passed = [a for a in answers if a.score >= tau]
         summaries.append(
             summarizer.assemble(
-                passed, bank, segmented, reference_embedding, bank.defaults,
+                passed, bank, segmented, ref_embedder, bank.defaults,
                 corpus_id="fixture", timestamp="2026-01-15T00:00:00Z",
             )
         )
@@ -231,10 +231,10 @@ def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds):
 
 
 @criterion(4, "summary-diversity")
-def test_criterion_4_diversity(bank, fixture_index, segmented, golden_dir):
+def test_criterion_4_diversity(bank, fixture_index, segmented, golden_dir, ref_embedder):
     golden = json.loads((golden_dir / "summary.json").read_text("utf-8"))
     _, summaries = _summaries_for_thresholds(
-        bank, fixture_index, segmented, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        bank, fixture_index, segmented, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], ref_embedder
     )
     checked = [[(i["sent_id"], i["sentence_text"]) for i in golden["items"]]]
     checked += [[(i.sent_id, i.sentence_text) for i in s.items] for s in summaries]
@@ -248,7 +248,7 @@ def test_criterion_4_diversity(bank, fixture_index, segmented, golden_dir):
 
 
 @criterion(5, "score-fusion-properties")
-def test_criterion_5_fusion(bank, fixture_index, segmented):
+def test_criterion_5_fusion(bank, fixture_index, segmented, ref_embedder):
     rng = random.Random(5150)
     params_pool = []
     for _ in range(1000):
@@ -264,7 +264,7 @@ def test_criterion_5_fusion(bank, fixture_index, segmented):
         assert abs(answer.score - (w * c + (1.0 - w) * m)) <= 1e-12
         assert min(c, m) - 1e-12 <= answer.score <= max(c, m) + 1e-12
 
-    answers, _ = _summaries_for_thresholds(bank, fixture_index, segmented, [])
+    answers, _ = _summaries_for_thresholds(bank, fixture_index, segmented, [], ref_embedder)
     previous = None
     for tau in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
         passed = {(a.q_id, a.sentence.sent_id) for a in answers if a.score >= tau}

@@ -168,8 +168,18 @@ def test_help_still_exits_0(capsys):
 @pytest.mark.parametrize("key", ["endpoint", "model_name", "dims"])
 def test_unknown_embedder_key_rejected(pipeline_config, key):
     config_with(pipeline_config, embedder={"kind": "hashed-reference", "dim": 256, key: "x"})
-    with pytest.raises(ValidationError, match=f"embedder has unknown keys \\['{key}'\\]"):
+    with pytest.raises(ValidationError, match=f"config: embedder: unknown keys \\['{key}'\\]"):
         load_config(pipeline_config)
+
+
+def test_unknown_top_level_config_key_rejected(pipeline_config, capsys):
+    # A misspelt "params" must not fall back to the defaults without a word.
+    config_with(pipeline_config, parms={"k": 0})
+    with pytest.raises(ValidationError, match=r"config: unknown keys \['parms'\]"):
+        load_config(pipeline_config)
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: unknown keys ['parms']\n"
 
 
 def test_remote_embedder_requires_gateway(pipeline_config):
@@ -325,6 +335,15 @@ def test_cmd_ask_segments_only_the_documents_of_its_hits(pipeline_config, capsys
 def test_cmd_ask_no_content_tokens_exits_2(pipeline_config, capsys):
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert run(["ask", "--config", str(pipeline_config), "why was the of and?"]) == 2
+
+
+def test_cmd_ask_without_words_to_embed_exits_1(pipeline_config, capsys):
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    capsys.readouterr()
+    assert run(["ask", "--config", str(pipeline_config), "???"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: question 'adhoc': '???' has no words to embed\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cmd_ask_missing_index_exits_1(pipeline_config, capsys):
@@ -541,7 +560,7 @@ def test_cmd_summarize_empty_summary_is_success(pipeline_config, tmp_path):
     assert data["meta"]["counts"]["questions_asked"] == 6
 
 
-def _replay_contexts(fixtures_dir):
+def _replay_contexts(fixtures_dir, ref_embedder):
     """Each bank question's retrieved context, as a summarize over the fixture index sees it."""
     docs = read_corpus(fixtures_dir / "corpus.jsonl").load()[0]
     corpus = SegmentedCorpus(docs)
@@ -552,7 +571,7 @@ def _replay_contexts(fixtures_dir):
     contexts = {}
     for question in bank.questions:
         eff = effective_params(question, bank.defaults)
-        contexts[question.q_id] = ae.retrieve_context(question, index, reference_embedding, corpus, eff.k)
+        contexts[question.q_id] = ae.retrieve_context(question, index, ref_embedder, corpus, eff.k)
     return corpus, contexts
 
 
@@ -583,10 +602,10 @@ def _use_replay_extractor(pipeline_config, model, fixtures):
     )
 
 
-def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir):
+def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir, ref_embedder):
     # Record-style fixtures are synthesized for each question's request body,
     # then the whole run must complete with no network access.
-    corpus, contexts = _replay_contexts(fixtures_dir)
+    corpus, contexts = _replay_contexts(fixtures_dir, ref_embedder)
     fixtures = tmp_path / "replies"
     fixtures.mkdir()
     model = "replay-model"
@@ -602,9 +621,9 @@ def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, 
 
 
 def test_paraphrased_remote_reply_leaves_only_its_question_unanswered(
-    pipeline_config, tmp_path, fixtures_dir, capsys
+    pipeline_config, tmp_path, fixtures_dir, capsys, ref_embedder
 ):
-    corpus, contexts = _replay_contexts(fixtures_dir)
+    corpus, contexts = _replay_contexts(fixtures_dir, ref_embedder)
     fixtures = tmp_path / "replies"
     fixtures.mkdir()
     model = "replay-model"
@@ -751,6 +770,26 @@ def test_cmd_evaluate_empty_source_exits_1(pipeline_config, tmp_path, capsys):
     assert run(["evaluate", "--config", str(pipeline_config),
                 str(cand), str(cand), str(empty)]) == 1
     assert "tokens" in capsys.readouterr().err
+
+
+def test_cmd_evaluate_remote_vector_of_the_wrong_length_exits_1(pipeline_config, tmp_path, monkeypatch, capsys):
+    class ShortVectors(ReferenceGateway):
+        def embed_remote(self, texts):
+            return [reference_embedding(text, 128) for text in texts]
+
+    monkeypatch.setattr(qasum.cli, "Gateway", ShortVectors)
+    config_with(
+        pipeline_config,
+        embedder={"kind": "remote", "dim": 256},
+        gateway={"base_url": "https://example.invalid", "model": "m", "mode": "live"},
+    )
+    text = tmp_path / "same.txt"
+    text.write_text("the patient improved and was discharged home", "utf-8")
+    assert run(["evaluate", "--config", str(pipeline_config), str(text), str(text), str(text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expected (256,)" in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def test_cmd_evaluate_missing_file_exits_1(pipeline_config, tmp_path):

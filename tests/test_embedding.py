@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from qasum.embedding import (
 )
 from qasum.errors import DimensionMismatchError, EmptyTextError, GatewayError, PreconditionError
 
-embed = build_embedder(EmbedderSpec())
+EMBEDDER = build_embedder(EmbedderSpec())
 
 WORDS = ["patient", "fever", "cough", "ceftriaxone", "stable", "admitted",
          "discharge", "pneumonia", "daily", "overnight", "oxygen", "renal",
@@ -34,6 +35,13 @@ WORDS = ["patient", "fever", "cough", "ceftriaxone", "stable", "admitted",
 
 def random_text(rng, n=None):
     return " ".join(rng.choice(WORDS) for _ in range(n or rng.randint(1, 12)))
+
+
+def embed(text):
+    """The vector of one text, through the embedder's one entry point."""
+    matrix, kept = EMBEDDER.embed_many([text])
+    assert kept.tolist() == [True]
+    return matrix[0]
 
 
 def test_tokenize_lowercases_and_splits():
@@ -81,9 +89,12 @@ def test_disjoint_feature_texts_have_low_cosine():
 
 
 def test_empty_text_rejected():
-    for text in ("", "   ", "\n\t", "!!! ---"):
+    texts = ["", "   ", "\n\t", "!!! ---"]
+    matrix, kept = EMBEDDER.embed_many(texts)
+    assert not kept.any() and not matrix.any()
+    for text in texts:
         with pytest.raises(EmptyTextError):
-            embed(text)
+            reference_embedding(text)
 
 
 def test_unknown_embedder_kind():
@@ -93,15 +104,15 @@ def test_unknown_embedder_kind():
 
 def test_build_embedder_binds_spec():
     embedder = build_embedder(EmbedderSpec(dim=64))
-    assert embedder("fever").shape == (64,)
+    assert embedder.embed_many(["fever"])[0].shape == (1, 64)
 
 
 # -- per-embedder feature memo -------------------------------------------------
 
 
-def embed_or_error(embedder, text):
+def embed_or_error(text, dim=DEFAULT_DIM):
     try:
-        return embedder(text)
+        return reference_embedding(text, dim)
     except EmptyTextError:
         return EmptyTextError
 
@@ -125,53 +136,53 @@ def text_sequences(draw):
     chunk=st.sampled_from([1, 3, qasum.embedding._EMBED_CHUNK]),
 )
 def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim, chunk):
-    fresh = [embed_or_error(lambda t: reference_embedding(t, dim), text) for text in texts]
+    fresh = [embed_or_error(text, dim) for text in texts]
     memos = []
-    traced = lambda text, dim, memo: memos.append(memo) or reference_embedding(text, dim, memo)
-    traced_many = lambda texts, dim, memo: memos.append(memo) or reference_embeddings(texts, dim, memo)
+    traced = lambda texts, dim, memo: memos.append(memo) or reference_embeddings(texts, dim, memo)
     with mock.patch.object(qasum.embedding, "FEATURE_MEMO_CAP", cap), \
             mock.patch.object(qasum.embedding, "_EMBED_CHUNK", chunk), \
-            mock.patch.object(qasum.embedding, "reference_embedding", traced), \
-            mock.patch.object(qasum.embedding, "reference_embeddings", traced_many):
+            mock.patch.object(qasum.embedding, "reference_embeddings", traced):
         # One embedder fills its memo one text at a time first, the other in one batch first.
         one_first = build_embedder(EmbedderSpec(dim=dim))
-        singles = [embed_or_error(one_first, text) for text in texts]
+        singles = [one_first.embed_many([text]) for text in texts]
         batches = [one_first.embed_many(texts)]
         batch_first = build_embedder(EmbedderSpec(dim=dim))
         batches.append(batch_first.embed_many(texts))
-        singles_after = [embed_or_error(batch_first, text) for text in texts]
+        singles_after = [batch_first.embed_many([text]) for text in texts]
+    # Each text embedded alone is a batch of one: its row and its kept flag.
+    batches += [(np.concatenate([m for m, _ in rows]), np.concatenate([k for _, k in rows]))
+                for rows in (singles, singles_after)]
     for matrix, kept in batches:
         assert matrix.shape == (len(texts), dim) and matrix.dtype == np.float64 and kept.dtype == bool
         assert kept.tolist() == [f is not EmptyTextError for f in fresh]
         assert not matrix[~kept].any()
     for i, (text, expected) in enumerate(zip(texts, fresh)):
         if expected is EmptyTextError:
-            assert singles[i] is singles_after[i] is EmptyTextError
             continue
         assert expected.dtype == np.float64
-        for ours in (singles[i], singles_after[i], batches[0][0][i], batches[1][0][i]):
-            assert ours.tobytes() == expected.tobytes()
+        for matrix, _ in batches:
+            assert matrix[i].tobytes() == expected.tobytes()
         # The per-feature loop of the standalone oracle gives the same bits.
         assert expected.tobytes() == np.array(embed_oracle.hashed_embedding(text, dim)).tobytes()
-    assert len(set(map(id, memos))) == 2
+    assert len(set(map(id, memos))) == 2 and len(memos) == 2 * (len(texts) + 1)
     assert all(len(memo) <= cap for memo in memos)
 
 
 def test_each_reference_embedder_has_its_own_memo(monkeypatch):
     calls = []
 
-    def traced(text, dim, memo):
-        calls.append((text, memo))
-        return reference_embedding(text, dim, memo)
+    def traced(texts, dim, memo):
+        calls.append((texts, memo))
+        return reference_embeddings(texts, dim, memo)
 
-    monkeypatch.setattr(qasum.embedding, "reference_embedding", traced)
+    monkeypatch.setattr(qasum.embedding, "reference_embeddings", traced)
     first = build_embedder(EmbedderSpec())
     second = build_embedder(EmbedderSpec())
-    first("fever and cough")
-    first("fever")
-    second("fever")
-    # Looked up at call time, once per text: a wrapper installed later still sees every call.
-    assert [text for text, _ in calls] == ["fever and cough", "fever", "fever"]
+    first.embed_many(["fever and cough"])
+    first.embed_many(["fever"])
+    second.embed_many(["fever"])
+    # Looked up at call time, once per call: a wrapper installed later still sees every call.
+    assert [texts for texts, _ in calls] == [["fever and cough"], ["fever"], ["fever"]]
     memos = [memo for _, memo in calls]
     assert isinstance(memos[0], FeatureMemo)
     assert memos[0] is memos[1] and memos[2] is not memos[0]
@@ -185,7 +196,7 @@ def test_each_reference_embedder_has_its_own_memo(monkeypatch):
 def assert_rows_equal_one_text_calls(texts, matrix, kept, dim=DEFAULT_DIM):
     assert matrix.shape == (len(texts), dim)
     for text, row, row_kept in zip(texts, matrix, kept):
-        single = embed_or_error(lambda t: reference_embedding(t, dim), text)
+        single = embed_or_error(text, dim)
         if single is EmptyTextError:
             assert not row_kept and not row.any()
         else:
@@ -240,48 +251,54 @@ def test_no_text_with_tokens_cancels_to_a_zero_vector():
     assert set(matrix[:, 0].tolist()) == {1.0, -1.0}
 
 
-def test_one_text_errors_name_why_the_text_was_dropped(monkeypatch):
+def test_one_text_errors_name_why_the_text_was_dropped():
     with pytest.raises(EmptyTextError, match="cannot embed empty text"):
         reference_embedding(" \t")
     with pytest.raises(EmptyTextError, match="no alphanumeric tokens"):
         reference_embedding("!!! ---")
-    # The kernel drops a text with tokens only if its vector is zero.
-    monkeypatch.setattr(
-        qasum.embedding, "reference_embeddings", lambda texts, dim, memo: (np.zeros((1, dim)), np.array([False]))
-    )
-    with pytest.raises(EmptyTextError, match="cancelled to a zero vector"):
-        reference_embedding("fever", 1)
 
 
 class RecordingGateway:
-    def __init__(self):
+    def __init__(self, dim=DEFAULT_DIM):
         self.batches = []
+        self.dim = dim
 
     def embed_remote(self, texts):
         self.batches.append(list(texts))
-        return [reference_embedding(text) for text in texts]
+        return [reference_embedding(text, self.dim) for text in texts]
 
 
 def test_remote_embedder_sends_one_text_through_its_gateway():
     gateway = RecordingGateway()
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
-    assert np.array_equal(embedder("fever"), reference_embedding("fever"))
+    matrix, kept = embedder.embed_many(["fever"])
+    assert kept.tolist() == [True] and np.array_equal(matrix[0], reference_embedding("fever"))
     assert gateway.batches == [["fever"]]
 
 
 def test_remote_embedder_requests_a_repeated_text_once():
     gateway = RecordingGateway()
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
-    first = embedder("fever")
-    embedder("cough")
-    again = embedder("fever")
+    first, _ = embedder.embed_many(["fever"])
+    embedder.embed_many(["cough"])
+    again, _ = embedder.embed_many(["cough", "fever", "fever"])
     assert gateway.batches == [["fever"], ["cough"]]
-    assert again is first and not again.flags.writeable
-    with pytest.raises(ValueError):
-        again[0] = 1.0
+    assert again[1].tobytes() == again[2].tobytes() == first[0].tobytes()
+    # The matrix is the caller's own: writing to it leaves the memo as it was.
+    again[1] = 0.0
+    assert embedder.embed_many(["fever"])[0].tobytes() == first.tobytes()
     # Another embedder, another memo.
-    build_embedder(EmbedderSpec(kind="remote"), gateway)("fever")
+    build_embedder(EmbedderSpec(kind="remote"), gateway).embed_many(["fever"])
     assert gateway.batches == [["fever"], ["cough"], ["fever"]]
+
+
+def test_remote_vector_of_the_wrong_length_fails_and_is_not_remembered():
+    gateway = RecordingGateway(dim=128)
+    embedder = build_embedder(EmbedderSpec(kind="remote", dim=256), gateway)
+    for _ in range(2):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(128,\) for 'fever', expected \(256,\)"):
+            embedder.embed_many(["fever", "cough"])
+    assert gateway.batches == [["fever"], ["fever"]]
 
 
 class BlockingGateway:
@@ -301,18 +318,27 @@ class BlockingGateway:
 
 
 def call_in_threads(embedder, gateway, text, count=2):
-    """Call embedder(text) in count threads that start while the first request is in flight."""
+    """Embed text in count threads that start while the first request is in flight.
+
+    Each outcome is the text's row, or the exception its thread raised.
+    Fails within 10 s if the first thread ends, or makes no request, before
+    the others start.
+    """
     outcomes = [None] * count
 
     def call(i):
         try:
-            outcomes[i] = embedder(text)
-        except GatewayError as exc:
+            outcomes[i] = embedder.embed_many([text])[0][0]
+        except Exception as exc:
             outcomes[i] = exc
 
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(count)]
+    # Daemon threads: one left waiting by a failed assertion cannot hold up the test session.
+    threads = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(count)]
     threads[0].start()
+    deadline = time.monotonic() + 10
     while not gateway.requests:
+        assert threads[0].is_alive(), f"the first caller ended without a request: {outcomes[0]!r}"
+        assert time.monotonic() < deadline, "the first caller made no request within 10 s"
         threads[0].join(0.001)
     for thread in threads[1:]:
         thread.start()
@@ -322,7 +348,19 @@ def call_in_threads(embedder, gateway, text, count=2):
     gateway.release.set()
     for thread in threads:
         thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
     return outcomes
+
+
+def test_call_in_threads_fails_fast_when_the_first_caller_dies():
+    class Broken:
+        def embed_many(self, texts):
+            raise TypeError("broken embedder")
+
+    start = time.monotonic()
+    with pytest.raises(AssertionError, match="ended without a request: TypeError"):
+        call_in_threads(Broken(), BlockingGateway(), "fever")
+    assert time.monotonic() - start < 10
 
 
 def test_concurrent_callers_of_one_text_share_one_request():
@@ -330,8 +368,9 @@ def test_concurrent_callers_of_one_text_share_one_request():
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
     first, second = call_in_threads(embedder, gateway, "fever")
     assert gateway.requests == [["fever"]]
-    assert first is second and np.array_equal(first, reference_embedding("fever"))
-    assert embedder("fever") is first and gateway.requests == [["fever"]]
+    expected = reference_embedding("fever").tobytes()
+    assert first.tobytes() == second.tobytes() == expected
+    assert embedder.embed_many(["fever"])[0][0].tobytes() == expected and gateway.requests == [["fever"]]
 
 
 def test_a_failed_request_raises_in_every_waiter_and_is_not_remembered():
@@ -342,7 +381,7 @@ def test_a_failed_request_raises_in_every_waiter_and_is_not_remembered():
     assert all(isinstance(outcome, GatewayError) for outcome in outcomes)
     assert gateway.requests == [["fever"]]
     gateway.failing = False
-    assert np.array_equal(embedder("fever"), reference_embedding("fever"))
+    assert np.array_equal(embedder.embed_many(["fever"])[0][0], reference_embedding("fever"))
     assert gateway.requests == [["fever"], ["fever"]]
 
 
@@ -354,7 +393,7 @@ def test_many_threads_request_each_text_once():
 
     def work(seed):
         order = random.Random(seed).sample(texts, len(texts))
-        results[seed] = {text: embedder(text) for text in order}
+        results[seed] = {text: embedder.embed_many([text])[0][0] for text in order}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -369,7 +408,7 @@ def test_many_threads_request_each_text_once():
     assert not any(thread.is_alive() for thread in threads) and len(results) == 8
     assert sorted(batch[0] for batch in gateway.batches) == sorted(texts)
     for text in texts:
-        assert len({id(vectors[text]) for vectors in results.values()}) == 1
+        assert {vectors[text].tobytes() for vectors in results.values()} == {reference_embedding(text).tobytes()}
 
 
 def test_remote_embed_many_loops_over_the_memo():
@@ -385,9 +424,8 @@ def test_remote_embed_many_loops_over_the_memo():
 def test_remote_embedder_rejects_blank_text_without_a_request():
     gateway = RecordingGateway()
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
-    for text in ("", "   ", "\n\t"):
-        with pytest.raises(EmptyTextError):
-            embedder(text)
+    matrix, kept = embedder.embed_many(["", "   ", "\n\t"])
+    assert not kept.any() and not matrix.any()
     assert gateway.batches == []
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import embed_oracle, metrics_oracle
-from qasum.embedding import reference_embedding
 from qasum.errors import EmptyTextError, IoError, ZeroSourceError
 from qasum.evaluation import (
     bleu,
@@ -155,30 +154,30 @@ def test_compression_zero_source():
 # -- embedding similarity --------------------------------------------------------
 
 
-def test_embedding_similarity_identity():
-    value = embedding_similarity("stable on room air", "stable on room air", reference_embedding)
+def test_embedding_similarity_identity(ref_embedder):
+    value = embedding_similarity("stable on room air", "stable on room air", ref_embedder)
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_embedding_similarity_fixture_pair():
+def test_embedding_similarity_fixture_pair(ref_embedder):
     # Frozen from the standalone embedding oracle.
     value = embedding_similarity(
         "the patient was discharged home in stable condition",
         "the patient went home in improved condition",
-        reference_embedding,
+        ref_embedder,
     )
     assert value == pytest.approx(0.5012804118276031, abs=1e-9)
 
 
-def test_embedding_similarity_deterministic():
-    a = embedding_similarity("alpha beta", "beta gamma", reference_embedding)
-    b = embedding_similarity("alpha beta", "beta gamma", reference_embedding)
+def test_embedding_similarity_deterministic(ref_embedder):
+    a = embedding_similarity("alpha beta", "beta gamma", ref_embedder)
+    b = embedding_similarity("alpha beta", "beta gamma", ref_embedder)
     assert a == b
 
 
-def test_embedding_similarity_empty_text():
+def test_embedding_similarity_empty_text(ref_embedder):
     with pytest.raises(EmptyTextError):
-        embedding_similarity("", "reference", reference_embedding)
+        embedding_similarity("", "reference", ref_embedder)
 
 
 # -- properties against the standalone oracle ------------------------------------
@@ -211,7 +210,7 @@ def test_metrics_match_standalone_oracle_on_random_pairs(cand, ref):
     assert bleu(cand, ref) == pytest.approx(metrics_oracle.bleu(cand, ref), abs=1e-9)
 
 
-def test_metric_ranges_on_random_pairs():
+def test_metric_ranges_on_random_pairs(ref_embedder):
     rng = random.Random(34)
     for _ in range(50):
         cand, ref = random_text(rng), random_text(rng)
@@ -221,7 +220,7 @@ def test_metric_ranges_on_random_pairs():
             assert 0.0 <= score.precision <= 1.0
             assert 0.0 <= score.f1 <= 1.0
         assert 0.0 <= bleu(cand, ref) <= 1.0
-        assert -1.0 <= embedding_similarity(cand, ref, reference_embedding) <= 1.0
+        assert -1.0 <= embedding_similarity(cand, ref, ref_embedder) <= 1.0
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -232,12 +231,12 @@ def write(path, text):
     return path
 
 
-def test_evaluate_identical_candidate_and_reference(tmp_path):
+def test_evaluate_identical_candidate_and_reference(tmp_path, ref_embedder):
     text = "the patient improved and was discharged home"
     cand = write(tmp_path / "cand.txt", text)
     ref = write(tmp_path / "ref.txt", text)
     source = write(tmp_path / "source.txt", text + " after a five day hospital course")
-    report = evaluate(cand, ref, source, reference_embedding)
+    report = evaluate(cand, ref, source, ref_embedder)
     assert report.rouge1.f1 == 1.0
     assert report.rouge2.f1 == 1.0
     assert report.rougeL.f1 == 1.0
@@ -246,26 +245,26 @@ def test_evaluate_identical_candidate_and_reference(tmp_path):
     assert 0.0 < report.compression_ratio < 1.0
 
 
-def test_evaluate_missing_reference_names_path(tmp_path):
+def test_evaluate_missing_reference_names_path(tmp_path, ref_embedder):
     cand = write(tmp_path / "cand.txt", "text")
     source = write(tmp_path / "source.txt", "text")
     with pytest.raises(IoError, match="ref.txt"):
-        evaluate(cand, tmp_path / "ref.txt", source, reference_embedding)
+        evaluate(cand, tmp_path / "ref.txt", source, ref_embedder)
 
 
-def test_evaluate_zero_source(tmp_path):
+def test_evaluate_zero_source(tmp_path, ref_embedder):
     cand = write(tmp_path / "cand.txt", "text")
     ref = write(tmp_path / "ref.txt", "text")
     source = write(tmp_path / "source.txt", "  \n")
     with pytest.raises(ZeroSourceError):
-        evaluate(cand, ref, source, reference_embedding)
+        evaluate(cand, ref, source, ref_embedder)
 
 
-def test_evaluate_empty_candidate_yields_zeros(tmp_path):
+def test_evaluate_empty_candidate_yields_zeros(tmp_path, ref_embedder):
     cand = write(tmp_path / "cand.txt", "")
     ref = write(tmp_path / "ref.txt", "reference text here")
     source = write(tmp_path / "source.txt", "source text")
-    report = evaluate(cand, ref, source, reference_embedding)
+    report = evaluate(cand, ref, source, ref_embedder)
     assert report.rouge1.f1 == 0.0
     assert report.bleu == 0.0
     assert report.compression_ratio == 0.0
@@ -273,12 +272,12 @@ def test_evaluate_empty_candidate_yields_zeros(tmp_path):
     assert report.token_counts["candidate"] == 0
 
 
-def test_report_serialization_roundtrip(tmp_path):
+def test_report_serialization_roundtrip(tmp_path, ref_embedder):
     text = "alpha beta gamma delta"
     cand = write(tmp_path / "c.txt", text)
     ref = write(tmp_path / "r.txt", text)
     source = write(tmp_path / "s.txt", text * 3)
-    report = evaluate(cand, ref, source, reference_embedding)
+    report = evaluate(cand, ref, source, ref_embedder)
     payload = json.loads(report_to_json(report))
     assert payload == report_to_dict(report)
     assert set(payload) == {
@@ -290,8 +289,8 @@ def test_report_serialization_roundtrip(tmp_path):
     assert "rouge1_f" in table and "tokens" in table
 
 
-def test_embedding_similarity_matches_oracle_fixture():
-    ours = embedding_similarity("ceftriaxone dosing", "ceftriaxone taper", reference_embedding)
+def test_embedding_similarity_matches_oracle_fixture(ref_embedder):
+    ours = embedding_similarity("ceftriaxone dosing", "ceftriaxone taper", ref_embedder)
     oracle = embed_oracle.cosine(
         embed_oracle.hashed_embedding("ceftriaxone dosing"),
         embed_oracle.hashed_embedding("ceftriaxone taper"),

@@ -78,6 +78,21 @@ def test_order_must_be_a_non_negative_integer(tmp_path, order):
         load_question_bank(write_bank(tmp_path, data))
 
 
+@pytest.mark.parametrize(
+    "misspell, where",
+    [(lambda bank: bank.update(defualts=bank.pop("defaults")), r"question bank: unknown keys \['defualts'\]"),
+     (lambda bank: bank["questions"][1].update(score_treshold=bank["questions"][1].pop("score_threshold")),
+      r"questions\[1\]: unknown keys \['score_treshold'\]")],
+    ids=["bank", "question"],
+)
+def test_unknown_key_is_an_error(tmp_path, misspell, where):
+    # A misspelt setting must not fall back to its default without a word.
+    data = base_bank()
+    misspell(data)
+    with pytest.raises(ValidationError, match=where):
+        load_question_bank(write_bank(tmp_path, data))
+
+
 def test_orders_must_increase(tmp_path):
     data = base_bank()
     data["questions"][1]["order"] = 0

@@ -6,7 +6,6 @@ from oracles import embed_oracle
 from qasum import answer_engine as ae
 from qasum.answer_engine import ScoredAnswer
 from qasum.corpus import Document, SegmentedCorpus, Sentence
-from qasum.embedding import reference_embedding
 from qasum.question_bank import RetrievalParams, bank_from_dict
 from qasum.summarizer import (
     Summary,
@@ -77,16 +76,16 @@ def test_bundled_table_has_unique_nonempty_entries():
 # -- dedupe -------------------------------------------------------------------
 
 
-def test_exact_duplicate_keeps_higher_scored_question():
+def test_exact_duplicate_keeps_higher_scored_question(ref_embedder):
     shared = sent("d0#0:0", "Principal discharge diagnosis was pneumonia.")
     low = ScoredAnswer("q-low", shared, 0.7, 0.7, 0.7, True, shared.text)
     high = ScoredAnswer("q-high", shared, 0.9, 0.9, 0.9, True, shared.text)
-    survivors = dedupe([low, high], RetrievalParams(), reference_embedding, simple_order_key)
+    survivors = dedupe([low, high], RetrievalParams(), ref_embedder, simple_order_key)
     assert len(survivors) == 1
     assert survivors[0].q_id == "q-high"
 
 
-def test_near_duplicates_collapse_to_higher_score():
+def test_near_duplicates_collapse_to_higher_score(ref_embedder):
     # The pair's reference-embedder cosine is 0.9649 (standalone oracle),
     # above the 0.95 default.
     pair_cos = embed_oracle.cosine(
@@ -95,31 +94,31 @@ def test_near_duplicates_collapse_to_higher_score():
     assert pair_cos >= 0.95
     keep = answer("q1", "d0#0:0", NEAR_DUP_A, 0.9)
     drop = answer("q2", "d1#0:0", NEAR_DUP_B, 0.8)
-    survivors = dedupe([drop, keep], RetrievalParams(), reference_embedding, simple_order_key)
+    survivors = dedupe([drop, keep], RetrievalParams(), ref_embedder, simple_order_key)
     assert [a.sentence.sent_id for a in survivors] == ["d0#0:0"]
 
 
-def test_near_duplicate_tie_keeps_earlier_doc_order():
+def test_near_duplicate_tie_keeps_earlier_doc_order(ref_embedder):
     a = answer("q1", "d0#0:0", NEAR_DUP_A, 0.8)
     b = answer("q2", "d1#0:0", NEAR_DUP_A, 0.8)
-    survivors = dedupe([b, a], RetrievalParams(), reference_embedding, simple_order_key)
+    survivors = dedupe([b, a], RetrievalParams(), ref_embedder, simple_order_key)
     assert [x.sentence.sent_id for x in survivors] == ["d0#0:0"]
 
 
-def test_distinct_candidates_all_survive():
+def test_distinct_candidates_all_survive(ref_embedder):
     answers = [
         answer("q1", "d0#0:0", "Admitted with chest pain.", 0.9),
         answer("q2", "d1#0:0", "Discharged on aspirin therapy.", 0.8),
         answer("q3", "d2#0:0", "Follow up scheduled next week.", 0.7),
     ]
-    survivors = dedupe(answers, RetrievalParams(), reference_embedding, simple_order_key)
+    survivors = dedupe(answers, RetrievalParams(), ref_embedder, simple_order_key)
     assert len(survivors) == 3
 
 
-def test_dedupe_threshold_is_configurable():
+def test_dedupe_threshold_is_configurable(ref_embedder):
     a = answer("q1", "d0#0:0", NEAR_DUP_A, 0.9)
     b = answer("q2", "d1#0:0", NEAR_DUP_B, 0.8)
-    loose = dedupe([a, b], RetrievalParams(dedup_cosine=0.99), reference_embedding, simple_order_key)
+    loose = dedupe([a, b], RetrievalParams(dedup_cosine=0.99), ref_embedder, simple_order_key)
     assert len(loose) == 2
 
 
@@ -146,12 +145,12 @@ def tiny_corpus():
     return SegmentedCorpus(docs)
 
 
-def test_assemble_single_answer():
+def test_assemble_single_answer(ref_embedder):
     corpus = tiny_corpus()
     bank = tiny_bank()
     s0 = corpus.sentences("d0#0")[0]
     passed = [ScoredAnswer("qa", s0, 0.8, 0.8, 0.8, True, s0.text)]
-    summary = assemble(passed, bank, corpus, reference_embedding, RetrievalParams(),
+    summary = assemble(passed, bank, corpus, ref_embedder, RetrievalParams(),
                        corpus_id="abc123", timestamp="2026-01-15T00:00:00Z")
     assert len(summary.items) == 1
     assert summary.items[0].sent_id == "d0#0:0"
@@ -161,8 +160,8 @@ def test_assemble_single_answer():
     assert summary.meta["corpus_id"] == "abc123"
 
 
-def test_assemble_empty_run_keeps_meta():
-    summary = assemble([], tiny_bank(), tiny_corpus(), reference_embedding,
+def test_assemble_empty_run_keeps_meta(ref_embedder):
+    summary = assemble([], tiny_bank(), tiny_corpus(), ref_embedder,
                        RetrievalParams(), corpus_id="abc123", timestamp="t")
     assert summary.items == ()
     assert summary.meta["counts"] == {
@@ -170,7 +169,7 @@ def test_assemble_empty_run_keeps_meta():
     }
 
 
-def test_assemble_orders_by_question_then_document():
+def test_assemble_orders_by_question_then_document(ref_embedder):
     corpus = tiny_corpus()
     bank = tiny_bank()
     alpha, beta = corpus.sentences("d0#0")
@@ -180,23 +179,23 @@ def test_assemble_orders_by_question_then_document():
         ScoredAnswer("qa", gamma, 0.9, 0.9, 0.9, True, gamma.text),
         ScoredAnswer("qa", beta, 0.8, 0.8, 0.8, True, beta.text),
     ]
-    summary = assemble(passed, bank, corpus, reference_embedding, RetrievalParams(),
+    summary = assemble(passed, bank, corpus, ref_embedder, RetrievalParams(),
                        corpus_id="x", timestamp="t")
     assert [i.sent_id for i in summary.items] == ["d0#0:1", "d1#0:0", "d0#0:0"]
     assert [i.q_id for i in summary.items] == ["qa", "qa", "qb"]
 
 
-def test_assemble_applies_acronym_expansion():
+def test_assemble_applies_acronym_expansion(ref_embedder):
     docs = [Document("d0", "p", "progress", None, "Pt admitted with SOB.")]
     corpus = SegmentedCorpus(docs)
     s0 = corpus.sentences("d0#0")[0]
     passed = [ScoredAnswer("qa", s0, 0.9, 0.9, 0.9, True, s0.text)]
-    summary = assemble(passed, tiny_bank(), corpus, reference_embedding, RetrievalParams(),
+    summary = assemble(passed, tiny_bank(), corpus, ref_embedder, RetrievalParams(),
                        corpus_id="x", timestamp="t")
     assert summary.items[0].sentence_text == "Patient admitted with shortness of breath."
 
 
-def test_assembled_summary_is_diverse():
+def test_assembled_summary_is_diverse(ref_embedder):
     corpus = SegmentedCorpus([
         Document("d0", "p", "progress", None, NEAR_DUP_A),
         Document("d1", "p", "progress", None, NEAR_DUP_B),
@@ -209,7 +208,7 @@ def test_assembled_summary_is_diverse():
         ScoredAnswer("qb", d1, 0.8, 0.8, 0.8, True, d1.text),
         ScoredAnswer("qb", d2, 0.7, 0.7, 0.7, True, d2.text),
     ]
-    summary = assemble(passed, tiny_bank(), corpus, reference_embedding, params,
+    summary = assemble(passed, tiny_bank(), corpus, ref_embedder, params,
                        corpus_id="x", timestamp="t")
     texts = [item.sentence_text for item in summary.items]
     assert len(texts) == 2
@@ -268,13 +267,13 @@ def test_write_summary_emits_both_files(tmp_path):
 # -- determinism across completion order --------------------------------------
 
 
-def test_output_bytes_independent_of_input_ordering(bank, fixture_index, segmented):
+def test_output_bytes_independent_of_input_ordering(bank, fixture_index, segmented, ref_embedder):
     extractor = ae.MockExtractor(segmented)
-    results = ae.answer_questions(bank, fixture_index, reference_embedding, segmented, extractor)
+    results = ae.answer_questions(bank, fixture_index, ref_embedder, segmented, extractor)
     passed = [r.answer for r in results if r.passed]
-    forward = assemble(passed, bank, segmented, reference_embedding, bank.defaults,
+    forward = assemble(passed, bank, segmented, ref_embedder, bank.defaults,
                        corpus_id="c", timestamp="t")
-    backward = assemble(passed[::-1], bank, segmented, reference_embedding, bank.defaults,
+    backward = assemble(passed[::-1], bank, segmented, ref_embedder, bank.defaults,
                         corpus_id="c", timestamp="t")
     assert summary_to_json(forward) == summary_to_json(backward)
     assert render_text(forward, bank) == render_text(backward, bank)

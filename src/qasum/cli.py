@@ -309,7 +309,7 @@ def cmd_evaluate(
     report = evaluation.evaluate(candidate, reference, source, embedder)
     report_json = evaluation.report_to_json(report)
     report_path = cfg.output_dir / "metrics.json"
-    write_atomic(report_path, report_json.encode("utf-8"))
+    write_atomic(report_path, [report_json.encode("utf-8")])
     if output_format == "json":
         print(report_json, end="")
     else:

@@ -5,17 +5,20 @@ from __future__ import annotations
 import os
 import uuid
 from pathlib import Path
+from typing import Iterable
 
 from .errors import IoError
 
 
-def write_atomic(path: str | Path, *chunks) -> None:
+def write_atomic(path: str | Path, chunks: Iterable) -> None:
     """Write the bytes-like chunks, in order, as the new content of path.
 
-    The chunks go to a temporary file in path's directory (created if
-    missing), which ``os.replace`` then renames over path. On any error the
-    temporary file is removed and path keeps its previous content; an
-    OSError is raised as IoError.
+    chunks is consumed lazily, each chunk written before the next is drawn,
+    so a generator need hold only its current chunk. The chunks go to a
+    temporary file in path's directory (created if missing), which
+    ``os.replace`` then renames over path. On any error, including one
+    raised while drawing a chunk, the temporary file is removed and path
+    keeps its previous content; an OSError is raised as IoError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")

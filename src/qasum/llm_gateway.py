@@ -178,7 +178,7 @@ class Gateway:
         with contextlib.suppress(OSError):
             if fixture.read_bytes() == recording:
                 return  # a repeated request got the same reply: it is recorded already
-        write_atomic(fixture, recording)
+        write_atomic(fixture, [recording])
 
     def _live(self, path: str, body_bytes: bytes):
         import requests

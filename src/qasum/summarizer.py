@@ -191,6 +191,6 @@ def write_summary(summary: Summary, bank: QuestionBank, output_dir: str | Path) 
     """Emit summary.json and summary.txt side by side, each atomically; returns their paths."""
     json_path = Path(output_dir) / "summary.json"
     text_path = Path(output_dir) / "summary.txt"
-    write_atomic(json_path, summary_to_json(summary).encode("utf-8"))
-    write_atomic(text_path, render_text(summary, bank).encode("utf-8"))
+    write_atomic(json_path, [summary_to_json(summary).encode("utf-8")])
+    write_atomic(text_path, [render_text(summary, bank).encode("utf-8")])
     return json_path, text_path

@@ -26,18 +26,24 @@ byte length u64), the string table as one UTF-8 JSON object
 rows), one contiguous block of count x dim float32 components, and a CRC32
 over all preceding bytes. Vectors are float64 in memory and float32 on
 disk, so reloaded scores agree within 1e-6 and rankings are preserved.
-``load`` parses the table with one ``json.loads`` and the block with one
-``np.frombuffer``.
+
+``save`` and ``load`` stream the float32 block ``_BLOCK_ROWS`` rows at a
+time through one block-sized buffer, so an index in memory costs its
+float64 matrix plus one block, never a whole-file copy. ``load`` checks the
+header against the file size before it allocates anything sized from the
+header, and parses the table with one ``json.loads`` only after the CRC32
+matches.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import BinaryIO, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +64,7 @@ _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every ve
 _HEADER = struct.Struct("<8sHHQQ")
 _CRC = struct.Struct("<I")
 MAX_DIM = 0xFFFF  # the header stores dim as u16
-_NORM_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 1024  # rows per step when norms are computed and the float32 block is read or written
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     one-shot call, without its matrix-sized temporary.
     """
     norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), _NORM_BLOCK_ROWS):
-        block = slice(start, start + _NORM_BLOCK_ROWS)
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         norms[block] = np.linalg.norm(matrix[block], axis=1)
     return norms
 
@@ -184,6 +190,10 @@ class VectorIndex:
 
     def save(self, path: str | Path) -> None:
         """Write the index as a v3 file, atomically; the same index always gives the same bytes."""
+        write_atomic(path, self._file_chunks())
+
+    def _file_chunks(self) -> Iterator[bytes | np.ndarray]:
+        """The v3 file: header, string table, the float32 block one block of rows at a time, CRC32."""
         corpus = self._corpus
         table = json.dumps(
             {
@@ -199,48 +209,31 @@ class VectorIndex:
             separators=(",", ":"),
         ).encode("utf-8")
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dim, len(self), len(table))
-        vectors = self._matrix.astype("<f4")
-        crc = zlib.crc32(vectors, zlib.crc32(table, zlib.crc32(header)))
-        write_atomic(path, header, table, vectors, _CRC.pack(crc))
+        crc = zlib.crc32(table, zlib.crc32(header))
+        yield header
+        yield table
+        for start in range(0, len(self), _BLOCK_ROWS):
+            block = self._matrix[start : start + _BLOCK_ROWS].astype("<f4")
+            crc = zlib.crc32(block, crc)
+            yield block
+        yield _CRC.pack(crc)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
+        """Read a v3 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
         try:
-            blob = Path(path).read_bytes()
+            with open(path, "rb") as file:
+                table_bytes, matrix = _read_checked(file, path)
         except OSError as exc:
             raise IoError(f"cannot read index from {path}: {exc}") from exc
 
-        if len(blob) < _PREFIX.size:
-            raise CorruptIndexError(f"index file {path} is truncated (too short for header)")
-        magic, version = _PREFIX.unpack_from(blob)
-        if magic != MAGIC:
-            raise CorruptIndexError(f"index file {path} has bad magic bytes {magic!r}")
-        if version in (1, 2):
-            raise CorruptIndexError(
-                f"index file {path} has format version {version}, which is no longer read; "
-                "rebuild it with `qasum index`"
-            )
-        if version != FORMAT_VERSION:
-            raise CorruptIndexError(f"index file {path} has unsupported version {version}")
-        if len(blob) < _HEADER.size + _CRC.size:
-            raise CorruptIndexError(f"index file {path} is truncated (too short for header)")
-        _, _, dim, count, table_bytes = _HEADER.unpack_from(blob)
-        vectors_at = _HEADER.size + table_bytes
-        end = vectors_at + 4 * dim * count
-        if end + _CRC.size > len(blob):
-            raise CorruptIndexError(f"index file {path} is truncated")
-        if end + _CRC.size < len(blob):
-            raise CorruptIndexError(f"index file {path} has unexpected trailing bytes")
-        (stored_crc,) = _CRC.unpack_from(blob, end)
-        if zlib.crc32(memoryview(blob)[:end]) != stored_crc:
-            raise CorruptIndexError(f"index file {path} failed its checksum (CRC32 mismatch)")
-
         try:
-            table = json.loads(blob[_HEADER.size : vectors_at].decode("utf-8"))
+            table = json.loads(table_bytes.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise CorruptIndexError(f"index file {path} has a string table that is not valid UTF-8: {exc}") from exc
         except ValueError as exc:
             raise CorruptIndexError(f"index file {path} has a string table that is not JSON: {exc}") from exc
+        count = len(matrix)
         fields = table if isinstance(table, dict) else {}
         embedder, sha256, segmentation = (fields.get(key) for key in ("embedder", "corpus_sha256", "segmentation"))
         doc_ids, note_types, locators, doc_rows, ordinals = (
@@ -265,10 +258,72 @@ class VectorIndex:
         try:
             corpus = CorpusManifest(sha256, segmentation, doc_ids, note_types, locators)
             row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows)
-            vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=vectors_at)
-            return cls(corpus, row_docs, ordinals, vectors.reshape(count, dim).astype(np.float64), embedder)
+            return cls(corpus, row_docs, ordinals, matrix, embedder)
         except (PreconditionError, ValueError, OverflowError) as exc:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
+
+
+def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray]:
+    """Check and read an open v3 file: its string table bytes and its (count, dim) float64 matrix.
+
+    The header is checked against the file size before anything sized from
+    the header is allocated. The float32 block is read a block of rows at a
+    time into one reused buffer, continuing the CRC32 and promoting each
+    block into the matrix; the stored CRC32 must then match.
+    """
+    size = os.fstat(file.fileno()).st_size
+    if size < _PREFIX.size:
+        raise CorruptIndexError(f"index file {path} is truncated (too short for header)")
+    head = _read_exact(file, min(size, _HEADER.size), path)
+    magic, version = _PREFIX.unpack_from(head)
+    if magic != MAGIC:
+        raise CorruptIndexError(f"index file {path} has bad magic bytes {magic!r}")
+    if version in (1, 2):
+        raise CorruptIndexError(
+            f"index file {path} has format version {version}, which is no longer read; "
+            "rebuild it with `qasum index`"
+        )
+    if version != FORMAT_VERSION:
+        raise CorruptIndexError(f"index file {path} has unsupported version {version}")
+    if size < _HEADER.size + _CRC.size:
+        raise CorruptIndexError(f"index file {path} is truncated (too short for header)")
+    _, _, dim, count, table_len = _HEADER.unpack(head)
+    end = _HEADER.size + table_len + 4 * dim * count
+    if end + _CRC.size > size:
+        raise CorruptIndexError(f"index file {path} is truncated")
+    if end + _CRC.size < size:
+        raise CorruptIndexError(f"index file {path} has unexpected trailing bytes")
+
+    table = _read_exact(file, table_len, path)
+    crc = zlib.crc32(table, zlib.crc32(head))
+    matrix = np.empty((count, dim))
+    buffer = np.empty((min(count, _BLOCK_ROWS), dim), dtype="<f4")
+    for start in range(0, count, _BLOCK_ROWS):
+        block = buffer[: count - start]
+        _read_into(file, block, path)
+        crc = zlib.crc32(block, crc)
+        matrix[start : start + len(block)] = block
+    (stored_crc,) = _CRC.unpack(_read_exact(file, _CRC.size, path))
+    if crc != stored_crc:
+        raise CorruptIndexError(f"index file {path} failed its checksum (CRC32 mismatch)")
+    return table, matrix
+
+
+def _read_exact(file: BinaryIO, size: int, path: str | Path) -> bytearray:
+    data = bytearray(size)
+    _read_into(file, data, path)
+    return data
+
+
+def _read_into(file: BinaryIO, buffer, path: str | Path) -> None:
+    """Fill the C-contiguous buffer from file; a file that ends first is truncated."""
+    view = memoryview(buffer).cast("B")
+    filled = 0
+    while filled < len(view):
+        got = file.readinto(view[filled:])
+        if not got:
+            raise CorruptIndexError(f"index file {path} is truncated")
+        filled += got
 
 
 def _is_list_of(value, types: set, count: int | None = None) -> bool:

@@ -1,6 +1,10 @@
+import errno
+import io
 import json
+import re
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -20,6 +24,8 @@ from qasum.errors import (
     IoError,
     PreconditionError,
 )
+from qasum import vector_index
+from qasum.corpus import CorpusManifest
 from qasum.vector_index import FORMAT_VERSION, MAGIC, VectorIndex
 
 
@@ -429,3 +435,114 @@ def test_concurrent_searches_are_consistent(fixture_index):
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: fixture_index.search(query, k=5), range(32)))
     assert all(r == expected for r in results)
+
+
+# -- streaming the float32 block ---------------------------------------------
+
+
+def one_document_index(matrix):
+    """An index whose rows are paragraphs 0..n-1 of one document, and its string table bytes."""
+    count = len(matrix)
+    manifest = CorpusManifest("0" * 64, "s", ["d"], ["other"], [0])
+    index = VectorIndex(manifest, [0] * count, range(count), matrix, "hashed-reference")
+    table = json.dumps(
+        {"embedder": "hashed-reference", "corpus_sha256": "0" * 64, "segmentation": "s", "doc_ids": ["d"],
+         "note_types": ["other"], "locators": [0], "doc_rows": [count], "ordinals": list(range(count))},
+        separators=(",", ":"),
+    ).encode()
+    return index, table
+
+
+def one_shot_file(table, vectors):
+    """The v3 file written in one piece: header, table, the whole float32 block, CRC32."""
+    payload = struct.pack("<8sHHQQ", MAGIC, FORMAT_VERSION, vectors.shape[1], len(vectors), len(table))
+    payload += table + vectors.astype("<f4").tobytes()
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_save_and_load_stream_blocks_bit_for_bit(tmp_path, monkeypatch, count):
+    monkeypatch.setattr(vector_index, "_BLOCK_ROWS", BLOCK)
+    matrix = np.random.default_rng(count).normal(size=(count, 3))
+    index, table = one_document_index(matrix)
+    path = tmp_path / "index.qidx"
+    index.save(path)
+    vectors = matrix.astype("<f4")
+    assert path.read_bytes() == one_shot_file(table, vectors)
+    loaded = VectorIndex.load(path)
+    promoted = vectors.astype(np.float64)
+    assert loaded._matrix.tobytes() == promoted.tobytes()
+    assert loaded._norms.tobytes() == np.linalg.norm(promoted, axis=1).tobytes()
+
+
+class FailingFile(io.BufferedReader):
+    """A file whose reads stop at byte `at`: it ends there (error None) or raises error there."""
+
+    def __init__(self, path, at, error=None):
+        super().__init__(io.FileIO(path))
+        self.at, self.error = at, error
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")[: max(0, self.at - self.tell())]
+        if not len(view) and self.error:
+            raise self.error
+        return super().readinto(view)
+
+
+@pytest.mark.parametrize(
+    "error, expected, message",
+    [(None, CorruptIndexError, "truncated"), (OSError(errno.EIO, "Input/output error"), IoError, None)],
+    ids=["short_read", "read_error"],
+)
+def test_load_fails_in_mid_block(tmp_path, monkeypatch, error, expected, message):
+    monkeypatch.setattr(vector_index, "_BLOCK_ROWS", BLOCK)
+    index, table = one_document_index(np.ones((2 * BLOCK + 1, 3)))
+    path = tmp_path / "index.qidx"
+    index.save(path)
+    mid_second_block = struct.calcsize("<8sHHQQ") + len(table) + 4 * 3 * (BLOCK + BLOCK // 2) + 2
+    # The file is sized whole when opened, then ends or fails while the second block is read.
+    monkeypatch.setattr(vector_index, "open", lambda p, mode: FailingFile(p, mid_second_block, error), raising=False)
+    with pytest.raises(expected, match=message or re.escape(str(path))):
+        VectorIndex.load(path)
+
+
+def traced_peak(call):
+    """The peak of memory allocated by call() and not freed before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+SLACK = 128 * 1024
+
+
+@pytest.fixture()
+def four_block_index(tmp_path):
+    """An index of four blocks of rows and three more, saved, with its string table bytes."""
+    rows, dim = 4 * vector_index._BLOCK_ROWS + 3, 128
+    index, table = one_document_index(np.random.default_rng(7).normal(size=(rows, dim)))
+    path = tmp_path / "index.qidx"
+    index.save(path)
+    return index, table, path
+
+
+def test_load_memory_is_the_matrix_plus_two_blocks(four_block_index):
+    index, table, path = four_block_index
+    rows, dim = len(index), index.dim
+    # A loaded index holds the matrix, its norms and the table; two float64 blocks bound the
+    # transient rest (one row-norm step's temporary, the read buffer, the parsed row columns).
+    bound = 8 * rows * dim + 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
+    assert traced_peak(lambda: VectorIndex.load(path)) <= bound
+
+
+def test_save_memory_is_the_table_plus_two_blocks(four_block_index, tmp_path):
+    index, table, _ = four_block_index
+    # Two float32 blocks: the one being written and the next being converted.
+    bound = len(table) + 2 * 4 * vector_index._BLOCK_ROWS * index.dim + SLACK
+    assert traced_peak(lambda: index.save(tmp_path / "again.qidx")) <= bound

@@ -4,8 +4,10 @@ One question flows through: embed the question, pull the top-k paragraphs
 from the index, build a prompt, extract a sentence-level answer with a
 confidence, compute the noun-phrase match score against the question, and
 fuse the two into the final score that the threshold gates.
-answer_question runs these steps for one question; `ask` and `summarize`
-both call it.
+answer_questions runs these steps for a list of questions in four phases;
+`ask` calls it with one question and `summarize` with the bank. Only the
+calling thread embeds, one embed_many per phase over every question, so
+the texts embedded together never depend on the number of workers.
 
 Two extractors implement the same contract: MockExtractor (deterministic
 lexical overlap, for offline runs and CI) and RemoteExtractor (gateway
@@ -18,10 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Protocol
+from typing import Protocol, Sequence
+
+import numpy as np
 
 from .corpus import Paragraph, SegmentedCorpus, Sentence
-from .embedding import Embedder, cosine, tokenize
+from .embedding import Embedder, cosine_norms, normed_cosine, tokenize
 from .errors import (
     CorruptIndexError,
     EmptyRetrievalError,
@@ -29,7 +33,7 @@ from .errors import (
     NoAnswerError,
     UnlocatableSourceError,
 )
-from .question_bank import Question, QuestionBank, RetrievalParams, effective_params
+from .question_bank import Question, RetrievalParams, effective_params
 from .vector_index import SearchHit, VectorIndex
 
 PROMPT_TEMPLATE_VERSION = "v1"
@@ -102,20 +106,17 @@ def content_tokens(text: str) -> set[str]:
 def retrieve_context(
     question: Question,
     index: VectorIndex,
-    embedder: Embedder,
+    vector: np.ndarray,
     corpus: SegmentedCorpus,
     k: int,
 ) -> RetrievedContext:
-    """Top-k paragraphs for the question, concatenated in rank order.
+    """Top-k paragraphs for the question, whose embedding is vector, concatenated in rank order.
 
-    Raises EmptyTextError when the question has nothing to embed, and
-    CorruptIndexError when a hit names a paragraph the corpus does not
-    have (an index built from another corpus).
+    Raises EmptyRetrievalError when the question's note-type filter leaves
+    no hits, and CorruptIndexError when a hit names a paragraph the corpus
+    does not have (an index built from another corpus).
     """
-    vectors, kept = embedder.embed_many([question.text])
-    if not kept[0]:
-        raise EmptyTextError(f"question {question.q_id!r}: {question.text[:50]!r} has no words to embed")
-    hits = index.search(vectors[0], k, question.note_type_filter)
+    hits = index.search(vector, k, question.note_type_filter)
     if not hits:
         raise EmptyRetrievalError(
             f"question {question.q_id!r}: note-type filter "
@@ -233,20 +234,20 @@ def extract_noun_phrases(text: str) -> list[str]:
     return list(dict.fromkeys(phrases))
 
 
-def np_match_score(q_text: str, a_text: str, embedder: Embedder) -> float:
-    """Greedy best-match average of question noun phrases against answer noun phrases."""
-    q_phrases = extract_noun_phrases(q_text)
-    a_phrases = extract_noun_phrases(a_text)
-    if not q_phrases or not a_phrases:
+def np_match_score(q_vectors: np.ndarray, a_vectors: np.ndarray) -> float:
+    """Greedy best-match average of question noun-phrase vectors against answer noun-phrase vectors.
+
+    Rows are the embeddings of extract_noun_phrases of each side; either
+    side empty scores 0.0.
+    """
+    if not len(q_vectors) or not len(a_vectors):
         return 0.0
-    # A phrase is a run of tokens, so every row is kept.
-    vectors, _ = embedder.embed_many(q_phrases + a_phrases)
-    a_vectors = list(vectors[len(q_phrases):])  # one row view each, not one per comparison
+    a_rows = list(zip(a_vectors, cosine_norms(a_vectors)))
     total = 0.0
-    for q_vec in vectors[: len(q_phrases)]:
-        best = max(cosine(q_vec, a_vec) for a_vec in a_vectors)
+    for q_vec, q_norm in zip(q_vectors, cosine_norms(q_vectors)):
+        best = max(normed_cosine(q_vec, q_norm, a_vec, a_norm) for a_vec, a_norm in a_rows)
         total += min(1.0, max(0.0, best))
-    return total / len(q_phrases)
+    return total / len(q_vectors)
 
 
 def fuse_and_threshold(
@@ -270,53 +271,73 @@ def fuse_and_threshold(
     )
 
 
-def answer_question(
-    question: Question,
+def answer_questions(
+    questions: Sequence[Question],
     index: VectorIndex,
     embedder: Embedder,
     corpus: SegmentedCorpus,
     extractor: AnswerExtractor,
     params: RetrievalParams,
-) -> QuestionResult:
-    """Run one question end to end.
-
-    A question with no hits, no answer in its context, or a reply whose
-    source sentence is not in the context gets a result with no answer and
-    the reason; every other error propagates.
-    """
-    eff = effective_params(question, params)
-    hits: tuple[SearchHit, ...] = ()
-    try:
-        ctx = retrieve_context(question, index, embedder, corpus, eff.k)
-        hits = ctx.hits
-        raw = extractor.extract(build_prompt(ctx), ctx)
-    except (EmptyRetrievalError, NoAnswerError, UnlocatableSourceError) as exc:
-        return QuestionResult(question, hits, None, str(exc))
-    sentence = corpus.sentence(raw.source_sent_id)
-    m = np_match_score(question.text, raw.answer_text, embedder)
-    return QuestionResult(question, hits, fuse_and_threshold(raw, m, eff, question.q_id, sentence))
-
-
-def answer_questions(
-    bank: QuestionBank,
-    index: VectorIndex,
-    embedder: Embedder,
-    corpus: SegmentedCorpus,
-    extractor: AnswerExtractor,
-    params: RetrievalParams | None = None,
     max_workers: int = 1,
 ) -> list[QuestionResult]:
-    """Answer every bank question; results in bank order.
+    """Answer each question; results in the order of questions.
 
-    Evaluation may run on a thread pool; the result order is fixed by the
-    bank regardless of completion order.
+    Four phases, each over every question in order:
+    1. one embed_many of the question texts; a question the embedder does
+       not keep raises EmptyTextError naming the first such question,
+       before any search or extraction;
+    2. retrieval, prompt and extraction, per question, on a pool of
+       max_workers threads when max_workers > 1;
+    3. one embed_many of the question and answer noun phrases of every
+       answered question, then np_match_score per question on its rows;
+    4. fusion and threshold.
+    A question with no hits, no answer in its context, or a reply whose
+    source sentence is not in the context gets a result with no answer and
+    the reason; every other error propagates. Only the calling thread
+    embeds, so each embed_many gets the same texts whatever max_workers is.
     """
-    params = params or bank.defaults
+    vectors, kept = embedder.embed_many([q.text for q in questions])
+    if not kept.all():
+        question = questions[int(np.argmin(kept))]
+        raise EmptyTextError(f"question {question.q_id!r}: {question.text[:50]!r} has no words to embed")
 
-    def run(question: Question) -> QuestionResult:
-        return answer_question(question, index, embedder, corpus, extractor, params)
+    def extract(i: int) -> tuple[tuple[SearchHit, ...], RawAnswer | None, str | None]:
+        """Question i's hits, and its raw answer or why it has none; embeds nothing."""
+        question = questions[i]
+        hits: tuple[SearchHit, ...] = ()
+        try:
+            ctx = retrieve_context(question, index, vectors[i], corpus, effective_params(question, params).k)
+            hits = ctx.hits
+            return hits, extractor.extract(build_prompt(ctx), ctx), None
+        except (EmptyRetrievalError, NoAnswerError, UnlocatableSourceError) as exc:
+            return hits, None, str(exc)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, bank.questions))
-    return [run(q) for q in bank.questions]
+            extracted = list(pool.map(extract, range(len(questions))))
+    else:
+        extracted = [extract(i) for i in range(len(questions))]
+
+    phrases: list[str] = []
+    bounds: list[tuple[int, int, int]] = []
+    for question, (_, raw, _) in zip(questions, extracted):
+        q_phrases = extract_noun_phrases(question.text) if raw is not None else []
+        a_phrases = extract_noun_phrases(raw.answer_text) if raw is not None else []
+        if not (q_phrases and a_phrases):
+            q_phrases = a_phrases = []  # scores 0.0 without embedding either side
+        start = len(phrases)
+        phrases += q_phrases + a_phrases
+        bounds.append((start, start + len(q_phrases), len(phrases)))
+    # A phrase is a run of tokens, so every row is kept.
+    phrase_vectors, _ = embedder.embed_many(phrases)
+
+    results = []
+    for question, (hits, raw, reason), (start, mid, end) in zip(questions, extracted, bounds):
+        if raw is None:
+            results.append(QuestionResult(question, hits, None, reason))
+            continue
+        m = np_match_score(phrase_vectors[start:mid], phrase_vectors[mid:end])
+        sentence = corpus.sentence(raw.source_sent_id)
+        eff = effective_params(question, params)
+        results.append(QuestionResult(question, hits, fuse_and_threshold(raw, m, eff, question.q_id, sentence)))
+    return results

@@ -255,7 +255,7 @@ def cmd_ask(cfg: PipelineConfig, question_text: str) -> int:
     extractor = _build_extractor(cfg, corpus, gateway)
 
     question = Question(q_id="adhoc", text=question_text, order=0)
-    result = answer_engine.answer_question(question, index, embedder, corpus, extractor, params)
+    [result] = answer_engine.answer_questions([question], index, embedder, corpus, extractor, params)
     print("hits:")
     for hit in result.hits:
         print(f"  {hit.rank}. {hit.para_id}  score={hit.score:.6f}")
@@ -282,7 +282,7 @@ def cmd_summarize(cfg: PipelineConfig) -> int:
     extractor = _build_extractor(cfg, corpus, gateway)
 
     results = answer_engine.answer_questions(
-        bank, index, embedder, corpus, extractor, params=params, max_workers=cfg.workers
+        bank.questions, index, embedder, corpus, extractor, params, max_workers=cfg.workers
     )
     summary = summarizer.assemble(
         [r.answer for r in results if r.passed],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Protocol, Sequence
@@ -28,6 +27,9 @@ FEATURE_MEMO_CAP = 2**18
 # Texts the kernel embeds together. It bounds the kernel's temporaries: on a 12k-document corpus,
 # 4096 raised the peak memory of embedding by about 12% over 256, and 256 was no slower.
 _EMBED_CHUNK = 256
+# Texts the remote embedder sends in one request. Each reply is parsed whole, so a larger batch
+# raises the peak memory of a command.
+_REMOTE_BATCH = 32
 # Every byte but a-z and 0-9 becomes a space. UTF-8 encodes every non-ASCII
 # codepoint with bytes >= 0x80 only, so the split of the translated encoding
 # is exactly the [a-z0-9]+ runs of the string.
@@ -165,52 +167,44 @@ class _ReferenceEmbedder:
 
 
 class _RemoteEmbedder:
-    """Whole-vector memo over the gateway: one request of one text per distinct text.
+    """Whole-vector memo over the gateway, filled in batches of at most _REMOTE_BATCH texts.
 
-    The first caller of a text owns its request; a concurrent caller of the
-    same text waits on the owner's future, which the memo holds only until
-    the vector arrives. A failed request, or a vector of the wrong length,
-    raises in the owner and every waiter and is not remembered, so a later
-    call retries.
+    embed_many requests the distinct nonblank texts of its call that the
+    memo does not hold, in the order they first appear, _REMOTE_BATCH at a
+    time, so each request body depends only on the call's texts and on the
+    earlier calls of the command. One lock covers the whole call. A batch
+    that fails, or that holds a vector of the wrong length, raises and
+    leaves none of its texts remembered, so a later call requests them
+    again.
     """
 
     def __init__(self, gateway, dim: int):
         self._gateway = gateway
         self._dim = dim
         self._lock = threading.Lock()
-        self._memo: dict[str, np.ndarray | Future] = {}
+        self._memo: dict[str, np.ndarray] = {}
 
-    def _vector(self, text: str) -> np.ndarray:
-        with self._lock:
-            entry = self._memo.get(text)
-            if entry is None:
-                self._memo[text] = future = Future()
-        if entry is not None:
-            return entry.result() if isinstance(entry, Future) else entry
-        try:
-            vector = self._gateway.embed_remote([text])[0]
+    def _request(self, batch: list[str]) -> None:
+        vectors = self._gateway.embed_remote(batch)
+        for text, vector in zip(batch, vectors):
             if np.shape(vector) != (self._dim,):
                 raise DimensionMismatchError(
                     f"remote embedder returned a vector of shape {np.shape(vector)} for {text[:50]!r}, "
                     f"expected ({self._dim},)"
                 )
-        except BaseException as exc:
-            with self._lock:
-                del self._memo[text]
-            future.set_exception(exc)
-            raise
-        with self._lock:
-            self._memo[text] = vector
-        future.set_result(vector)
-        return vector
+        self._memo.update(zip(batch, vectors))
 
     def embed_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         matrix = np.zeros((len(texts), self._dim))
         kept = np.zeros(len(texts), dtype=bool)
-        for i, text in enumerate(texts):
-            if text.strip():
-                matrix[i] = self._vector(text)
-                kept[i] = True
+        with self._lock:
+            wanted = [text for text in dict.fromkeys(texts) if text.strip() and text not in self._memo]
+            for start in range(0, len(wanted), _REMOTE_BATCH):
+                self._request(wanted[start:start + _REMOTE_BATCH])
+            for i, text in enumerate(texts):
+                if text.strip():
+                    matrix[i] = self._memo[text]
+                    kept[i] = True
         return matrix, kept
 
 
@@ -224,9 +218,10 @@ def build_embedder(spec: EmbedderSpec, gateway=None) -> Embedder:
     command that built the embedder. The reference kind memoizes feature
     hashes (FeatureMemo) and embeds with the reference_embeddings kernel;
     it drops a text without alphanumeric tokens. The remote kind memoizes
-    whole vectors, one gateway request of one text per distinct text; it
-    drops a blank text without a request and raises DimensionMismatchError
-    for a vector that is not (dim,).
+    whole vectors and requests each distinct text once, in batches of at
+    most _REMOTE_BATCH texts in the order the call gives them; it drops a
+    blank text without a request and raises DimensionMismatchError for a
+    vector that is not (dim,).
     """
     if spec.kind == "hashed-reference":
         return _ReferenceEmbedder(spec.dim)
@@ -237,15 +232,27 @@ def build_embedder(spec: EmbedderSpec, gateway=None) -> Embedder:
     raise PreconditionError(f"unknown embedder kind {spec.kind!r}")
 
 
+def cosine_norms(vectors: np.ndarray) -> list[float]:
+    """The norm of each row as cosine computes it, for normed_cosine; rows must be finite."""
+    if not np.all(np.isfinite(vectors)):
+        raise PreconditionError("cosine requires finite vectors")
+    return [float(np.linalg.norm(row)) for row in vectors]
+
+
+def normed_cosine(a: np.ndarray, a_norm: float, b: np.ndarray, b_norm: float) -> float:
+    """cosine(a, b) from norms computed once per vector: one np.dot and a division per pair."""
+    denom = a_norm * b_norm
+    if denom == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, float(np.dot(a, b)) / denom))
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding."""
+    """Cosine similarity, clamped to [-1, 1] against rounding; 0.0 if either vector is zero."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise PreconditionError("cosine requires finite vectors")
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, float(np.dot(a, b)) / denom))
+    return normed_cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))

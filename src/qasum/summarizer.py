@@ -20,7 +20,7 @@ import numpy as np
 
 from .answer_engine import ScoredAnswer
 from .corpus import SegmentedCorpus
-from .embedding import Embedder, cosine
+from .embedding import Embedder, cosine_norms, normed_cosine
 from .fileio import write_atomic
 from .question_bank import QuestionBank, RetrievalParams
 
@@ -93,16 +93,18 @@ def dedupe(
     vectors, embedded = embedder.embed_many([a.sentence.text for a in ranked])
     survivors: list[ScoredAnswer] = []
     kept_ids: set[str] = set()
-    kept_vectors: list[np.ndarray] = []
-    for candidate, vector, has_vector in zip(ranked, vectors, embedded):
+    kept_rows: list[tuple[np.ndarray, float]] = []
+    for candidate, vector, norm, has_vector in zip(ranked, vectors, cosine_norms(vectors), embedded):
         if candidate.sentence.sent_id in kept_ids:
             continue
-        if has_vector and any(cosine(vector, kept) >= params.dedup_cosine for kept in kept_vectors):
+        if has_vector and any(
+            normed_cosine(vector, norm, kept, kept_norm) >= params.dedup_cosine for kept, kept_norm in kept_rows
+        ):
             continue
         survivors.append(candidate)
         kept_ids.add(candidate.sentence.sent_id)
         if has_vector:
-            kept_vectors.append(vector)
+            kept_rows.append((vector, norm))
     return survivors
 
 

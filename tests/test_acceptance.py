@@ -216,7 +216,7 @@ def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs,
 
 def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds, ref_embedder):
     extractor = ae.MockExtractor(segmented)
-    results = ae.answer_questions(bank, fixture_index, ref_embedder, segmented, extractor)
+    results = ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults)
     answers = [r.answer for r in results if r.answer is not None]
     summaries = []
     for tau in thresholds:

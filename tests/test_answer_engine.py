@@ -4,7 +4,7 @@ from index_rows import Row, build_index
 from oracles import embed_oracle, knn_oracle
 from qasum import answer_engine as ae
 from qasum.corpus import Document, SegmentedCorpus
-from qasum.embedding import reference_embedding
+from qasum.embedding import reference_embedding, reference_embeddings
 from qasum.errors import (
     EmptyRetrievalError,
     GatewayHttpError,
@@ -34,10 +34,10 @@ def question(text, **kwargs):
 # -- retrieve_context -------------------------------------------------------
 
 
-def test_retrieve_context_matches_brute_force_oracle(bank, fixture_index, fixture_entries, segmented, ref_embedder):
+def test_retrieve_context_matches_brute_force_oracle(bank, fixture_index, fixture_entries, segmented):
     q = next(q for q in bank.questions if q.q_id == "q-discharge-meds")
     eff = effective_params(q, bank.defaults)
-    ctx = ae.retrieve_context(q, fixture_index, ref_embedder, segmented, eff.k)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, eff.k)
     oracle_entries = [(e.para_id, list(e.vector), e.doc_id, e.note_type) for e in fixture_entries]
     expected = knn_oracle.brute_force_search(
         oracle_entries, list(reference_embedding(q.text)), eff.k, note_types=q.note_type_filter
@@ -51,92 +51,92 @@ def test_retrieve_context_matches_brute_force_oracle(bank, fixture_index, fixtur
         assert para.text in ctx.context_text
 
 
-def test_k_override_limits_hits(fixture_index, segmented, ref_embedder):
+def test_k_override_limits_hits(fixture_index, segmented):
     q = question("Why was the patient admitted?", k_override=1)
-    ctx = ae.retrieve_context(q, fixture_index, ref_embedder, segmented,
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented,
                               effective_params(q, RetrievalParams()).k)
     assert len(ctx.hits) == 1
 
 
-def test_filter_excluding_everything_raises(fixture_index, segmented, ref_embedder):
+def test_filter_excluding_everything_raises(fixture_index, segmented):
     q = question("Anything at all?", note_type_filter=frozenset({"lab"}))
     with pytest.raises(EmptyRetrievalError):
-        ae.retrieve_context(q, fixture_index, ref_embedder, segmented, 4)
+        ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, 4)
 
 
 # -- build_prompt -----------------------------------------------------------
 
 
-def test_prompt_matches_golden(bank, fixture_index, segmented, golden_dir, ref_embedder):
+def test_prompt_matches_golden(bank, fixture_index, segmented, golden_dir):
     q = next(q for q in bank.questions if q.q_id == "q-discharge-meds")
     eff = effective_params(q, bank.defaults)
-    ctx = ae.retrieve_context(q, fixture_index, ref_embedder, segmented, eff.k)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, eff.k)
     prompt = ae.build_prompt(ctx)
     golden = (golden_dir / "prompt_discharge_meds.txt").read_text("utf-8")
     assert prompt == golden
 
 
-def test_prompt_preserves_braces(fixture_index, segmented, ref_embedder):
+def test_prompt_preserves_braces(fixture_index, segmented):
     q = question("What about {braces} and {context}?")
-    ctx = ae.retrieve_context(q, fixture_index, ref_embedder, segmented, 1)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, 1)
     prompt = ae.build_prompt(ctx)
     assert "What about {braces} and {context}?" in prompt
     assert "QUESTION:" in prompt and "CONTEXT:" in prompt
 
 
-def test_prompt_is_deterministic(fixture_index, segmented, ref_embedder):
+def test_prompt_is_deterministic(fixture_index, segmented):
     q = question("Why was the patient admitted?")
-    ctx = ae.retrieve_context(q, fixture_index, ref_embedder, segmented, 2)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, 2)
     assert ae.build_prompt(ctx) == ae.build_prompt(ctx)
 
 
 # -- mock extractor ---------------------------------------------------------
 
 
-def test_mock_extractor_hand_example(ref_embedder):
+def test_mock_extractor_hand_example():
     # Question content tokens {medications, prescribed, discharge}; the
     # sentence shares {discharge, medications} -> c = 2/3.
     corpus, index = mini_corpus(["Discharge medications included lisinopril and metformin."])
     q = question("What medications were prescribed at discharge?")
-    ctx = ae.retrieve_context(q, index, ref_embedder, corpus, 1)
+    ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
     raw = ae.MockExtractor(corpus).extract(ae.build_prompt(ctx), ctx)
     assert raw.answer_text == "Discharge medications included lisinopril and metformin."
     assert raw.confidence == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert raw.source_sent_id == "d0#0:0"
 
 
-def test_mock_extractor_zero_overlap_is_no_answer(ref_embedder):
+def test_mock_extractor_zero_overlap_is_no_answer():
     corpus, index = mini_corpus(["Ambulating in hallway without assistance."])
     q = question("What medications were prescribed at discharge?")
-    ctx = ae.retrieve_context(q, index, ref_embedder, corpus, 1)
+    ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
     with pytest.raises(NoAnswerError):
         ae.MockExtractor(corpus).extract("p", ctx)
 
 
-def test_mock_extractor_question_without_content_tokens(ref_embedder):
+def test_mock_extractor_question_without_content_tokens():
     corpus, index = mini_corpus(["The patient is stable."])
     q = question("Why was the?")
-    ctx = ae.retrieve_context(q, index, ref_embedder, corpus, 1)
+    ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
     with pytest.raises(NoAnswerError, match="content tokens"):
         ae.MockExtractor(corpus).extract("p", ctx)
 
 
-def test_mock_extractor_tie_breaks_by_document_order(ref_embedder):
+def test_mock_extractor_tie_breaks_by_document_order():
     corpus, index = mini_corpus(
         ["Fever resolved overnight.", "Fever improving on antibiotics."]
     )
     q = question("Any fever?")
-    ctx = ae.retrieve_context(q, index, ref_embedder, corpus, 2)
+    ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 2)
     raw = ae.MockExtractor(corpus).extract("p", ctx)
     assert raw.source_sent_id.startswith("d0#")
 
 
-def test_mock_extractor_prefers_higher_overlap(ref_embedder):
+def test_mock_extractor_prefers_higher_overlap():
     corpus, index = mini_corpus(
         ["Fever noted on admission.", "Fever and productive cough noted."]
     )
     q = question("Was there fever or cough?")
-    ctx = ae.retrieve_context(q, index, ref_embedder, corpus, 2)
+    ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 2)
     raw = ae.MockExtractor(corpus).extract("p", ctx)
     assert raw.source_sent_id.startswith("d1#")
     assert raw.confidence == pytest.approx(1.0)
@@ -145,7 +145,7 @@ def test_mock_extractor_prefers_higher_overlap(ref_embedder):
 def test_mock_extractor_is_deterministic(bank, fixture_index, segmented, ref_embedder):
     extractor = ae.MockExtractor(segmented)
     runs = [
-        ae.answer_questions(bank, fixture_index, ref_embedder, segmented, extractor)
+        ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults)
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -164,15 +164,15 @@ class FakeGateway:
         return self.reply
 
 
-def remote_ctx(ref_embedder):
+def remote_ctx():
     corpus, index = mini_corpus(["The patient was afebrile.  Discharged in stable condition."])
     q = question("Was the patient afebrile?")
-    ctx = ae.retrieve_context(q, index, ref_embedder, corpus, 1)
+    ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
     return corpus, ctx
 
 
-def test_remote_extractor_exact_match(ref_embedder):
-    corpus, ctx = remote_ctx(ref_embedder)
+def test_remote_extractor_exact_match():
+    corpus, ctx = remote_ctx()
     reply = AnswerReply(answer="afebrile", source_sentence="The patient was afebrile.", confidence=0.9)
     raw = ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
     assert raw.source_sent_id == "d0#0:0"
@@ -180,8 +180,8 @@ def test_remote_extractor_exact_match(ref_embedder):
     assert raw.confidence == 0.9
 
 
-def test_remote_extractor_normalized_match(ref_embedder):
-    corpus, ctx = remote_ctx(ref_embedder)
+def test_remote_extractor_normalized_match():
+    corpus, ctx = remote_ctx()
     reply = AnswerReply(
         answer="stable", source_sentence="Discharged  in   stable condition.", confidence=0.7
     )
@@ -189,8 +189,8 @@ def test_remote_extractor_normalized_match(ref_embedder):
     assert raw.source_sent_id == "d0#0:1"
 
 
-def test_remote_extractor_answer_not_substring_uses_sentence(ref_embedder):
-    corpus, ctx = remote_ctx(ref_embedder)
+def test_remote_extractor_answer_not_substring_uses_sentence():
+    corpus, ctx = remote_ctx()
     reply = AnswerReply(
         answer="the patient had no fever", source_sentence="The patient was afebrile.",
         confidence=0.5,
@@ -199,15 +199,15 @@ def test_remote_extractor_answer_not_substring_uses_sentence(ref_embedder):
     assert raw.answer_text == "The patient was afebrile."
 
 
-def test_remote_extractor_unlocatable_source(ref_embedder):
-    corpus, ctx = remote_ctx(ref_embedder)
+def test_remote_extractor_unlocatable_source():
+    corpus, ctx = remote_ctx()
     reply = AnswerReply(answer="x", source_sentence="Sentence not in context.", confidence=0.5)
     with pytest.raises(UnlocatableSourceError):
         ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
 
 
-def test_remote_extractor_no_answer(ref_embedder):
-    corpus, ctx = remote_ctx(ref_embedder)
+def test_remote_extractor_no_answer():
+    corpus, ctx = remote_ctx()
     reply = AnswerReply(answer="", source_sentence="", confidence=0.0, no_answer=True)
     with pytest.raises(NoAnswerError):
         ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
@@ -230,22 +230,29 @@ def test_extract_noun_phrases_deduplicates_preserving_order():
     assert ae.extract_noun_phrases("fever and chills and fever") == ["fever", "chills"]
 
 
-def test_np_match_identical_lists(ref_embedder):
-    value = ae.np_match_score("acute renal failure", "acute renal failure", ref_embedder)
+def np_match(q_text, a_text):
+    """np_match_score of two texts, from the reference embeddings of their noun phrases."""
+    q_rows, _ = reference_embeddings(ae.extract_noun_phrases(q_text))
+    a_rows, _ = reference_embeddings(ae.extract_noun_phrases(a_text))
+    return ae.np_match_score(q_rows, a_rows)
+
+
+def test_np_match_identical_lists():
+    value = np_match("acute renal failure", "acute renal failure")
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_np_match_empty_side_is_zero(ref_embedder):
-    assert ae.np_match_score("the of and", "ceftriaxone", ref_embedder) == 0.0
-    assert ae.np_match_score("ceftriaxone", "the of and", ref_embedder) == 0.0
+def test_np_match_empty_side_is_zero():
+    assert np_match("the of and", "ceftriaxone") == 0.0
+    assert np_match("ceftriaxone", "the of and") == 0.0
 
 
-def test_np_match_fixture_and_asymmetry(ref_embedder):
+def test_np_match_fixture_and_asymmetry():
     # Q={antibiotics}, A={antibiotics, ceftriaxone dose}: forward score is the
     # exact self-match; reverse averages in cos(ceftriaxone dose, antibiotics),
     # recorded as 0.0 from the standalone embedding oracle.
-    fwd = ae.np_match_score("antibiotics", "antibiotics and ceftriaxone dose", ref_embedder)
-    rev = ae.np_match_score("antibiotics and ceftriaxone dose", "antibiotics", ref_embedder)
+    fwd = np_match("antibiotics", "antibiotics and ceftriaxone dose")
+    rev = np_match("antibiotics and ceftriaxone dose", "antibiotics")
     assert fwd == pytest.approx(1.0, abs=1e-9)
     assert rev == pytest.approx(0.5, abs=1e-9)
     assert fwd != rev
@@ -288,7 +295,7 @@ def test_threshold_is_inclusive():
 
 def test_answer_questions_covers_every_question(bank, fixture_index, segmented, ref_embedder):
     results = ae.answer_questions(
-        bank, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented)
+        bank.questions, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), bank.defaults
     )
     assert [r.question.q_id for r in results] == [q.q_id for q in bank.questions]
     by_id = {r.question.q_id: r for r in results}
@@ -301,22 +308,26 @@ def test_answer_questions_covers_every_question(bank, fixture_index, segmented, 
 def test_answer_questions_parallel_matches_serial(bank, fixture_index, segmented, ref_embedder):
     extractor = ae.MockExtractor(segmented)
     serial = ae.answer_questions(
-        bank, fixture_index, ref_embedder, segmented, extractor, max_workers=1
+        bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults, max_workers=1
     )
     parallel = ae.answer_questions(
-        bank, fixture_index, ref_embedder, segmented, extractor, max_workers=4
+        bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults, max_workers=4
     )
     assert serial == parallel
 
 
-# -- answer_question --------------------------------------------------------
+# -- one question through answer_questions -----------------------------------
+
+
+def answer_one(q, index, embedder, corpus, extractor, params):
+    [result] = ae.answer_questions([q], index, embedder, corpus, extractor, params)
+    return result
 
 
 def test_answer_question_scores_the_extracted_sentence(ref_embedder):
     corpus, index = mini_corpus(["Discharge medications included lisinopril and metformin."])
     q = question("What medications were prescribed at discharge?")
-    result = ae.answer_question(q, index, ref_embedder, corpus, ae.MockExtractor(corpus),
-                                RetrievalParams())
+    result = answer_one(q, index, ref_embedder, corpus, ae.MockExtractor(corpus), RetrievalParams())
     assert result.question == q
     assert [h.para_id for h in result.hits] == ["d0#0"]
     assert result.reason is None
@@ -329,9 +340,8 @@ def test_answer_question_scores_the_extracted_sentence(ref_embedder):
 def test_answer_question_unlocatable_source_is_no_answer(ref_embedder):
     corpus, index = mini_corpus(["The patient was afebrile.  Discharged in stable condition."])
     reply = AnswerReply(answer="x", source_sentence="Sentence not in context.", confidence=0.5)
-    result = ae.answer_question(question("Was the patient afebrile?"), index, ref_embedder,
-                                corpus, ae.RemoteExtractor(FakeGateway(reply), corpus),
-                                RetrievalParams(k=1))
+    result = answer_one(question("Was the patient afebrile?"), index, ref_embedder,
+                        corpus, ae.RemoteExtractor(FakeGateway(reply), corpus), RetrievalParams(k=1))
     assert result.answer is None and not result.passed
     assert "source sentence not found" in result.reason
     assert [h.para_id for h in result.hits] == ["d0#0"]
@@ -339,8 +349,7 @@ def test_answer_question_unlocatable_source_is_no_answer(ref_embedder):
 
 def test_answer_question_empty_retrieval_is_no_answer(fixture_index, segmented, ref_embedder):
     q = question("Anything at all?", note_type_filter=frozenset({"lab"}))
-    result = ae.answer_question(q, fixture_index, ref_embedder, segmented,
-                                ae.MockExtractor(segmented), RetrievalParams())
+    result = answer_one(q, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), RetrievalParams())
     assert result.hits == ()
     assert result.answer is None
     assert "matched no index entries" in result.reason
@@ -353,5 +362,5 @@ def test_answer_question_other_errors_propagate(ref_embedder):
 
     corpus, index = mini_corpus(["The patient was afebrile."])
     with pytest.raises(GatewayHttpError):
-        ae.answer_question(question("Was the patient afebrile?"), index, ref_embedder,
-                           corpus, ae.RemoteExtractor(FailingGateway(), corpus), RetrievalParams())
+        answer_one(question("Was the patient afebrile?"), index, ref_embedder,
+                   corpus, ae.RemoteExtractor(FailingGateway(), corpus), RetrievalParams())

@@ -3,12 +3,14 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import pytest
 
 from index_rows import Row, build_index
 from oracles import embed_oracle
 import qasum.cli
+import qasum.embedding
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
 from qasum.corpus import SegmentedCorpus, read_corpus
@@ -17,6 +19,8 @@ from qasum.errors import ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, request_fingerprint
 from qasum.question_bank import effective_params, load_question_bank
 from qasum.vector_index import VectorIndex
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(argv):
@@ -560,7 +564,7 @@ def test_cmd_summarize_empty_summary_is_success(pipeline_config, tmp_path):
     assert data["meta"]["counts"]["questions_asked"] == 6
 
 
-def _replay_contexts(fixtures_dir, ref_embedder):
+def _replay_contexts(fixtures_dir):
     """Each bank question's retrieved context, as a summarize over the fixture index sees it."""
     docs = read_corpus(fixtures_dir / "corpus.jsonl").load()[0]
     corpus = SegmentedCorpus(docs)
@@ -571,7 +575,7 @@ def _replay_contexts(fixtures_dir, ref_embedder):
     contexts = {}
     for question in bank.questions:
         eff = effective_params(question, bank.defaults)
-        contexts[question.q_id] = ae.retrieve_context(question, index, ref_embedder, corpus, eff.k)
+        contexts[question.q_id] = ae.retrieve_context(question, index, reference_embedding(question.text), corpus, eff.k)
     return corpus, contexts
 
 
@@ -602,10 +606,10 @@ def _use_replay_extractor(pipeline_config, model, fixtures):
     )
 
 
-def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir, ref_embedder):
+def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir):
     # Record-style fixtures are synthesized for each question's request body,
     # then the whole run must complete with no network access.
-    corpus, contexts = _replay_contexts(fixtures_dir, ref_embedder)
+    corpus, contexts = _replay_contexts(fixtures_dir)
     fixtures = tmp_path / "replies"
     fixtures.mkdir()
     model = "replay-model"
@@ -621,9 +625,9 @@ def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, 
 
 
 def test_paraphrased_remote_reply_leaves_only_its_question_unanswered(
-    pipeline_config, tmp_path, fixtures_dir, capsys, ref_embedder
+    pipeline_config, tmp_path, fixtures_dir, capsys
 ):
-    corpus, contexts = _replay_contexts(fixtures_dir, ref_embedder)
+    corpus, contexts = _replay_contexts(fixtures_dir)
     fixtures = tmp_path / "replies"
     fixtures.mkdir()
     model = "replay-model"
@@ -680,6 +684,84 @@ def test_one_gateway_serves_remote_embedder_and_extractor(pipeline_config, monke
     CountingGateway.built = 0
     assert run(summarize_args(pipeline_config, "--workers", "2")) == 0
     assert CountingGateway.built == 1
+
+
+class RecordingGateway:
+    """A live gateway stand-in: reference embeddings, and the first context sentence as every answer.
+
+    Class attributes log the embed batches and count the chat requests of every instance.
+    """
+
+    corpus = SegmentedCorpus(read_corpus(FIXTURES / "corpus.jsonl").load()[0])
+    batches: list[list[str]] = []
+    chats = 0
+
+    def __init__(self, cfg, seed=None):
+        pass
+
+    def embed_remote(self, texts):
+        RecordingGateway.batches.append(list(texts))
+        return [reference_embedding(text) for text in texts]
+
+    def chat_answer(self, prompt):
+        RecordingGateway.chats += 1
+        para_id = prompt.partition("CONTEXT:\n[")[2].partition("]")[0]
+        sentence = self.corpus.sentences(para_id)[0].text
+        return AnswerReply(answer=sentence, source_sentence=sentence, confidence=0.9)
+
+
+def _use_recording_gateway(pipeline_config, monkeypatch, embedder="remote"):
+    RecordingGateway.batches = []
+    RecordingGateway.chats = 0
+    monkeypatch.setattr(qasum.cli, "Gateway", RecordingGateway)
+    config_with(
+        pipeline_config,
+        embedder={"kind": embedder, "dim": 256},
+        extractor="remote",
+        gateway={"base_url": "https://example.invalid", "model": "m", "mode": "live"},
+    )
+
+
+def test_remote_summarize_embeds_the_same_batches_whatever_the_workers(pipeline_config, tmp_path, monkeypatch):
+    # A small batch size gives each phase several batches on the 6-question fixture bank.
+    monkeypatch.setattr(qasum.embedding, "_REMOTE_BATCH", 4)
+    _use_recording_gateway(pipeline_config, monkeypatch)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    runs = []
+    for workers in ("1", "2", "2", "2", "2", "2"):
+        RecordingGateway.batches = []
+        assert run(summarize_args(pipeline_config, "--workers", workers)) == 0
+        out = tmp_path / "out"
+        runs.append((RecordingGateway.batches, (out / "summary.json").read_bytes(), (out / "summary.txt").read_bytes()))
+    batches = runs[0][0]
+    assert all(run_ == runs[0] for run_ in runs[1:])
+    assert len(batches) > 3 and max(map(len, batches)) == 4
+    texts = [text for batch in batches for text in batch]
+    assert len(texts) == len(set(texts))  # no text is requested twice in one command
+    questions = [q.text for q in load_question_bank(FIXTURES / "question_bank.json").questions]
+    assert texts[: len(questions)] == questions  # the question batch comes first, in bank order
+    assert json.loads(runs[0][1])["items"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_summarize_question_without_words_fails_before_any_search_or_chat(
+    pipeline_config, tmp_path, fixtures_dir, monkeypatch, capsys, workers
+):
+    bank = json.loads((fixtures_dir / "question_bank.json").read_text("utf-8"))
+    bank["questions"][2]["text"] = "???"
+    bank["questions"][4]["text"] = "..."
+    (tmp_path / "bank.json").write_text(json.dumps(bank), "utf-8")
+    _use_recording_gateway(pipeline_config, monkeypatch, embedder="hashed-reference")
+    config_with(pipeline_config, question_bank_path=str(tmp_path / "bank.json"))
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    searches = []
+    search = VectorIndex.search
+    monkeypatch.setattr(VectorIndex, "search", lambda self, *a, **k: searches.append(a) or search(self, *a, **k))
+    capsys.readouterr()
+    assert run(summarize_args(pipeline_config, "--workers", workers)) == 1
+    assert capsys.readouterr().err == "error: question 'q-discharge-meds': '???' has no words to embed\n"
+    assert RecordingGateway.chats == 0 and searches == []
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class ReferenceGateway:

@@ -20,6 +20,8 @@ from qasum.embedding import (
     FeatureMemo,
     build_embedder,
     cosine,
+    cosine_norms,
+    normed_cosine,
     reference_embedding,
     reference_embeddings,
     tokenize,
@@ -268,6 +270,10 @@ class RecordingGateway:
         return [reference_embedding(text, self.dim) for text in texts]
 
 
+def batches_of(texts, size):
+    return [texts[start:start + size] for start in range(0, len(texts), size)]
+
+
 def test_remote_embedder_sends_one_text_through_its_gateway():
     gateway = RecordingGateway()
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
@@ -298,7 +304,63 @@ def test_remote_vector_of_the_wrong_length_fails_and_is_not_remembered():
     for _ in range(2):
         with pytest.raises(DimensionMismatchError, match=r"shape \(128,\) for 'fever', expected \(256,\)"):
             embedder.embed_many(["fever", "cough"])
-    assert gateway.batches == [["fever"], ["fever"]]
+    assert gateway.batches == [["fever", "cough"], ["fever", "cough"]]
+
+
+def test_one_wrong_length_vector_leaves_none_of_its_batch_remembered():
+    class OneShortVector(RecordingGateway):
+        def embed_remote(self, texts):
+            vectors = super().embed_remote(texts)
+            return [v[:128] if text == "cough" else v for text, v in zip(texts, vectors)]
+
+    gateway = OneShortVector()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    with pytest.raises(DimensionMismatchError, match=r"shape \(128,\) for 'cough', expected \(256,\)"):
+        embedder.embed_many(["fever", "cough"])
+    # 'fever' had the right length, but its batch failed, so it is requested again.
+    embedder.embed_many(["fever"])
+    assert gateway.batches == [["fever", "cough"], ["fever"]]
+
+
+def test_remote_embedder_requests_distinct_unseen_texts_in_batches_in_call_order(monkeypatch):
+    monkeypatch.setattr(qasum.embedding, "_REMOTE_BATCH", 4)
+    gateway = RecordingGateway()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    embedder.embed_many(["w2", "w5"])
+    texts = [f"w{i}" for i in range(11)]
+    call = texts[::-1] + [" ", "w3", "", "w10"] + texts
+    matrix, kept = embedder.embed_many(call)
+    unseen = [t for t in texts[::-1] if t not in ("w2", "w5")]
+    assert gateway.batches == [["w2", "w5"]] + batches_of(unseen, 4)
+    assert [len(batch) for batch in gateway.batches[1:]] == [4, 4, 1]
+    assert kept.tolist() == [text.strip() != "" for text in call]
+    assert_rows_equal_one_text_calls(call, matrix, kept)
+
+
+def test_a_failed_batch_is_retried_whole_by_a_later_call(monkeypatch):
+    monkeypatch.setattr(qasum.embedding, "_REMOTE_BATCH", 3)
+
+    class FailsOnce(RecordingGateway):
+        failed = False
+
+        def embed_remote(self, texts):
+            super().embed_remote(texts)
+            if "w4" in texts and not self.failed:
+                self.failed = True
+                raise GatewayError("embedding service unavailable")
+            return [reference_embedding(text) for text in texts]
+
+    gateway = FailsOnce()
+    embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
+    texts = [f"w{i}" for i in range(8)]
+    with pytest.raises(GatewayError):
+        embedder.embed_many(texts)
+    # The first batch arrived and is remembered; the failed batch and the ones after it are not.
+    assert gateway.batches == [["w0", "w1", "w2"], ["w3", "w4", "w5"]]
+    matrix, kept = embedder.embed_many(texts)
+    assert gateway.batches[2:] == [["w3", "w4", "w5"], ["w6", "w7"]]
+    assert kept.all()
+    assert_rows_equal_one_text_calls(texts, matrix, kept)
 
 
 class BlockingGateway:
@@ -374,15 +436,16 @@ def test_concurrent_callers_of_one_text_share_one_request():
 
 
 def test_a_failed_request_raises_in_every_waiter_and_is_not_remembered():
+    # Callers wait on the embedder's lock, not on one shared request: each makes its own request in turn.
     gateway = BlockingGateway()
     gateway.failing = True
     embedder = build_embedder(EmbedderSpec(kind="remote"), gateway)
     outcomes = call_in_threads(embedder, gateway, "fever", count=3)
     assert all(isinstance(outcome, GatewayError) for outcome in outcomes)
-    assert gateway.requests == [["fever"]]
+    assert gateway.requests == [["fever"]] * 3
     gateway.failing = False
     assert np.array_equal(embedder.embed_many(["fever"])[0][0], reference_embedding("fever"))
-    assert gateway.requests == [["fever"], ["fever"]]
+    assert gateway.requests == [["fever"]] * 4
 
 
 def test_many_threads_request_each_text_once():
@@ -416,7 +479,7 @@ def test_remote_embed_many_loops_over_the_memo():
     embedder = build_embedder(EmbedderSpec(kind="remote", dim=DEFAULT_DIM), gateway)
     texts = ["fever", " ", "cough", "fever"]
     matrix, kept = embedder.embed_many(texts)
-    assert gateway.batches == [["fever"], ["cough"]]
+    assert gateway.batches == [["fever", "cough"]]
     assert kept.tolist() == [True, False, True, True]
     assert_rows_equal_one_text_calls(texts, matrix, kept)
 
@@ -480,6 +543,71 @@ def test_cosine_rejects_non_finite():
     bad = np.array([1.0, np.nan])
     with pytest.raises(PreconditionError):
         cosine(bad, np.ones(2))
+
+
+def cosine_before_norms_once(a, b):
+    """cosine as it was written before norms were computed once per vector, for the bit-equality property."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    if denom == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, float(np.dot(a, b)) / denom))
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def vector_rows(draw):
+    """Rows of one matrix: non-unit vectors, zero vectors, and scaled or nudged copies of earlier rows."""
+    dim = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "scaled", "nudged"]))
+        if kind == "zero":
+            row = np.zeros(dim)
+        elif kind == "free" or not rows:
+            row = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))] * draw(st.floats(min_value=1e-3, max_value=1e3))
+            if kind == "nudged":
+                row[draw(st.integers(0, dim - 1))] += draw(st.floats(min_value=-1e-9, max_value=1e-9))
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_rows())
+def test_norms_once_cosine_equals_cosine_bit_for_bit(matrix):
+    norms = cosine_norms(matrix)
+    for i, a in enumerate(matrix):
+        for j, b in enumerate(matrix):
+            expected = cosine_before_norms_once(a.copy(), b.copy())
+            got = normed_cosine(a, norms[i], b, norms[j])
+            assert np.float64(got).tobytes() == np.float64(cosine(a.copy(), b.copy())).tobytes()
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            if not a.any() or not b.any():
+                assert got == 0.0
+
+
+def test_norms_once_cosine_clamps_rounding_past_one():
+    # Parallel vectors whose dot product rounds above the product of their norms.
+    rng = np.random.default_rng(5)
+    clamped = 0
+    for _ in range(2000):
+        a = rng.normal(size=7)
+        b = a * rng.uniform(0.5, 2.0)
+        norms = cosine_norms(np.array([a, b]))
+        if float(np.dot(a, b)) / (norms[0] * norms[1]) > 1.0:
+            clamped += 1
+            assert normed_cosine(a, norms[0], b, norms[1]) == 1.0 == cosine(a, b)
+    assert clamped
+
+
+def test_cosine_norms_reject_non_finite_rows():
+    with pytest.raises(PreconditionError, match="finite"):
+        cosine_norms(np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
 
 def test_repeated_text_not_required_to_match_single():

@@ -269,7 +269,7 @@ def test_write_summary_emits_both_files(tmp_path):
 
 def test_output_bytes_independent_of_input_ordering(bank, fixture_index, segmented, ref_embedder):
     extractor = ae.MockExtractor(segmented)
-    results = ae.answer_questions(bank, fixture_index, ref_embedder, segmented, extractor)
+    results = ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults)
     passed = [r.answer for r in results if r.passed]
     forward = assemble(passed, bank, segmented, ref_embedder, bank.defaults,
                        corpus_id="c", timestamp="t")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import string
 import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ DEFAULT_MAX_PARAGRAPH_TOKENS = 256
 _HEADER_RE = re.compile(r"^[A-Z][A-Za-z /]{1,40}:$")
 _PUNCT_RE = re.compile(r"[.!?;]")
 _WORD_RE = re.compile(r"\S+")
-_ABBREV_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z.]*$")
+_TOKEN_CHARS = frozenset(string.ascii_letters + ".")
 
 
 @dataclass(frozen=True)
@@ -445,11 +446,23 @@ def _is_sentence_boundary(text: str, match: re.Match, abbreviations: frozenset[s
             j += 1
         if j == i or j == len(text) or not text[j].isupper():
             return False
-    if match.group() == ".":
-        token_match = _ABBREV_TOKEN_RE.search(text, 0, match.start())
-        if token_match and token_match.group().lower() in abbreviations:
-            return False
+    if match.group() == "." and _token_before(text, match.start()).lower() in abbreviations:
+        return False
     return True
+
+
+def _token_before(text: str, end: int) -> str:
+    """The ASCII letters-and-dots token that ends at end, or "" when there is none.
+
+    The token starts with a letter (leading dots are not part of it), and a
+    newline just before end is skipped first: a token ends at a line end.
+    """
+    if end and text[end - 1] == "\n":
+        end -= 1
+    start = end
+    while start and text[start - 1] in _TOKEN_CHARS:
+        start -= 1
+    return text[start:end].lstrip(".")
 
 
 def _sentence_spans(text: str) -> list[tuple[int, int]]:

@@ -65,15 +65,24 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length, keeping one row of the DP table."""
-    row = [0] * (len(b) + 1)
+    """Longest common subsequence length by the bit-vector recurrence.
+
+    Allison & Dix (1986), Hyyrö (2004): bit j of a token's mask is set
+    where ``b[j]`` is that token, and after each token of ``a`` the set bits
+    of ``row`` mark where the LCS of the prefix of ``a`` read so far grows
+    along ``b``, so their count is the LCS length. Python ints are exact at
+    any width, so this equals the dynamic programme for every input.
+    """
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    row = 0
     for x in a:
-        diagonal = 0  # row[j - 1] before this pass overwrote it
-        for j, y in enumerate(b, 1):
-            above = row[j]
-            row[j] = diagonal + 1 if x == y else max(above, row[j - 1])
-            diagonal = above
-    return row[-1]
+        match = masks.get(x)
+        if match:
+            t = row | match
+            row = t & ~(t - ((row << 1) | 1))
+    return row.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:

@@ -161,12 +161,16 @@ class Gateway:
     def _replay(self, body_bytes: bytes):
         digest = _fixture_key(body_bytes)
         fixture = Path(self.cfg.fixtures_dir) / f"{digest}.json"
-        if not fixture.exists():
+        try:
+            raw = fixture.read_bytes()
+        except FileNotFoundError as exc:
             raise IoError(
                 f"no replay fixture for request {digest} (looked in {self.cfg.fixtures_dir})"
-            )
+            ) from exc
+        except OSError as exc:
+            raise IoError(f"cannot read replay fixture {fixture}: {exc.strerror or exc}") from exc
         try:
-            recorded = json.loads(fixture.read_text("utf-8"))
+            recorded = json.loads(raw.decode("utf-8"))
             return int(recorded["status"]), recorded["body"]
         except (ValueError, KeyError, TypeError) as exc:
             raise SchemaError(f"replay fixture {fixture.name} is malformed: {exc}") from exc

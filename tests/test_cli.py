@@ -874,6 +874,34 @@ def test_cmd_evaluate_remote_vector_of_the_wrong_length_exits_1(pipeline_config,
     assert not (tmp_path / "out" / "metrics.json").exists()
 
 
+def test_unreadable_replay_fixture_exits_1_naming_it(pipeline_config, tmp_path, capsys):
+    fixtures = tmp_path / "replies"
+    fixtures.mkdir()
+    config_with(
+        pipeline_config,
+        embedder={"kind": "remote", "dim": 256},
+        gateway={"base_url": "https://example.invalid", "model": "m",
+                 "mode": "replay", "fixtures_dir": str(fixtures)},
+    )
+    text = tmp_path / "same.txt"
+    text.write_text("the patient improved and was discharged home", "utf-8")
+    argv = ["evaluate", "--config", str(pipeline_config), str(text), str(text), str(text)]
+
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    missing = re.fullmatch(r"error: no replay fixture for request ([0-9a-f]{64}) \(looked in .*\)\n", err)
+    assert missing, err
+
+    # A fixture path that cannot be read as a file is named, not an internal error.
+    fixture = fixtures / f"{missing.group(1)}.json"
+    fixture.mkdir()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read replay fixture {fixture}: ") and err.count("\n") == 1
+    assert "internal error" not in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 def test_cmd_evaluate_missing_file_exits_1(pipeline_config, tmp_path):
     cand = tmp_path / "c.txt"
     cand.write_text("text", "utf-8")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import segment_oracle
 from qasum.corpus import (
     CorpusManifest,
     Document,
@@ -248,6 +249,41 @@ def test_newline_alone_does_not_split():
 def test_abbreviation_list_loads():
     abbrevs = load_abbreviations()
     assert {"dr", "mg", "q", "vs", "pt", "hx", "i.e", "e.g"} <= abbrevs
+
+
+# Sentence-rule texts: units of a word, a sentence end, whitespace and the
+# next word. The words cover bundled abbreviations (dotted ones like e.g.
+# too), leading dots, a long letter run that ends in an abbreviation, a
+# newline right before the period, and non-ASCII letters before the period,
+# next to an abbreviation or not; the ends cover '.', '!', '?' and ';'.
+_WORD_BEFORE_END = st.one_of(
+    st.sampled_from([
+        "Dr", "dr", "DR", "mg", "q", "Pt", "e.g", "E.G", "i.e", "b.i.d", "p.m", "etc",
+        "..Dr", ".e.g", "..", "xdr", "patientmg", "a" * 40 + "dr",
+        "Dr\n", "mg\n", "mg\n\n", "\n", "stable\n",
+        "é", "Zoë", "µg", "édr", "Zoëmg", "naïveté", "stable", "10", "",
+    ]),
+    st.text(max_size=4),
+)
+_sentence_units = st.tuples(
+    _WORD_BEFORE_END,
+    st.sampled_from([".", ".", ".", "!", "?", ";", "..", ""]),
+    st.sampled_from([" ", "  ", "\n", "\t", "\r\n", "\u00a0", "\u2028", ""]),
+    st.one_of(st.sampled_from(["Smith", "The", "É", "Ünï", "A", "patient", "10"]), st.text(max_size=3)),
+).map("".join)
+_sentence_texts = st.lists(_sentence_units, max_size=12).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_sentence_texts)
+def test_split_sentences_equals_the_segment_oracle(text):
+    para = Paragraph(para_id="d1#0", doc_id="d1", ordinal=0, char_span=(0, len(text.encode("utf-8"))), text=text)
+    got = [(s.text, s.char_span) for s in split_sentences(para)]
+    assert got == segment_oracle.split_sentences(text)
+
+
+def test_segment_oracle_reads_the_bundled_abbreviations():
+    assert segment_oracle.abbreviations() == load_abbreviations()
 
 
 # -- invariants -------------------------------------------------------------

@@ -296,3 +296,48 @@ def test_embedding_similarity_matches_oracle_fixture(ref_embedder):
         embed_oracle.hashed_embedding("ceftriaxone taper"),
     )
     assert ours == pytest.approx(oracle, abs=1e-9)
+
+
+@st.composite
+def dense_token_pairs(draw):
+    """Two texts of 0-400 tokens drawn from one 3-6 word vocabulary, so tokens match often."""
+    vocab = draw(st.lists(st.sampled_from(WORDS), min_size=3, max_size=6, unique=True))
+
+    def text():
+        n = draw(st.integers(min_value=0, max_value=400))
+        return " ".join(draw(st.lists(st.sampled_from(vocab), min_size=n, max_size=n)))
+
+    return text(), text()
+
+
+def _rouge_l_tuple(cand, ref):
+    score = rouge_l(cand, ref)
+    return score.recall, score.precision, score.f1
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=dense_token_pairs())
+def test_rouge_l_equals_oracle_exactly_on_long_dense_texts(pair):
+    cand, ref = pair
+    assert _rouge_l_tuple(cand, ref) == metrics_oracle.rouge_l(cand, ref)
+
+
+@pytest.mark.parametrize("ref_len", [63, 64, 65, 129])
+def test_rouge_l_equals_oracle_at_word_size_reference_lengths(ref_len):
+    # Reference lengths on either side of 64-bit word boundaries, where a
+    # fixed-width bit-vector LCS would carry or truncate.
+    rng = random.Random(ref_len)
+    vocab = WORDS[:4]
+    ref = [rng.choice(vocab) for _ in range(ref_len)]
+    cases = [
+        (ref, ref),
+        (ref[::-1], ref),
+        ([rng.choice(vocab) for _ in range(ref_len + 7)], ref),
+        ([rng.choice(vocab) for _ in range(3)], ref),
+        (["pain"] * ref_len, ["pain"] * ref_len),
+        (["pain"] * ref_len, ref),  # no token in common
+    ]
+    for cand_tokens, ref_tokens in cases:
+        cand, reference = " ".join(cand_tokens), " ".join(ref_tokens)
+        assert _rouge_l_tuple(cand, reference) == metrics_oracle.rouge_l(cand, reference)
+    assert _rouge_l_tuple(" ".join(ref), " ".join(ref)) == (1.0, 1.0, 1.0)

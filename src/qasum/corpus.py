@@ -127,11 +127,11 @@ def paragraph_id(doc_id: str, ordinal: int) -> str:
 def read_corpus(path: str | Path, format: str = "jsonl") -> CorpusFile:
     """Read a corpus's bytes once: a JSONL file, or the ``*.txt`` files of a directory.
 
-    ``load()`` on the result gives the documents in file order (sorted
+    ``entries()`` on the result streams the documents in file order (sorted
     filename order for text-dir). Raises IoError for unreadable paths and
-    FormatError for an unknown format; ``load`` raises FormatError for
-    malformed records (with the offending line number) and
-    DuplicateIdError for repeated doc_ids.
+    FormatError for an unknown format; the stream raises FormatError for a
+    malformed record (with the offending line number) and DuplicateIdError
+    for a repeated doc_id (with both line numbers).
     """
     path = Path(path)
     if format == "jsonl":
@@ -144,27 +144,37 @@ def read_corpus(path: str | Path, format: str = "jsonl") -> CorpusFile:
 class CorpusFile:
     """A corpus as the bytes read from disk once, and their SHA-256.
 
-    ``load`` parses and validates every document (the index path).
-    ``pinned`` checks the bytes against an index's manifest and then parses
-    each document the first time it is looked up, from these same bytes (the
-    query path): the bytes that were hashed are the bytes that are parsed.
+    ``entries`` parses and validates one document at a time (the index
+    path); ``load`` is the same stream read whole. ``pinned`` checks the
+    bytes against an index's manifest and then parses each document the
+    first time it is looked up, from these same bytes (the query path): the
+    bytes that were hashed are the bytes that are parsed.
     """
 
     path: Path
     sha256: str
 
+    def entries(self) -> Iterator[tuple[Document, int | str]]:
+        """(document, locator) of every document in corpus order, each parsed and checked as it is drawn.
+
+        A malformed record raises FormatError, and a repeated doc_id
+        DuplicateIdError, when the stream reaches it: after the documents
+        before it have been drawn.
+        """
+        raise NotImplementedError
+
+    def manifest(
+        self, doc_ids: Sequence[str], note_types: Sequence[str], locators: Sequence[int | str]
+    ) -> CorpusManifest:
+        """The manifest an index of these documents records: the columns, pinned to these bytes and today's rules."""
+        return CorpusManifest(self.sha256, segmentation_digest(), doc_ids, note_types, locators)
+
     def load(self) -> tuple[list[Document], CorpusManifest]:
         """Every document in corpus order, and the manifest an index built from them records."""
-        entries = self._entries()
+        entries = list(self.entries())
         docs = [doc for doc, _ in entries]
-        manifest = CorpusManifest(
-            sha256=self.sha256,
-            segmentation=segmentation_digest(),
-            doc_ids=[doc.doc_id for doc in docs],
-            note_types=[doc.note_type for doc in docs],
-            locators=[locator for _, locator in entries],
-        )
-        return docs, manifest
+        locators = [locator for _, locator in entries]
+        return docs, self.manifest([doc.doc_id for doc in docs], [doc.note_type for doc in docs], locators)
 
     def pinned(self, manifest: CorpusManifest) -> Mapping[str, Document]:
         """The manifest's documents, in its order, each parsed on first lookup.
@@ -184,10 +194,6 @@ class CorpusFile:
                 "token cap); rebuild it with `qasum index`"
             )
         return _PinnedDocuments(self, manifest)
-
-    def _entries(self) -> list[tuple[Document, int | str]]:
-        """(document, locator) of every document, in corpus order, parsed and validated."""
-        raise NotImplementedError
 
     def _check_locators(self, locators: Sequence[int | str]) -> None:
         """Raise CorruptIndexError unless every locator can name a document of these bytes."""
@@ -242,12 +248,9 @@ class _JsonlCorpus(CorpusFile):
             raise IoError(f"cannot read corpus file {path}: {exc}") from exc
         self.sha256 = hashlib.sha256(self._data).hexdigest()
 
-    def _entries(self) -> list[tuple[Document, int]]:
-        entries: list[tuple[Document, int]] = []
+    def entries(self) -> Iterator[tuple[Document, int]]:
         seen: dict[str, int] = {}
-        offset = 0
-        for lineno, line in enumerate(self._data.split(b"\n"), start=1):
-            start, offset = offset, offset + len(line) + 1
+        for lineno, (start, line) in enumerate(_lines(self._data), start=1):
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -261,8 +264,7 @@ class _JsonlCorpus(CorpusFile):
                     f"(first seen at line {seen[doc.doc_id]})"
                 )
             seen[doc.doc_id] = lineno
-            entries.append((doc, start))
-        return entries
+            yield doc, start
 
     def _check_locators(self, locators: Sequence[int | str]) -> None:
         if not set(map(type, locators)) <= {int}:
@@ -306,8 +308,9 @@ class _TextDirCorpus(CorpusFile):
             digest.update(data)
         self.sha256 = digest.hexdigest()
 
-    def _entries(self) -> list[tuple[Document, str]]:
-        return [(self._document_at(name), name) for name in self._files]
+    def entries(self) -> Iterator[tuple[Document, str]]:
+        for name in self._files:
+            yield self._document_at(name), name
 
     def _check_locators(self, locators: Sequence[int | str]) -> None:
         missing = [loc for loc in locators if not (isinstance(loc, str) and loc in self._files)]
@@ -331,6 +334,15 @@ class _TextDirCorpus(CorpusFile):
                 note_type = prefix
                 break
         return Document(doc_id=stem, patient_id="", note_type=note_type, timestamp=None, text=text)
+
+
+def _lines(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """(byte offset, line) of each line of ``data.split(b"\\n")``, cut out one at a time."""
+    start = 0
+    while (end := data.find(b"\n", start)) >= 0:
+        yield start, data[start:end]
+        start = end + 1
+    yield start, data[start:]
 
 
 def _record_document(line: str, where: str) -> Document:

@@ -61,10 +61,10 @@ def _feature_digest(feature: str) -> bytes:
 class FeatureMemo(dict):
     """Feature string -> 8-byte keyed hash digest, filled on first lookup.
 
-    Holds at most FEATURE_MEMO_CAP entries (a few more if threads race at
-    the cap); once full, unseen features are hashed on every lookup but
-    not stored, so memory stays bounded however many distinct features a
-    corpus has.
+    Holds at most FEATURE_MEMO_CAP entries; once full, unseen features are
+    hashed on every lookup but not stored, so memory stays bounded however
+    many distinct features a corpus has. Only the command's main thread
+    embeds, so one thread fills the memo.
     """
 
     def __missing__(self, feature: str) -> bytes:

@@ -102,10 +102,6 @@ def _fixture_key(body_bytes: bytes) -> str:
     return hashlib.sha256(body_bytes).hexdigest()
 
 
-def request_fingerprint(body: dict) -> str:
-    return _fixture_key(canonical_body(body))
-
-
 class Gateway:
     """A configured client; share one instance so the in-flight cap is global."""
 

@@ -8,14 +8,16 @@ candidates at or above the k-th score (ties at the k-th score included)
 before an exact sort by (-score, para_id). Every result can be checked
 against a brute-force oracle.
 
-An index is built once from its columns: the manifest of the corpus it
-indexes (corpus digest, segmentation digest, and per document its id, note
-type and locator), per row the position of its document in the manifest and
-its paragraph ordinal (so row i is paragraph ``<doc_id>#<ordinal>``), one
-(n, dim) float64 matrix with its row norms, and the identity of the
-embedder that made the vectors. Rows are in document order. A row's note
-type is its document's. Nothing changes a built index, so concurrent
-searches need no lock.
+An index is made from its columns: the manifest of the corpus it indexes
+(corpus digest, segmentation digest, and per document its id, note type and
+locator), per row the position of its document in the manifest and its
+paragraph ordinal (so row i is paragraph ``<doc_id>#<ordinal>``), the
+vectors, and the identity of the embedder that made them. Rows are in
+document order. A row's note type is its document's. In memory
+(``VectorIndex``) the vectors are one (n, dim) float64 matrix with its row
+norms. Nothing changes a built index, so concurrent searches need no lock.
+``IndexWriter`` builds the file without the matrix, from batches of rows
+whose float32 vectors it spools to disk.
 
 The file (format v3) stores the same columns, little-endian: a header
 (magic ``QASUMIDX``, version u16, dim u16, row count u64, string-table
@@ -25,14 +27,16 @@ byte length u64), the string table as one UTF-8 JSON object
 "doc_rows": [int], "ordinals": [int]}`` (doc_rows counts each document's
 rows), one contiguous block of count x dim float32 components, and a CRC32
 over all preceding bytes. Vectors are float64 in memory and float32 on
-disk, so reloaded scores agree within 1e-6 and rankings are preserved.
+disk, so reloaded scores agree within 1e-6; hits whose scores are closer
+than that can rank in another order after a reload.
 
-``save`` and ``load`` stream the float32 block ``_BLOCK_ROWS`` rows at a
-time through one block-sized buffer, so an index in memory costs its
-float64 matrix plus one block, never a whole-file copy. ``load`` checks the
-header against the file size before it allocates anything sized from the
-header, and parses the table with one ``json.loads`` only after the CRC32
-matches.
+``save``, ``IndexWriter`` and ``load`` stream the float32 block
+``_BLOCK_ROWS`` rows at a time through one block-sized buffer, so an index
+in memory costs its float64 matrix plus one block, never a whole-file copy;
+``save`` and ``IndexWriter`` write through the one ``_write_file``.
+``load`` checks the header against the file size before it allocates
+anything sized from the header, and parses the table with one
+``json.loads`` only after the CRC32 matches.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterator, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,7 +155,9 @@ class VectorIndex:
     def search(self, query: np.ndarray, k: int, note_filter: Collection[str] | None = None) -> list[SearchHit]:
         """Exact top-k by cosine over the rows whose note type is in note_filter (all rows for None).
 
-        Ties are broken by para_id ascending; ranks count from 1.
+        Equal scores are broken by para_id ascending; ranks count from 1. Two
+        vectors with the same exact cosine can score an ulp apart, and then rank
+        by score.
         """
         if k < 1:
             raise PreconditionError(f"k must be positive, got {k}")
@@ -190,33 +197,10 @@ class VectorIndex:
 
     def save(self, path: str | Path) -> None:
         """Write the index as a v3 file, atomically; the same index always gives the same bytes."""
-        write_atomic(path, self._file_chunks())
-
-    def _file_chunks(self) -> Iterator[bytes | np.ndarray]:
-        """The v3 file: header, string table, the float32 block one block of rows at a time, CRC32."""
-        corpus = self._corpus
-        table = json.dumps(
-            {
-                "embedder": self._embedder,
-                "corpus_sha256": corpus.sha256,
-                "segmentation": corpus.segmentation,
-                "doc_ids": list(corpus.doc_ids),
-                "note_types": list(corpus.note_types),
-                "locators": list(corpus.locators),
-                "doc_rows": np.bincount(self._row_docs, minlength=len(corpus.doc_ids)).tolist(),
-                "ordinals": self._ordinals.tolist(),
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dim, len(self), len(table))
-        crc = zlib.crc32(table, zlib.crc32(header))
-        yield header
-        yield table
-        for start in range(0, len(self), _BLOCK_ROWS):
-            block = self._matrix[start : start + _BLOCK_ROWS].astype("<f4")
-            crc = zlib.crc32(block, crc)
-            yield block
-        yield _CRC.pack(crc)
+        blocks = (
+            self._matrix[start : start + _BLOCK_ROWS].astype("<f4") for start in range(0, len(self), _BLOCK_ROWS)
+        )
+        _write_file(path, self._corpus, self._row_docs, self._ordinals, self.dim, self._embedder, blocks)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -261,6 +245,116 @@ class VectorIndex:
             return cls(corpus, row_docs, ordinals, matrix, embedder)
         except (PreconditionError, ValueError, OverflowError) as exc:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
+
+
+def _write_file(
+    path: str | Path,
+    corpus: CorpusManifest,
+    row_docs: Sequence[int],
+    ordinals: Sequence[int],
+    dim: int,
+    embedder: str,
+    blocks: Iterable[np.ndarray],
+) -> None:
+    """Write a v3 file atomically, its float32 block drawn from blocks.
+
+    The rows are as ``VectorIndex`` takes them; blocks are C-contiguous
+    ``<f4`` arrays of dim columns that hold the rows' vectors in order. Each
+    block is written before the next is drawn, so one buffer may serve them
+    all.
+    """
+    table = json.dumps(
+        {
+            "embedder": embedder,
+            "corpus_sha256": corpus.sha256,
+            "segmentation": corpus.segmentation,
+            "doc_ids": list(corpus.doc_ids),
+            "note_types": list(corpus.note_types),
+            "locators": list(corpus.locators),
+            "doc_rows": np.bincount(np.asarray(row_docs, dtype=np.intp), minlength=len(corpus.doc_ids)).tolist(),
+            "ordinals": np.asarray(ordinals, dtype=np.intp).tolist(),
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, dim, len(ordinals), len(table))
+
+    def chunks() -> Iterator[bytes | np.ndarray]:
+        crc = zlib.crc32(table, zlib.crc32(header))
+        yield header
+        yield table
+        for block in blocks:
+            crc = zlib.crc32(block, crc)
+            yield block
+        yield _CRC.pack(crc)
+
+    write_atomic(path, chunks())
+
+
+class IndexWriter:
+    """An index file built from batches of rows, for a corpus read one chunk of documents at a time.
+
+    ``add`` keeps each row's document position and paragraph ordinal, and
+    appends its vector as ``<f4`` to a spool: a temporary file in the
+    index's directory, unnamed where the system allows (a named one is
+    ``.<index name>.*.spool.tmp``, unlinked at once), so it needs the free
+    space of one float32 block there. ``write`` then writes the index
+    through ``_write_file``, reading the spool back ``_BLOCK_ROWS``
+    rows at a time through one buffer, so the writer's memory is the row
+    columns plus one block. ``close`` (or leaving the ``with`` block)
+    removes the spool, whether or not ``write`` ran.
+    """
+
+    def __init__(self, path: str | Path, dim: int, embedder: str):
+        self._path = Path(path)
+        self._dim = dim
+        self._embedder = embedder
+        self._row_docs: list[int] = []
+        self._ordinals: list[int] = []
+        try:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._spool = tempfile.TemporaryFile(
+                dir=self._path.parent, prefix=f".{self._path.name}.", suffix=".spool.tmp"
+            )
+        except OSError as exc:
+            raise IoError(f"cannot write {self._path}: {exc}") from exc
+
+    def __enter__(self) -> "IndexWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._spool.close()
+
+    def add(self, row_docs: Sequence[int], ordinals: Sequence[int], vectors: np.ndarray) -> None:
+        """Append rows after the rows added so far, in document order, with their vectors."""
+        if not len(row_docs) == len(ordinals) == len(vectors) or np.shape(vectors)[1:] != (self._dim,):
+            raise PreconditionError(
+                f"index rows disagree: {len(row_docs)} row documents, {len(ordinals)} ordinals, "
+                f"vectors of shape {np.shape(vectors)} for dim {self._dim}"
+            )
+        try:
+            self._spool.write(np.ascontiguousarray(vectors, dtype="<f4"))
+        except OSError as exc:
+            raise IoError(f"cannot write {self._path}: {exc}") from exc
+        self._row_docs += row_docs
+        self._ordinals += ordinals
+
+    def write(self, corpus: CorpusManifest) -> None:
+        """Write the index of the rows added, over corpus, atomically to the path."""
+        _write_file(
+            self._path, corpus, self._row_docs, self._ordinals, self._dim, self._embedder, self._spooled_blocks()
+        )
+
+    def _spooled_blocks(self) -> Iterator[np.ndarray]:
+        self._spool.seek(0)  # flushes the spool, so a failed spool write fails the index write
+        count = len(self._ordinals)
+        buffer = np.empty((min(count, _BLOCK_ROWS), self._dim), dtype="<f4")
+        for start in range(0, count, _BLOCK_ROWS):
+            block = buffer[: count - start]
+            _read_into(self._spool, block, self._path)
+            yield block
 
 
 def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray]:

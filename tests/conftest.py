@@ -13,6 +13,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
 
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(request):
+    """Fail a test that leaves a ``.*.tmp`` file (an atomic-write temporary or an index spool) in its tmp_path."""
+    tmp_path = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    left = sorted(tmp_path.rglob(".*.tmp")) if tmp_path else []
+    if left:
+        pytest.fail(f"temporary files left behind: {[str(path) for path in left]}")
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES

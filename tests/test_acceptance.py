@@ -6,6 +6,7 @@ fixtures and a localhost stub server.
 """
 
 import functools
+import hashlib
 import json
 import logging
 import random
@@ -311,7 +312,7 @@ def test_criterion_7_gateway(tmp_path, monkeypatch, caplog):
         Gateway,
         GatewayConfig,
         JSON_REPLY_INSTRUCTION,
-        request_fingerprint,
+        canonical_body,
     )
 
     # Replay mode serves recorded fixtures without any network access.
@@ -327,7 +328,7 @@ def test_criterion_7_gateway(tmp_path, monkeypatch, caplog):
             {"role": "user", "content": "replayed prompt"},
         ],
     }
-    (fixtures / f"{request_fingerprint(body)}.json").write_text(
+    (fixtures / f"{hashlib.sha256(canonical_body(body)).hexdigest()}.json").write_text(
         json.dumps({"status": 200, "body": {"answer": "a", "source_sentence": "s",
                                             "confidence": 0.4}}), "utf-8"
     )

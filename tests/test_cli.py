@@ -1,8 +1,11 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,12 +14,13 @@ from index_rows import Row, build_index
 from oracles import embed_oracle
 import qasum.cli
 import qasum.embedding
+import qasum.vector_index
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
 from qasum.corpus import SegmentedCorpus, read_corpus
 from qasum.embedding import reference_embedding
 from qasum.errors import ValidationError
-from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, request_fingerprint
+from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, canonical_body
 from qasum.question_bank import effective_params, load_question_bank
 from qasum.vector_index import VectorIndex
 
@@ -209,18 +213,136 @@ def test_cmd_index_is_byte_deterministic(pipeline_config, tmp_path):
     assert (tmp_path / "out" / "index.qidx").read_bytes() == first
 
 
+# SHA-256 of the fixture corpus's index, as the whole-corpus build wrote it from JSONL and from text-dir.
+PINNED_INDEX_SHA256 = {
+    "jsonl": "04655bb971a4f5072045e89878f518b314b8779047fc62911c24237da02f8e8e",
+    "text-dir": "642ab443fa2ba8d0c184086d5c4f826073d90a96076a8c056fbe5818325179c6",
+}
+
+
 def test_cmd_index_bytes_are_pinned(pipeline_config, tmp_path):
     """The fixture index is byte-identical to the one the per-paragraph embedding loop wrote."""
     assert run(["index", "--config", str(pipeline_config)]) == 0
     index_bytes = (tmp_path / "out" / "index.qidx").read_bytes()
-    assert hashlib.sha256(index_bytes).hexdigest() == "04655bb971a4f5072045e89878f518b314b8779047fc62911c24237da02f8e8e"
+    assert hashlib.sha256(index_bytes).hexdigest() == PINNED_INDEX_SHA256["jsonl"]
+
+
+def _write_text_dir_corpus(fixtures_dir, directory):
+    """The fixture corpus as a text-dir corpus, one ``<note_type>_<doc_id>.txt`` per document."""
+    directory.mkdir()
+    for line in (fixtures_dir / "corpus.jsonl").read_text("utf-8").splitlines():
+        record = json.loads(line)
+        (directory / f"{record['note_type']}_{record['doc_id']}.txt").write_bytes(record["text"].encode("utf-8"))
+    return str(directory)
+
+
+@pytest.mark.parametrize("chunk_docs", [1, 2, 5, 100])
+@pytest.mark.parametrize("corpus_format", ["jsonl", "text-dir"])
+def test_cmd_index_bytes_do_not_depend_on_the_chunk_size(
+    pipeline_config, tmp_path, fixtures_dir, monkeypatch, corpus_format, chunk_docs
+):
+    if corpus_format == "text-dir":
+        config_with(pipeline_config, corpus={"path": _write_text_dir_corpus(fixtures_dir, tmp_path / "docs"),
+                                             "format": "text-dir"})
+    monkeypatch.setattr(qasum.cli, "_INDEX_CHUNK_DOCS", chunk_docs)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    index_bytes = (tmp_path / "out" / "index.qidx").read_bytes()
+    assert hashlib.sha256(index_bytes).hexdigest() == PINNED_INDEX_SHA256[corpus_format]
+
+
+def _break_record(bad):
+    """An edit of corpus lines: line 10 made malformed, or given line 1's doc_id."""
+
+    def edit(text):
+        lines = text.splitlines()
+        if bad == "malformed":
+            lines[9] = lines[9][:40]
+        else:
+            first_id = json.loads(lines[0])["doc_id"]
+            lines[9] = json.dumps(dict(json.loads(lines[9]), doc_id=first_id))
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("malformed", r":10: invalid JSON"),
+        ("duplicate", r":10: duplicate doc_id 'p001-admission' \(first seen at line 1\)"),
+    ],
+    ids=["malformed", "duplicate"],
+)
+def test_bad_record_in_a_later_chunk_keeps_the_previous_index(
+    pipeline_config, tmp_path, fixtures_dir, monkeypatch, capsys, bad, message
+):
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    out = tmp_path / "out"
+    before = (out / "index.qidx").read_bytes()
+    corpus = _copy_corpus(fixtures_dir, tmp_path, _break_record(bad))
+    config_with(pipeline_config, corpus={"path": corpus, "format": "jsonl"})
+    # Chunks of two documents: line 10 is in the fifth, after four chunks were embedded and spooled.
+    monkeypatch.setattr(qasum.cli, "_INDEX_CHUNK_DOCS", 2)
+    capsys.readouterr()
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}:") and err.count("\n") == 1 and re.search(message, err), err
+    assert (out / "index.qidx").read_bytes() == before
+    assert sorted(path.name for path in out.iterdir()) == ["index.qidx"]
+
+
+def test_full_disk_while_spooling_keeps_the_previous_index(pipeline_config, tmp_path, monkeypatch, capsys):
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    before = (tmp_path / "out" / "index.qidx").read_bytes()
+
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(qasum.vector_index.tempfile, "TemporaryFile", lambda **kwargs: FullDisk())
+    capsys.readouterr()
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.endswith("No space left on device\n"), err
+    assert (tmp_path / "out" / "index.qidx").read_bytes() == before
+
+
+def _write_repeated_corpus(fixtures_dir, path, n_docs):
+    """n_docs records that repeat the fixture documents in turn, each under a new doc_id."""
+    records = [json.loads(line) for line in (fixtures_dir / "corpus.jsonl").read_text("utf-8").splitlines()]
+    lines = [json.dumps(dict(records[i % len(records)], doc_id=f"d{i}")) for i in range(n_docs)]
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    return str(path)
+
+
+def test_cmd_index_memory_does_not_grow_with_the_vectors(pipeline_config, tmp_path, fixtures_dir):
+    """index's peak grows by a small share of the float32 block when the corpus grows 4x.
+
+    Only one chunk's vectors are in memory at a time; what grows with the
+    corpus is its bytes and the per-document and per-row columns. A wide dim
+    makes the vectors the bulk of an index.
+    """
+    dim = 1024
+    peaks, blocks = [], []
+    for n_docs in (qasum.cli._INDEX_CHUNK_DOCS, 4 * qasum.cli._INDEX_CHUNK_DOCS):
+        corpus = _write_repeated_corpus(fixtures_dir, tmp_path / f"corpus{n_docs}.jsonl", n_docs)
+        config_with(pipeline_config, corpus={"path": corpus, "format": "jsonl"},
+                    embedder={"kind": "hashed-reference", "dim": dim})
+        tracemalloc.start()
+        try:
+            assert run(["index", "--config", str(pipeline_config)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        blocks.append(4 * dim * len(VectorIndex.load(tmp_path / "out" / "index.qidx")))
+    assert peaks[1] - peaks[0] < 0.25 * (blocks[1] - blocks[0]), (peaks, blocks)
 
 
 def test_cmd_index_leaves_out_unembeddable_paragraphs(pipeline_config, tmp_path, fixtures_dir, monkeypatch, capsys):
     corpus = _copy_corpus(fixtures_dir, tmp_path, lambda text: text.replace("\\n\\nPLAN:", "\\n\\n* * *\\n\\nPLAN:"))
     config_with(pipeline_config, corpus={"path": corpus, "format": "jsonl"})
-    # Small blocks, so the kept rows move up through several of them.
-    monkeypatch.setattr(qasum.cli, "_COMPACT_BLOCK_ROWS", 2)
+    # Small chunks, so the skipped paragraphs fall in several of them.
+    monkeypatch.setattr(qasum.cli, "_INDEX_CHUNK_DOCS", 2)
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert "12 docs / 35 paragraphs (3 unembeddable skipped)" in capsys.readouterr().out
     index = VectorIndex.load(tmp_path / "out" / "index.qidx")
@@ -587,7 +709,7 @@ def _write_chat_fixture(fixtures, model, ctx, reply):
             {"role": "user", "content": ae.build_prompt(ctx)},
         ],
     }
-    (fixtures / f"{request_fingerprint(body)}.json").write_text(
+    (fixtures / f"{hashlib.sha256(canonical_body(body)).hexdigest()}.json").write_text(
         json.dumps({"status": 200, "body": reply}), "utf-8"
     )
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -19,6 +20,7 @@ from qasum.corpus import (
     segment_paragraphs,
     segmentation_digest,
     split_sentences,
+    _lines,
 )
 from qasum.errors import CorruptIndexError, DuplicateIdError, FormatError, IoError
 
@@ -103,6 +105,39 @@ def test_lone_surrogate_is_a_format_error_on_both_paths(tmp_path, field):
     assert pinned["a"].text == "some text"
     with pytest.raises(FormatError, match=rf"c\.jsonl@{offset}: field '{field}' is not valid Unicode"):
         pinned[doc_id]
+
+
+@pytest.mark.parametrize(
+    "third, error, message",
+    [
+        ("{not json", FormatError, r"c\.jsonl:3: invalid JSON"),
+        (json.dumps(record("a")), DuplicateIdError, r"c\.jsonl:3: duplicate doc_id 'a' \(first seen at line 1\)"),
+    ],
+    ids=["malformed", "duplicate"],
+)
+def test_entries_check_each_record_as_it_is_drawn(tmp_path, third, error, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join([json.dumps(record("a")), json.dumps(record("b")), third]) + "\n", "utf-8")
+    entries = read_corpus(path).entries()
+    assert [next(entries)[0].doc_id for _ in range(2)] == ["a", "b"]
+    with pytest.raises(error, match=message):
+        next(entries)
+
+
+def test_text_dir_entries_decode_each_file_as_it_is_drawn(tmp_path):
+    (tmp_path / "a.txt").write_text("Alpha.", "utf-8")
+    (tmp_path / "b.txt").write_bytes(b"\xff not UTF-8")
+    entries = read_corpus(tmp_path, "text-dir").entries()
+    doc, locator = next(entries)
+    assert (doc.doc_id, doc.text, locator) == ("a", "Alpha.", "a.txt")
+    with pytest.raises(FormatError, match=r"b\.txt is not valid UTF-8"):
+        next(entries)
+
+
+@given(st.text(alphabet="ab\n\r", max_size=30).map(str.encode))
+def test_lines_are_the_lines_of_split(data):
+    offsets = itertools.accumulate((len(line) + 1 for line in data.split(b"\n")), initial=0)
+    assert list(_lines(data)) == list(zip(offsets, data.split(b"\n")))
 
 
 def test_missing_path_is_io_error(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import threading
@@ -19,7 +20,6 @@ from qasum.llm_gateway import (
     Gateway,
     GatewayConfig,
     canonical_body,
-    request_fingerprint,
 )
 
 KEY_ENV = "QASUM_API_KEY"
@@ -48,9 +48,14 @@ def chat_body(cfg, prompt):
     }
 
 
+def fixture_name(body):
+    """The record/replay file name of a request body: the SHA-256 of its canonical bytes."""
+    return f"{hashlib.sha256(canonical_body(body)).hexdigest()}.json"
+
+
 def write_fixture(fixtures_dir, body, status, reply_body):
     fixtures_dir.mkdir(parents=True, exist_ok=True)
-    path = fixtures_dir / f"{request_fingerprint(body)}.json"
+    path = fixtures_dir / fixture_name(body)
     path.write_text(json.dumps({"status": status, "body": reply_body}), "utf-8")
     return path
 
@@ -62,7 +67,6 @@ def test_canonical_body_is_key_order_independent():
     a = {"model": "m", "input": ["x"]}
     b = {"input": ["x"], "model": "m"}
     assert canonical_body(a) == canonical_body(b)
-    assert request_fingerprint(a) == request_fingerprint(b)
 
 
 # -- replay mode ------------------------------------------------------------
@@ -249,7 +253,7 @@ def test_record_writes_one_fixture_and_turns_write_errors_into_io_error(stub_ser
     _StubHandler.script = [(200, GOOD_REPLY)]
     recorder = Gateway(live_cfg(stub_server, mode="record", fixtures_dir=str(fixtures)), seed=1)
     recorded = recorder.chat_answer("p")
-    fixture = fixtures / f"{request_fingerprint(chat_body(live_cfg(stub_server), 'p'))}.json"
+    fixture = fixtures / fixture_name(chat_body(live_cfg(stub_server), 'p'))
     assert list(fixtures.iterdir()) == [fixture]
     assert Gateway(replay_cfg(fixtures, model="m")).chat_answer("p") == recorded
 

@@ -37,6 +37,7 @@ _CONFIG_KEYS = (
     "corpus", "embedder", "index_path", "question_bank_path", "params", "extractor", "gateway", "output_dir",
     "workers", "seed", "run_timestamp",
 )
+_CORPUS_KEYS = ("path", "format")
 _EMBEDDER_KEYS = ("kind", "dim")
 # Documents that index segments and embeds together; only one chunk's documents, paragraphs and
 # float64 vectors are held at a time. On a 12k-document corpus, index peaked at 53 MB RSS with
@@ -94,6 +95,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     corpus = data.get("corpus")
     if not (isinstance(corpus, dict) and isinstance(corpus.get("path"), str)):
         raise ValidationError("config: corpus.path is required")
+    check_known_keys(corpus, _CORPUS_KEYS, "config: corpus")
     corpus_format = corpus.get("format", "jsonl")
     if corpus_format not in ("jsonl", "text-dir"):
         raise ValidationError(f"config: corpus.format must be 'jsonl' or 'text-dir', got {corpus_format!r}")

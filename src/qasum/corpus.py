@@ -34,7 +34,7 @@ from .errors import CorruptIndexError, DuplicateIdError, FormatError, IoError, P
 
 NOTE_TYPES = frozenset({"admission", "progress", "discharge", "radiology", "lab", "other"})
 
-DEFAULT_MAX_PARAGRAPH_TOKENS = 256
+MAX_PARAGRAPH_TOKENS = 256  # segmentation_digest pins it, so an index records it
 
 _HEADER_RE = re.compile(r"^[A-Z][A-Za-z /]{1,40}:$")
 _PUNCT_RE = re.compile(r"[.!?;]")
@@ -115,7 +115,7 @@ def load_abbreviations() -> frozenset[str]:
 def segmentation_digest() -> str:
     """SHA-256 of the segmentation rules: the bundled abbreviation list and the paragraph token cap."""
     digest = hashlib.sha256(_abbreviations_bytes())
-    digest.update(b"\0max_paragraph_tokens=%d" % DEFAULT_MAX_PARAGRAPH_TOKENS)
+    digest.update(b"\0max_paragraph_tokens=%d" % MAX_PARAGRAPH_TOKENS)
     return digest.hexdigest()
 
 
@@ -145,10 +145,10 @@ class CorpusFile:
     """A corpus as the bytes read from disk once, and their SHA-256.
 
     ``entries`` parses and validates one document at a time (the index
-    path); ``load`` is the same stream read whole. ``pinned`` checks the
-    bytes against an index's manifest and then parses each document the
-    first time it is looked up, from these same bytes (the query path): the
-    bytes that were hashed are the bytes that are parsed.
+    path). ``pinned`` checks the bytes against an index's manifest and then
+    parses each document the first time it is looked up, from these same
+    bytes (the query path): the bytes that were hashed are the bytes that
+    are parsed.
     """
 
     path: Path
@@ -168,13 +168,6 @@ class CorpusFile:
     ) -> CorpusManifest:
         """The manifest an index of these documents records: the columns, pinned to these bytes and today's rules."""
         return CorpusManifest(self.sha256, segmentation_digest(), doc_ids, note_types, locators)
-
-    def load(self) -> tuple[list[Document], CorpusManifest]:
-        """Every document in corpus order, and the manifest an index built from them records."""
-        entries = list(self.entries())
-        docs = [doc for doc, _ in entries]
-        locators = [locator for _, locator in entries]
-        return docs, self.manifest([doc.doc_id for doc in docs], [doc.note_type for doc in docs], locators)
 
     def pinned(self, manifest: CorpusManifest) -> Mapping[str, Document]:
         """The manifest's documents, in its order, each parsed on first lookup.
@@ -534,14 +527,12 @@ def _hard_split(text: str, start: int, end: int, cap: int) -> list[tuple[int, in
     return pieces
 
 
-def segment_paragraphs(
-    doc: Document, max_paragraph_tokens: int = DEFAULT_MAX_PARAGRAPH_TOKENS
-) -> list[Paragraph]:
+def segment_paragraphs(doc: Document) -> list[Paragraph]:
     """Split a document into paragraphs.
 
     Rules: blank-line runs separate paragraphs; a section-header line
     (e.g. "DISCHARGE MEDICATIONS:") starts a new paragraph that includes
-    the header; paragraphs longer than max_paragraph_tokens are split
+    the header; paragraphs longer than MAX_PARAGRAPH_TOKENS are split
     at sentence boundaries (single over-long sentences at word
     boundaries). Whitespace-only chunks are dropped.
     """
@@ -549,7 +540,7 @@ def segment_paragraphs(
     pieces: list[tuple[int, int]] = []
     for lines in _blank_line_chunks(text):
         for piece in _split_on_headers(text, lines):
-            pieces.extend(_enforce_token_cap(text, piece, max_paragraph_tokens))
+            pieces.extend(_enforce_token_cap(text, piece, MAX_PARAGRAPH_TOKENS))
 
     spans = [(start, end) for start, end in (_trim_span(text, *piece) for piece in pieces) if start < end]
     byte_of = _byte_offsets(text, chain.from_iterable(spans))

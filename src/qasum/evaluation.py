@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .embedding import Embedder, cosine, tokenize
-from .errors import EmptyTextError, IoError, ZeroSourceError
+from .errors import EmptyTextError, FormatError, IoError, ZeroSourceError
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,8 @@ def _read(path: str | Path) -> str:
         return Path(path).read_text("utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def report_to_dict(report: MetricReport) -> dict:

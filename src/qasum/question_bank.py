@@ -98,6 +98,8 @@ def load_question_bank(path: str | Path) -> QuestionBank:
         raw = path.read_text("utf-8")
     except OSError as exc:
         raise IoError(f"cannot read question bank {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -30,13 +30,12 @@ over all preceding bytes. Vectors are float64 in memory and float32 on
 disk, so reloaded scores agree within 1e-6; hits whose scores are closer
 than that can rank in another order after a reload.
 
-``save``, ``IndexWriter`` and ``load`` stream the float32 block
-``_BLOCK_ROWS`` rows at a time through one block-sized buffer, so an index
-in memory costs its float64 matrix plus one block, never a whole-file copy;
-``save`` and ``IndexWriter`` write through the one ``_write_file``.
-``load`` checks the header against the file size before it allocates
-anything sized from the header, and parses the table with one
-``json.loads`` only after the CRC32 matches.
+``IndexWriter``, the one writer of index files, and ``load`` stream the
+float32 block ``_BLOCK_ROWS`` rows at a time through one block-sized
+buffer, so an index in memory costs its float64 matrix plus one block,
+never a whole-file copy. ``load`` checks the header against the file size
+before it allocates anything sized from the header, and parses the table
+with one ``json.loads`` only after the CRC32 matches.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
+from typing import BinaryIO, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -195,13 +194,6 @@ class VectorIndex:
             for rank, (score, pid) in enumerate(scored[:k], start=1)
         ]
 
-    def save(self, path: str | Path) -> None:
-        """Write the index as a v3 file, atomically; the same index always gives the same bytes."""
-        blocks = (
-            self._matrix[start : start + _BLOCK_ROWS].astype("<f4") for start in range(0, len(self), _BLOCK_ROWS)
-        )
-        _write_file(path, self._corpus, self._row_docs, self._ordinals, self.dim, self._embedder, blocks)
-
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Read a v3 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
@@ -247,49 +239,6 @@ class VectorIndex:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
 
 
-def _write_file(
-    path: str | Path,
-    corpus: CorpusManifest,
-    row_docs: Sequence[int],
-    ordinals: Sequence[int],
-    dim: int,
-    embedder: str,
-    blocks: Iterable[np.ndarray],
-) -> None:
-    """Write a v3 file atomically, its float32 block drawn from blocks.
-
-    The rows are as ``VectorIndex`` takes them; blocks are C-contiguous
-    ``<f4`` arrays of dim columns that hold the rows' vectors in order. Each
-    block is written before the next is drawn, so one buffer may serve them
-    all.
-    """
-    table = json.dumps(
-        {
-            "embedder": embedder,
-            "corpus_sha256": corpus.sha256,
-            "segmentation": corpus.segmentation,
-            "doc_ids": list(corpus.doc_ids),
-            "note_types": list(corpus.note_types),
-            "locators": list(corpus.locators),
-            "doc_rows": np.bincount(np.asarray(row_docs, dtype=np.intp), minlength=len(corpus.doc_ids)).tolist(),
-            "ordinals": np.asarray(ordinals, dtype=np.intp).tolist(),
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, dim, len(ordinals), len(table))
-
-    def chunks() -> Iterator[bytes | np.ndarray]:
-        crc = zlib.crc32(table, zlib.crc32(header))
-        yield header
-        yield table
-        for block in blocks:
-            crc = zlib.crc32(block, crc)
-            yield block
-        yield _CRC.pack(crc)
-
-    write_atomic(path, chunks())
-
-
 class IndexWriter:
     """An index file built from batches of rows, for a corpus read one chunk of documents at a time.
 
@@ -297,11 +246,11 @@ class IndexWriter:
     appends its vector as ``<f4`` to a spool: a temporary file in the
     index's directory, unnamed where the system allows (a named one is
     ``.<index name>.*.spool.tmp``, unlinked at once), so it needs the free
-    space of one float32 block there. ``write`` then writes the index
-    through ``_write_file``, reading the spool back ``_BLOCK_ROWS``
-    rows at a time through one buffer, so the writer's memory is the row
-    columns plus one block. ``close`` (or leaving the ``with`` block)
-    removes the spool, whether or not ``write`` ran.
+    space of one float32 block there. ``write`` then writes the v3 file,
+    reading the spool back ``_BLOCK_ROWS`` rows at a time through one
+    buffer, so the writer's memory is the row columns plus one block.
+    ``close`` (or leaving the ``with`` block) removes the spool, whether or
+    not ``write`` ran.
     """
 
     def __init__(self, path: str | Path, dim: int, embedder: str):
@@ -342,19 +291,42 @@ class IndexWriter:
         self._ordinals += ordinals
 
     def write(self, corpus: CorpusManifest) -> None:
-        """Write the index of the rows added, over corpus, atomically to the path."""
-        _write_file(
-            self._path, corpus, self._row_docs, self._ordinals, self._dim, self._embedder, self._spooled_blocks()
-        )
+        """Write the index of the rows added, over corpus, atomically to the path.
 
-    def _spooled_blocks(self) -> Iterator[np.ndarray]:
-        self._spool.seek(0)  # flushes the spool, so a failed spool write fails the index write
+        The same rows over the same corpus always give the same bytes. Each
+        block read back from the spool is written before the next is read.
+        """
         count = len(self._ordinals)
-        buffer = np.empty((min(count, _BLOCK_ROWS), self._dim), dtype="<f4")
-        for start in range(0, count, _BLOCK_ROWS):
-            block = buffer[: count - start]
-            _read_into(self._spool, block, self._path)
-            yield block
+        doc_rows = np.bincount(np.asarray(self._row_docs, dtype=np.intp), minlength=len(corpus.doc_ids))
+        table = json.dumps(
+            {
+                "embedder": self._embedder,
+                "corpus_sha256": corpus.sha256,
+                "segmentation": corpus.segmentation,
+                "doc_ids": list(corpus.doc_ids),
+                "note_types": list(corpus.note_types),
+                "locators": list(corpus.locators),
+                "doc_rows": doc_rows.tolist(),
+                "ordinals": self._ordinals,
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self._dim, count, len(table))
+
+        def chunks() -> Iterator[bytes | np.ndarray]:
+            crc = zlib.crc32(table, zlib.crc32(header))
+            yield header
+            yield table
+            self._spool.seek(0)  # flushes the spool, so a failed spool write fails the index write
+            buffer = np.empty((min(count, _BLOCK_ROWS), self._dim), dtype="<f4")
+            for start in range(0, count, _BLOCK_ROWS):
+                block = buffer[: count - start]
+                _read_into(self._spool, block, self._path)
+                crc = zlib.crc32(block, crc)
+                yield block
+            yield _CRC.pack(crc)
+
+        write_atomic(self._path, chunks())
 
 
 def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray]:

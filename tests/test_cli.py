@@ -190,6 +190,13 @@ def test_unknown_top_level_config_key_rejected(pipeline_config, capsys):
     assert err == "error: config: unknown keys ['parms']\n"
 
 
+def test_unknown_corpus_key_rejected(pipeline_config, capsys):
+    # A misspelt "format" must not fall back to JSONL without a word.
+    config_with(pipeline_config, corpus={"path": str(FIXTURES / "corpus.jsonl"), "fromat": "text-dir"})
+    assert run(["index", "--config", str(pipeline_config)]) == 1
+    assert capsys.readouterr().err == "error: config: corpus: unknown keys ['fromat']\n"
+
+
 def test_remote_embedder_requires_gateway(pipeline_config):
     config_with(pipeline_config, embedder={"kind": "remote", "dim": 256})
     with pytest.raises(ValidationError, match="remote embedder requires a gateway"):
@@ -346,7 +353,8 @@ def test_cmd_index_leaves_out_unembeddable_paragraphs(pipeline_config, tmp_path,
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert "12 docs / 35 paragraphs (3 unembeddable skipped)" in capsys.readouterr().out
     index = VectorIndex.load(tmp_path / "out" / "index.qidx")
-    paragraphs = [p for p in SegmentedCorpus(read_corpus(corpus).load()[0]).paragraphs if p.text != "* * *"]
+    docs = (doc for doc, _ in read_corpus(corpus).entries())
+    paragraphs = [p for p in SegmentedCorpus(docs).paragraphs if p.text != "* * *"]
     assert len(index) == len(paragraphs) == 32
     for para in paragraphs:
         hits = index.search(reference_embedding(para.text), k=len(index))
@@ -405,7 +413,7 @@ def test_escaped_internal_error_exits_1_with_one_line(pipeline_config, monkeypat
 # -- ask -----------------------------------------------------------------------
 
 
-def test_cmd_ask_composes_stage_oracles(pipeline_config, fixtures_dir, capsys):
+def test_cmd_ask_composes_stage_oracles(pipeline_config, segmented, capsys):
     assert run(["index", "--config", str(pipeline_config)]) == 0
     capsys.readouterr()
     assert run(["ask", "--config", str(pipeline_config),
@@ -421,9 +429,7 @@ def test_cmd_ask_composes_stage_oracles(pipeline_config, fixtures_dir, capsys):
     assert "The following medications were prescribed at discharge" in out
 
     # cross-check the printed scores against independently recomputed values
-    docs = read_corpus(fixtures_dir / "corpus.jsonl").load()[0]
-    corpus = SegmentedCorpus(docs)
-    sentence = corpus.sentence("p001-discharge#2:0")
+    sentence = segmented.sentence("p001-discharge#2:0")
     q_text = "What medications were prescribed at discharge?"
     q_phrases = ae.extract_noun_phrases(q_text)
     a_phrases = ae.extract_noun_phrases(sentence.text)
@@ -574,6 +580,17 @@ def test_changed_abbreviation_list_is_refused(pipeline_config, capsys, monkeypat
     _must_refuse(pipeline_config, capsys, r"other segmentation rules \(abbreviation list")
 
 
+def test_changed_paragraph_cap_is_refused(pipeline_config, tmp_path, capsys, monkeypatch):
+    import qasum.corpus
+
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    built = VectorIndex.load(tmp_path / "out" / "index.qidx").corpus.segmentation
+    monkeypatch.setattr(qasum.corpus, "MAX_PARAGRAPH_TOKENS", qasum.corpus.MAX_PARAGRAPH_TOKENS // 2)
+    assert qasum.corpus.segmentation_digest() != built
+    capsys.readouterr()
+    _must_refuse(pipeline_config, capsys, r"other segmentation rules \(abbreviation list or paragraph token cap\)")
+
+
 def _rewrite_index_table(path, change):
     """Apply change to the index file's string table, keeping its header and checksum consistent."""
     import struct
@@ -609,18 +626,18 @@ def _summary_bytes(pipeline_config, tmp_path):
 
 @pytest.mark.parametrize("corpus_format", ["jsonl", "text-dir"])
 def test_lazy_and_full_parsing_give_identical_summaries(
-    pipeline_config, tmp_path, fixtures_dir, golden_dir, monkeypatch, corpus_format
+    pipeline_config, tmp_path, corpus_docs, golden_dir, monkeypatch, corpus_format
 ):
     from qasum.corpus import CorpusFile
 
     if corpus_format == "text-dir":
         text_dir = tmp_path / "notes"
         text_dir.mkdir()
-        for doc in read_corpus(fixtures_dir / "corpus.jsonl").load()[0]:
+        for doc in corpus_docs:
             (text_dir / f"{doc.note_type}_{doc.doc_id}.txt").write_text(doc.text, "utf-8")
         config_with(pipeline_config, corpus={"path": str(text_dir), "format": "text-dir"})
     lazy = _summary_bytes(pipeline_config, tmp_path)
-    monkeypatch.setattr(CorpusFile, "pinned", lambda self, manifest: {d.doc_id: d for d in self.load()[0]})
+    monkeypatch.setattr(CorpusFile, "pinned", lambda self, manifest: {d.doc_id: d for d, _ in self.entries()})
     full = _summary_bytes(pipeline_config, tmp_path)
     assert lazy == full
     assert json.loads(lazy[0])["items"]
@@ -686,9 +703,19 @@ def test_cmd_summarize_empty_summary_is_success(pipeline_config, tmp_path):
     assert data["meta"]["counts"]["questions_asked"] == 6
 
 
+def test_question_bank_that_is_not_utf8_exits_1_naming_it(pipeline_config, tmp_path, capsys):
+    bank = tmp_path / "bank.json"
+    bank.write_bytes('{"name": "caf\u00e9", "version": "1", "questions": []}'.encode("latin-1"))
+    config_with(pipeline_config, question_bank_path=str(bank))
+    assert run(summarize_args(pipeline_config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bank}: not valid UTF-8: ") and err.count("\n") == 1
+    assert "internal error" not in err
+
+
 def _replay_contexts(fixtures_dir):
     """Each bank question's retrieved context, as a summarize over the fixture index sees it."""
-    docs = read_corpus(fixtures_dir / "corpus.jsonl").load()[0]
+    docs = [doc for doc, _ in read_corpus(fixtures_dir / "corpus.jsonl").entries()]
     corpus = SegmentedCorpus(docs)
     doc_type = {d.doc_id: d.note_type for d in docs}
     index = build_index([Row(para.para_id, reference_embedding(para.text), para.doc_id, doc_type[para.doc_id])
@@ -814,7 +841,7 @@ class RecordingGateway:
     Class attributes log the embed batches and count the chat requests of every instance.
     """
 
-    corpus = SegmentedCorpus(read_corpus(FIXTURES / "corpus.jsonl").load()[0])
+    corpus = SegmentedCorpus(doc for doc, _ in read_corpus(FIXTURES / "corpus.jsonl").entries())
     batches: list[list[str]] = []
     chats = 0
 
@@ -1020,6 +1047,21 @@ def test_unreadable_replay_fixture_exits_1_naming_it(pipeline_config, tmp_path, 
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read replay fixture {fixture}: ") and err.count("\n") == 1
+    assert "internal error" not in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["candidate", "reference", "source"])
+def test_cmd_evaluate_input_that_is_not_utf8_exits_1_naming_it(pipeline_config, tmp_path, capsys, position):
+    good = tmp_path / "good.txt"
+    good.write_text("the patient improved and was discharged home", "utf-8")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("caf\u00e9 au lait".encode("latin-1"))
+    inputs = [str(good)] * 3
+    inputs[position] = str(bad)
+    assert run(["evaluate", "--config", str(pipeline_config), *inputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid UTF-8: ") and err.count("\n") == 1
     assert "internal error" not in err
     assert not (tmp_path / "out" / "metrics.json").exists()
 

@@ -4,11 +4,13 @@ import itertools
 import json
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qasum.corpus
 from oracles import segment_oracle
 from qasum.corpus import (
     CorpusManifest,
@@ -41,10 +43,18 @@ def record(doc_id, text="some text", note_type="other"):
             "timestamp": None, "text": text}
 
 
+def read_all(source):
+    """Every document of a CorpusFile, and the manifest ``qasum index`` records for them."""
+    entries = list(source.entries())
+    docs = [doc for doc, _ in entries]
+    locators = [locator for _, locator in entries]
+    return docs, source.manifest([doc.doc_id for doc in docs], [doc.note_type for doc in docs], locators)
+
+
 def test_load_jsonl_in_file_order(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a"), record("b"), record("c")])
-    docs = read_corpus(path).load()[0]
+    docs = read_all(read_corpus(path))[0]
     assert [d.doc_id for d in docs] == ["a", "b", "c"]
     assert docs[0].text == "some text"
 
@@ -52,14 +62,14 @@ def test_load_jsonl_in_file_order(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("", "utf-8")
-    assert read_corpus(path).load()[0] == []
+    assert read_all(read_corpus(path))[0] == []
 
 
 def test_duplicate_doc_id_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("dup"), record("dup")])
     with pytest.raises(DuplicateIdError) as err:
-        read_corpus(path).load()
+        list(read_corpus(path).entries())
     assert "dup" in str(err.value)
     assert "line 2" in str(err.value) or ":2" in str(err.value)
 
@@ -68,7 +78,7 @@ def test_malformed_json_names_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record("a")) + "\n{not json\n", "utf-8")
     with pytest.raises(FormatError) as err:
-        read_corpus(path).load()
+        list(read_corpus(path).entries())
     assert ":2" in str(err.value)
 
 
@@ -76,7 +86,7 @@ def test_bad_note_type_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", note_type="triage")])
     with pytest.raises(FormatError, match="note_type"):
-        read_corpus(path).load()
+        list(read_corpus(path).entries())
 
 
 def test_missing_field_rejected(tmp_path):
@@ -85,7 +95,7 @@ def test_missing_field_rejected(tmp_path):
     del bad["patient_id"]
     write_jsonl(path, [bad])
     with pytest.raises(FormatError, match="patient_id"):
-        read_corpus(path).load()
+        list(read_corpus(path).entries())
 
 
 @pytest.mark.parametrize("field", ["text", "doc_id", "patient_id", "timestamp"])
@@ -93,7 +103,7 @@ def test_lone_surrogate_is_a_format_error_on_both_paths(tmp_path, field):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a"), dict(record("b"), **{field: "Pain \ud800 noted."})])
     with pytest.raises(FormatError, match=rf"c\.jsonl:2: field '{field}' is not valid Unicode"):
-        read_corpus(path).load()
+        list(read_corpus(path).entries())
 
     # The query path parses a record on its first lookup, under the manifest an index records.
     source = read_corpus(path)
@@ -142,14 +152,14 @@ def test_lines_are_the_lines_of_split(data):
 
 def test_missing_path_is_io_error(tmp_path):
     with pytest.raises(IoError):
-        read_corpus(tmp_path / "nope.jsonl").load()
+        read_corpus(tmp_path / "nope.jsonl")
 
 
 def test_load_text_dir(tmp_path):
     (tmp_path / "admission_p9.txt").write_text("Admitted today.", "utf-8")
     (tmp_path / "discharge_p9.txt").write_text("Going home.", "utf-8")
     (tmp_path / "zz_consult.txt").write_text("Consult note.", "utf-8")
-    docs = read_corpus(tmp_path, format="text-dir").load()[0]
+    docs = read_all(read_corpus(tmp_path, format="text-dir"))[0]
     assert [d.doc_id for d in docs] == ["admission_p9", "discharge_p9", "zz_consult"]
     assert [d.note_type for d in docs] == ["admission", "discharge", "other"]
 
@@ -159,7 +169,7 @@ def test_jsonl_locators_are_line_offsets_and_the_digest_covers_the_bytes(tmp_pat
     lines = [json.dumps(record("a")), "", json.dumps(record("b", text="caf\u00e9"), ensure_ascii=False)]
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
     source = read_corpus(path)
-    docs, manifest = source.load()
+    docs, manifest = read_all(source)
     data = path.read_bytes()
     assert [d.doc_id for d in docs] == list(manifest.doc_ids) == ["a", "b"]
     assert manifest.locators == [0, data.index(b'{"doc_id": "b"')]
@@ -168,14 +178,14 @@ def test_jsonl_locators_are_line_offsets_and_the_digest_covers_the_bytes(tmp_pat
 
 def test_text_dir_reads_universal_newlines(tmp_path):
     (tmp_path / "admission_p9.txt").write_bytes(b"Line one.\r\nLine two.\rLine three.")
-    docs, manifest = read_corpus(tmp_path, "text-dir").load()
+    docs, manifest = read_all(read_corpus(tmp_path, "text-dir"))
     assert docs[0].text == "Line one.\nLine two.\nLine three."
     assert manifest.locators == ["admission_p9.txt"]
 
 
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(FormatError, match="format"):
-        read_corpus(tmp_path, format="csv").load()
+        read_corpus(tmp_path, format="csv")
 
 
 # -- segment_paragraphs -----------------------------------------------------
@@ -222,17 +232,19 @@ def test_header_must_start_line():
     assert len(paras) == 1
 
 
-def test_token_cap_splits_at_sentence_boundaries():
+def test_token_cap_splits_at_sentence_boundaries(monkeypatch):
+    monkeypatch.setattr(qasum.corpus, "MAX_PARAGRAPH_TOKENS", 50)
     sentence = "Alpha beta gamma delta epsilon. "
     doc = make_doc((sentence * 80).strip())  # 480 tokens, 80 sentences
-    paras = segment_paragraphs(doc, max_paragraph_tokens=50)
+    paras = segment_paragraphs(doc)
     assert all(len(p.text.split()) <= 50 for p in paras)
     assert all(p.text.endswith(".") for p in paras)
 
 
 def test_token_cap_hard_splits_single_long_sentence():
     doc = make_doc(" ".join(f"tok{i}" for i in range(600)))
-    paras = segment_paragraphs(doc, max_paragraph_tokens=256)
+    paras = segment_paragraphs(doc)
+    assert qasum.corpus.MAX_PARAGRAPH_TOKENS == 256
     assert all(len(p.text.split()) <= 256 for p in paras)
     assert sum(len(p.text.split()) for p in paras) == 600
 
@@ -384,9 +396,10 @@ def test_roundtrip_and_spans_on_fixture_corpus(corpus_docs):
         assert_spans_valid(doc, paras)
 
 
-def test_roundtrip_and_spans_on_random_docs(random_docs):
+def test_roundtrip_and_spans_on_random_docs(random_docs, monkeypatch):
+    monkeypatch.setattr(qasum.corpus, "MAX_PARAGRAPH_TOKENS", 30)
     for doc in random_docs:
-        paras = segment_paragraphs(doc, max_paragraph_tokens=30)
+        paras = segment_paragraphs(doc)
         combined = Counter()
         for para in paras:
             combined += nonspace_counter(para.text)
@@ -428,7 +441,9 @@ def _document_text(codec):
 )
 def test_byte_spans_recover_text_on_arbitrary_unicode(text, cap):
     doc = make_doc(text)
-    assert_spans_valid(doc, segment_paragraphs(doc, max_paragraph_tokens=cap))
+    with patch.object(qasum.corpus, "MAX_PARAGRAPH_TOKENS", cap):
+        paras = segment_paragraphs(doc)
+    assert_spans_valid(doc, paras)
 
 
 # -- SegmentedCorpus --------------------------------------------------------
@@ -493,8 +508,6 @@ def test_concurrent_lookups_segment_each_document_once(corpus_docs, monkeypatch)
     import time
     from concurrent.futures import ThreadPoolExecutor
 
-    import qasum.corpus
-
     calls = Counter()
     original = qasum.corpus.segment_paragraphs
 
@@ -528,10 +541,8 @@ def _jsonl_corpus(tmp_path):
 
 
 def test_pinned_documents_parse_only_what_is_looked_up(tmp_path, monkeypatch):
-    import qasum.corpus
-
     source = _jsonl_corpus(tmp_path)
-    docs, manifest = source.load()
+    docs, manifest = read_all(source)
     parsed = []
     original = qasum.corpus._record_document
 
@@ -556,7 +567,7 @@ def test_pinned_documents_parse_only_what_is_looked_up(tmp_path, monkeypatch):
 )
 def test_malformed_jsonl_locators_are_refused(tmp_path, second):
     source = _jsonl_corpus(tmp_path)
-    _, manifest = source.load()
+    _, manifest = read_all(source)
     locators = list(manifest.locators)
     locators[1] = second(len(source.path.read_bytes()), locators[1])
     with pytest.raises(CorruptIndexError, match="locators.*qasum index"):
@@ -565,7 +576,7 @@ def test_malformed_jsonl_locators_are_refused(tmp_path, second):
 
 def test_locator_of_another_record_is_refused_on_lookup(tmp_path):
     source = _jsonl_corpus(tmp_path)
-    _, manifest = source.load()
+    _, manifest = read_all(source)
     swapped = dataclasses.replace(manifest, locators=[manifest.locators[1], manifest.locators[0], manifest.locators[2]])
     corpus = SegmentedCorpus(source.pinned(swapped))
     with pytest.raises(CorruptIndexError, match="'a'.*qasum index"):
@@ -576,14 +587,14 @@ def test_locator_of_another_record_is_refused_on_lookup(tmp_path):
 def test_unknown_text_dir_locator_is_refused(tmp_path):
     (tmp_path / "admission_p9.txt").write_text("Admitted today.", "utf-8")
     source = read_corpus(tmp_path, "text-dir")
-    _, manifest = source.load()
+    _, manifest = read_all(source)
     with pytest.raises(CorruptIndexError, match="'gone.txt'.*qasum index"):
         source.pinned(dataclasses.replace(manifest, locators=["gone.txt"]))
 
 
 def test_pinned_refuses_other_bytes_and_rules(tmp_path):
     source = _jsonl_corpus(tmp_path)
-    _, manifest = source.load()
+    _, manifest = read_all(source)
     with pytest.raises(CorruptIndexError, match="SHA-256.*qasum index"):
         source.pinned(dataclasses.replace(manifest, sha256="0" * 64))
     with pytest.raises(CorruptIndexError, match="segmentation rules.*qasum index"):

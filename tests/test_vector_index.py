@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_rows import Row, build_index
+from index_rows import Row, build_index, write_index
 from oracles.knn_oracle import brute_force_search
 from qasum.cli import load_config, main
 from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding
@@ -216,7 +216,7 @@ def test_search_matches_oracle_with_ties_zeros_and_filters(case):
     expected = brute_force_search(as_oracle_entries(entries), list(query), k, allowed)
     index = build_index(entries)
     with tempfile.TemporaryDirectory() as tmp:
-        index.save(Path(tmp) / "index.qidx")
+        write_index(Path(tmp) / "index.qidx", entries)
         loaded = VectorIndex.load(Path(tmp) / "index.qidx")
     for searched in (index, loaded):
         hits = searched.search(query, k=k, note_filter=allowed)
@@ -230,9 +230,10 @@ def test_search_matches_oracle_with_ties_zeros_and_filters(case):
 
 
 @pytest.fixture()
-def saved_index(tmp_path, fixture_index):
+def saved_index(tmp_path, fixture_entries):
+    """The file of fixture_index, written through IndexWriter."""
     path = tmp_path / "index.qidx"
-    fixture_index.save(path)
+    write_index(path, fixture_entries)
     return path
 
 
@@ -406,7 +407,7 @@ def test_load_rows_out_of_document_order(tmp_path):
 
 def test_empty_index_saves_and_loads(tmp_path):
     path = tmp_path / "empty.qidx"
-    build_index([], dim=8).save(path)
+    write_index(path, [], dim=8)
     loaded = VectorIndex.load(path)
     assert (len(loaded), loaded.dim, loaded.embedder) == (0, 8, "hashed-reference")
     with pytest.raises(EmptyIndexError):
@@ -416,15 +417,6 @@ def test_empty_index_saves_and_loads(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(IoError):
         VectorIndex.load(tmp_path / "missing.qidx")
-
-
-def test_save_is_deterministic(tmp_path, fixture_index):
-    p1 = tmp_path / "a.qidx"
-    p2 = tmp_path / "b.qidx"
-    fixture_index.save(p1)
-    fixture_index.save(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes()[:8] == MAGIC
 
 
 def test_concurrent_searches_are_consistent(fixture_index):
@@ -440,17 +432,31 @@ def test_concurrent_searches_are_consistent(fixture_index):
 # -- streaming the float32 block ---------------------------------------------
 
 
-def one_document_index(matrix):
-    """An index whose rows are paragraphs 0..n-1 of one document, and its string table bytes."""
-    count = len(matrix)
-    manifest = CorpusManifest("0" * 64, "s", ["d"], ["other"], [0])
-    index = VectorIndex(manifest, [0] * count, range(count), matrix, "hashed-reference")
-    table = json.dumps(
+ONE_DOCUMENT = CorpusManifest("0" * 64, "s", ["d"], ["other"], [0])
+
+
+def one_document_table(count):
+    """The string table bytes of an index over ONE_DOCUMENT whose rows are its paragraphs 0..count-1."""
+    return json.dumps(
         {"embedder": "hashed-reference", "corpus_sha256": "0" * 64, "segmentation": "s", "doc_ids": ["d"],
          "note_types": ["other"], "locators": [0], "doc_rows": [count], "ordinals": list(range(count))},
         separators=(",", ":"),
     ).encode()
-    return index, table
+
+
+def one_document_writer(path, matrix, batch_rows=None):
+    """An IndexWriter to path holding matrix as paragraphs 0..n-1 of ONE_DOCUMENT, added batch_rows at a time."""
+    writer = vector_index.IndexWriter(path, matrix.shape[1], "hashed-reference")
+    batch_rows = batch_rows or max(len(matrix), 1)
+    for start in range(0, len(matrix), batch_rows):
+        batch = matrix[start : start + batch_rows]
+        writer.add([0] * len(batch), list(range(start, start + len(batch))), batch)
+    return writer
+
+
+def write_one_document(path, matrix, batch_rows=None):
+    with one_document_writer(path, matrix, batch_rows) as writer:
+        writer.write(ONE_DOCUMENT)
 
 
 def one_shot_file(table, vectors):
@@ -467,11 +473,11 @@ BLOCK = 4
 def test_save_and_load_stream_blocks_bit_for_bit(tmp_path, monkeypatch, count):
     monkeypatch.setattr(vector_index, "_BLOCK_ROWS", BLOCK)
     matrix = np.random.default_rng(count).normal(size=(count, 3))
-    index, table = one_document_index(matrix)
     path = tmp_path / "index.qidx"
-    index.save(path)
+    # Batches of BLOCK - 1 rows, so the spooled batches straddle the blocks the file is written in.
+    write_one_document(path, matrix, batch_rows=BLOCK - 1)
     vectors = matrix.astype("<f4")
-    assert path.read_bytes() == one_shot_file(table, vectors)
+    assert path.read_bytes() == one_shot_file(one_document_table(count), vectors)
     loaded = VectorIndex.load(path)
     promoted = vectors.astype(np.float64)
     assert loaded._matrix.tobytes() == promoted.tobytes()
@@ -499,9 +505,10 @@ class FailingFile(io.BufferedReader):
 )
 def test_load_fails_in_mid_block(tmp_path, monkeypatch, error, expected, message):
     monkeypatch.setattr(vector_index, "_BLOCK_ROWS", BLOCK)
-    index, table = one_document_index(np.ones((2 * BLOCK + 1, 3)))
+    count = 2 * BLOCK + 1
     path = tmp_path / "index.qidx"
-    index.save(path)
+    write_one_document(path, np.ones((count, 3)))
+    table = one_document_table(count)
     mid_second_block = struct.calcsize("<8sHHQQ") + len(table) + 4 * 3 * (BLOCK + BLOCK // 2) + 2
     # The file is sized whole when opened, then ends or fails while the second block is read.
     monkeypatch.setattr(vector_index, "open", lambda p, mode: FailingFile(p, mid_second_block, error), raising=False)
@@ -523,26 +530,25 @@ SLACK = 128 * 1024
 
 
 @pytest.fixture()
-def four_block_index(tmp_path):
-    """An index of four blocks of rows and three more, saved, with its string table bytes."""
-    rows, dim = 4 * vector_index._BLOCK_ROWS + 3, 128
-    index, table = one_document_index(np.random.default_rng(7).normal(size=(rows, dim)))
+def four_block_matrix():
+    """Vectors for four blocks of rows and three more."""
+    return np.random.default_rng(7).normal(size=(4 * vector_index._BLOCK_ROWS + 3, 128))
+
+
+def test_load_memory_is_the_matrix_plus_two_blocks(four_block_matrix, tmp_path):
+    rows, dim = four_block_matrix.shape
     path = tmp_path / "index.qidx"
-    index.save(path)
-    return index, table, path
-
-
-def test_load_memory_is_the_matrix_plus_two_blocks(four_block_index):
-    index, table, path = four_block_index
-    rows, dim = len(index), index.dim
+    write_one_document(path, four_block_matrix)
     # A loaded index holds the matrix, its norms and the table; two float64 blocks bound the
     # transient rest (one row-norm step's temporary, the read buffer, the parsed row columns).
+    table = one_document_table(rows)
     bound = 8 * rows * dim + 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
     assert traced_peak(lambda: VectorIndex.load(path)) <= bound
 
 
-def test_save_memory_is_the_table_plus_two_blocks(four_block_index, tmp_path):
-    index, table, _ = four_block_index
-    # Two float32 blocks: the one being written and the next being converted.
-    bound = len(table) + 2 * 4 * vector_index._BLOCK_ROWS * index.dim + SLACK
-    assert traced_peak(lambda: index.save(tmp_path / "again.qidx")) <= bound
+def test_write_memory_is_the_table_plus_one_block(four_block_matrix, tmp_path):
+    rows, dim = four_block_matrix.shape
+    # The spooled rows are read back through one float32 block.
+    bound = len(one_document_table(rows)) + 4 * vector_index._BLOCK_ROWS * dim + SLACK
+    with one_document_writer(tmp_path / "index.qidx", four_block_matrix) as writer:
+        assert traced_peak(lambda: writer.write(ONE_DOCUMENT)) <= bound

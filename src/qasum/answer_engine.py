@@ -25,7 +25,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import Paragraph, SegmentedCorpus, Sentence
-from .embedding import Embedder, cosine_norms, normed_cosine, tokenize
+from .embedding import Embedder, cosine_norms, normed_cosine, tokenize, unit_rows
 from .errors import (
     CorruptIndexError,
     EmptyRetrievalError,
@@ -296,7 +296,8 @@ def answer_questions(
     the reason; every other error propagates. Only the calling thread
     embeds, so each embed_many gets the same texts whatever max_workers is.
     """
-    vectors, kept = embedder.embed_many([q.text for q in questions])
+    rows, kept = embedder.embed_many([q.text for q in questions])
+    vectors = unit_rows(rows)
     if not kept.all():
         question = questions[int(np.argmin(kept))]
         raise EmptyTextError(f"question {question.q_id!r}: {question.text[:50]!r} has no words to embed")
@@ -329,7 +330,7 @@ def answer_questions(
         phrases += q_phrases + a_phrases
         bounds.append((start, start + len(q_phrases), len(phrases)))
     # A phrase is a run of tokens, so every row is kept.
-    phrase_vectors, _ = embedder.embed_many(phrases)
+    phrase_vectors = unit_rows(embedder.embed_many(phrases)[0])
 
     results = []
     for question, (hits, raw, reason), (start, mid, end) in zip(questions, extracted, bounds):

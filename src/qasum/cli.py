@@ -40,9 +40,9 @@ _CONFIG_KEYS = (
 _CORPUS_KEYS = ("path", "format")
 _EMBEDDER_KEYS = ("kind", "dim")
 # Documents that index segments and embeds together; only one chunk's documents, paragraphs and
-# float64 vectors are held at a time. On a 12k-document corpus, index peaked at 53 MB RSS with
-# 256, 68 MB with 1024 and 110 MB with 4096 (139 MB when it held the whole corpus), and 256 was
-# no slower.
+# embedded rows are held at a time. On a 12k-document corpus, while index still held the corpus
+# bytes, it peaked at 53 MB RSS with 256, 68 MB with 1024 and 110 MB with 4096 (139 MB when it
+# held the whole corpus), and 256 was no slower.
 _INDEX_CHUNK_DOCS = 256
 
 

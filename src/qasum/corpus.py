@@ -21,12 +21,13 @@ import json
 import re
 import string
 import threading
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def paragraph_id(doc_id: str, ordinal: int) -> str:
 
 
 def read_corpus(path: str | Path, format: str = "jsonl") -> CorpusFile:
-    """Read a corpus's bytes once: a JSONL file, or the ``*.txt`` files of a directory.
+    """A corpus: a JSONL file, or the ``*.txt`` files of a directory, each byte read once per use.
 
     ``entries()`` on the result streams the documents in file order (sorted
     filename order for text-dir). Raises IoError for unreadable paths and
@@ -142,13 +143,15 @@ def read_corpus(path: str | Path, format: str = "jsonl") -> CorpusFile:
 
 
 class CorpusFile:
-    """A corpus as the bytes read from disk once, and their SHA-256.
+    """A corpus on disk and the SHA-256 of its bytes.
 
     ``entries`` parses and validates one document at a time (the index
-    path). ``pinned`` checks the bytes against an index's manifest and then
-    parses each document the first time it is looked up, from these same
-    bytes (the query path): the bytes that were hashed are the bytes that
-    are parsed.
+    path); a JSONL file is read, hashed and parsed a line at a time, so
+    ``sha256`` after the stream is the digest of the bytes it parsed.
+    ``pinned`` checks the bytes, read once, against an index's manifest and
+    then parses each document the first time it is looked up, from these
+    same bytes (the query path): the bytes that were hashed are the bytes
+    that are parsed.
     """
 
     path: Path
@@ -233,40 +236,70 @@ class _PinnedDocuments(Mapping):
 
 
 class _JsonlCorpus(CorpusFile):
+    """A JSONL corpus: ``entries`` reads, hashes and parses it a line at a time; ``pinned`` reads it whole, once.
+
+    ``sha256`` is the digest of the bytes the last finished ``entries``
+    read, or else of the bytes read whole (read on first use).
+    """
+
     def __init__(self, path: Path):
         self.path = path
+        self._data: bytes | None = None
+        self._sha256: str | None = None
         try:
-            self._data = path.read_bytes()
+            open(path, "rb").close()  # an unreadable path fails here, before any command work
         except OSError as exc:
-            raise IoError(f"cannot read corpus file {path}: {exc}") from exc
-        self.sha256 = hashlib.sha256(self._data).hexdigest()
+            raise self._read_error(exc) from exc
+
+    def _read_error(self, exc: OSError) -> IoError:
+        return IoError(f"cannot read corpus file {self.path}: {exc}")
+
+    @property
+    def sha256(self) -> str:
+        if self._sha256 is None:
+            self._sha256 = hashlib.sha256(self._bytes()).hexdigest()
+        return self._sha256
+
+    def _bytes(self) -> bytes:
+        if self._data is None:
+            try:
+                self._data = self.path.read_bytes()
+            except OSError as exc:
+                raise self._read_error(exc) from exc
+        return self._data
 
     def entries(self) -> Iterator[tuple[Document, int]]:
         seen: dict[str, int] = {}
-        for lineno, (start, line) in enumerate(_lines(self._data), start=1):
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{self.path}:{lineno}: not valid UTF-8: {exc}") from exc
-            if not text.strip():
-                continue
-            doc = _record_document(text, f"{self.path}:{lineno}")
-            if doc.doc_id in seen:
-                raise DuplicateIdError(
-                    f"{self.path}:{lineno}: duplicate doc_id {doc.doc_id!r} "
-                    f"(first seen at line {seen[doc.doc_id]})"
-                )
-            seen[doc.doc_id] = lineno
-            yield doc, start
+        digest = hashlib.sha256()
+        try:
+            with open(self.path, "rb") as file:
+                for lineno, (start, line) in enumerate(_lines(file, digest.update), start=1):
+                    try:
+                        text = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise FormatError(f"{self.path}:{lineno}: not valid UTF-8: {exc}") from exc
+                    if not text.strip():
+                        continue
+                    doc = _record_document(text, f"{self.path}:{lineno}")
+                    if doc.doc_id in seen:
+                        raise DuplicateIdError(
+                            f"{self.path}:{lineno}: duplicate doc_id {doc.doc_id!r} "
+                            f"(first seen at line {seen[doc.doc_id]})"
+                        )
+                    seen[doc.doc_id] = lineno
+                    yield doc, start
+        except OSError as exc:
+            raise self._read_error(exc) from exc
+        self._sha256 = digest.hexdigest()
 
     def _check_locators(self, locators: Sequence[int | str]) -> None:
         if not set(map(type, locators)) <= {int}:
             problem = "are not all byte offsets"
-        elif locators and not 0 <= min(locators) <= max(locators) < len(self._data):
+        elif locators and not 0 <= min(locators) <= max(locators) < len(self._bytes()):
             problem = "reach outside it"
         else:
             offsets = np.array(locators, dtype=np.int64)
-            before = np.frombuffer(self._data, dtype=np.uint8)[offsets[offsets > 0] - 1]
+            before = np.frombuffer(self._bytes(), dtype=np.uint8)[offsets[offsets > 0] - 1]
             if (before == ord("\n")).all():
                 return
             problem = "are not all line starts"
@@ -275,8 +308,9 @@ class _JsonlCorpus(CorpusFile):
         )
 
     def _document_at(self, locator: int) -> Document:
-        end = self._data.find(b"\n", locator)
-        line = self._data[locator : end if end >= 0 else len(self._data)]
+        data = self._bytes()
+        end = data.find(b"\n", locator)
+        line = data[locator : end if end >= 0 else len(data)]
         where = f"{self.path}@{locator}"
         try:
             return _record_document(line.decode("utf-8"), where)
@@ -329,13 +363,20 @@ class _TextDirCorpus(CorpusFile):
         return Document(doc_id=stem, patient_id="", note_type=note_type, timestamp=None, text=text)
 
 
-def _lines(data: bytes) -> Iterator[tuple[int, bytes]]:
-    """(byte offset, line) of each line of ``data.split(b"\\n")``, cut out one at a time."""
+def _lines(file: BinaryIO, update: Callable[[bytes], object]) -> Iterator[tuple[int, bytes]]:
+    """(byte offset, line) of each line of ``file.read().split(b"\\n")``, read one at a time.
+
+    Every byte read is passed to update (a hash's ``update``) first, in
+    file order, so once the stream ends update has seen the whole file.
+    """
     start = 0
-    while (end := data.find(b"\n", start)) >= 0:
-        yield start, data[start:end]
-        start = end + 1
-    yield start, data[start:]
+    raw = b""
+    for raw in file:
+        update(raw)
+        yield start, raw.removesuffix(b"\n")
+        start += len(raw)
+    if not raw or raw.endswith(b"\n"):
+        yield start, b""
 
 
 def _record_document(line: str, where: str) -> Document:

@@ -2,9 +2,11 @@
 
 The reference embedder is a signed feature-hashing bag of unigrams and
 adjacent bigrams: deterministic, dependency-free, and good enough to make
-lexical-overlap retrieval meaningful offline. Remote embedders are reached
-through the gateway and normalized on receipt. Vectors are 1-D float64
-numpy arrays with unit L2 norm.
+lexical-overlap retrieval meaningful offline. Its rows are exact integer
+feature counts; ``unit_rows`` divides them by their L2 norm into the
+float64 unit vectors that search and cosine take. Remote embedders are
+reached through the gateway, which L2-normalizes their float64 rows on
+receipt.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _feature_columns(features: list[str], digest: Callable[[str], bytes], dim: i
 
 
 def _embed_chunk(texts: Sequence[str], dim: int, digest: Callable[[str], bytes], out: np.ndarray) -> np.ndarray:
-    """Write the vectors of texts into out (zeros for a dropped text); return which texts are kept."""
+    """Write the counts of texts into out (zeros for a dropped text); return which texts are kept."""
     token_lists = list(map(tokenize, texts))
     lengths = list(map(len, token_lists))
     ids = _TokenIds()
@@ -109,34 +111,51 @@ def _embed_chunk(texts: Sequence[str], dim: int, digest: Callable[[str], bytes],
         pair_rows * dim + pair_buckets[pair_occurrences],
     ])
     weights = np.concatenate([word_signs[occurrences], pair_signs[pair_occurrences]])
-    counts = np.bincount(cells, weights=weights, minlength=len(texts) * dim).reshape(len(texts), dim)
-    norms = np.sqrt(np.square(counts).sum(axis=1))
-    kept = norms > 0.0
-    np.divide(counts, np.where(kept, norms, 1.0)[:, None], out=out)
-    return kept
+    # Sums of +-1 terms, exact in float64 below 2**53 terms.
+    out[...] = np.bincount(cells, weights=weights, minlength=len(texts) * dim).reshape(len(texts), dim)
+    # A text with tokens has an odd number of terms, so some count is nonzero (see reference_embedding).
+    return np.array(lengths) > 0
 
 
-def reference_embeddings(
+def reference_counts(
     texts: Sequence[str], dim: int = DEFAULT_DIM, memo: FeatureMemo | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The reference vectors of texts as rows of one (len(texts), dim) matrix, and which texts are kept.
+    """The feature counts of texts as the int64 rows of one (len(texts), dim) matrix, and which texts are kept.
 
     A text that is blank or has no alphanumeric tokens is not kept: its
-    row is zeros. Row i is bit-identical to reference_embedding(texts[i],
-    dim): every bucket and every squared norm is an integer sum of +-1
-    terms, exact in float64 in any order, and sqrt and division are
-    correctly rounded. Texts are embedded _EMBED_CHUNK at
-    a time; each chunk builds each distinct unigram and bigram string
-    once, and the memo, when given, supplies the hashes of features it
-    has seen.
+    row is zeros. Each count is an exact integer sum of +-1 terms, so row i
+    does not depend on the other texts, and unit_rows of it is
+    reference_embedding(texts[i], dim) bit for bit. Texts are counted
+    _EMBED_CHUNK at a time; each chunk builds each distinct unigram and
+    bigram string once, and the memo, when given, supplies the hashes of
+    features it has seen.
     """
     digest = _feature_digest if memo is None else memo.__getitem__
-    matrix = np.empty((len(texts), dim))
+    counts = np.empty((len(texts), dim), dtype=np.int64)
     kept = np.empty(len(texts), dtype=bool)
     for start in range(0, len(texts), _EMBED_CHUNK):
         chunk = slice(start, start + _EMBED_CHUNK)
-        kept[chunk] = _embed_chunk(texts[chunk], dim, digest, matrix[chunk])
-    return matrix, kept
+        kept[chunk] = _embed_chunk(texts[chunk], dim, digest, counts[chunk])
+    return counts, kept
+
+
+def squared_norms(counts: np.ndarray) -> np.ndarray:
+    """Each count row's sum of squares, in float64: exact for counts below 2**18 at any dim up to 65535."""
+    return np.einsum("ij,ij->i", counts, counts, dtype=np.float64)
+
+
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of an embed_many matrix as the float64 unit vectors that search and cosine take.
+
+    Integer counts (the reference kind) are divided by their L2 norm, the
+    square root of squared_norms; both steps are correctly rounded, so a
+    row's vector never depends on the other rows. A zero row stays zero. A
+    float matrix (the remote kind) is returned as float64, unchanged.
+    """
+    if not np.issubdtype(matrix.dtype, np.integer):
+        return np.asarray(matrix, dtype=np.float64)
+    norms = np.sqrt(squared_norms(matrix))
+    return np.divide(matrix, np.where(norms > 0.0, norms, 1.0)[:, None])
 
 
 def reference_embedding(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -149,10 +168,10 @@ def reference_embedding(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """
     if not text.strip():
         raise EmptyTextError("cannot embed empty text")
-    matrix, kept = reference_embeddings([text], dim)
+    counts, kept = reference_counts([text], dim)
     if not kept[0]:
         raise EmptyTextError(f"text has no alphanumeric tokens: {text[:50]!r}")
-    return matrix[0]
+    return unit_rows(counts)[0]
 
 
 class _ReferenceEmbedder:
@@ -163,7 +182,7 @@ class _ReferenceEmbedder:
         self._memo = FeatureMemo()
 
     def embed_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        return reference_embeddings(texts, self._dim, self._memo)
+        return reference_counts(texts, self._dim, self._memo)
 
 
 class _RemoteEmbedder:
@@ -212,16 +231,17 @@ def build_embedder(spec: EmbedderSpec, gateway=None) -> Embedder:
     """The embedder for the spec; the remote kind embeds through the gateway.
 
     The embedder's one method, embed_many(texts) -> (matrix, kept), gives
-    the vectors of texts as the rows of a (len(texts), dim) matrix and
-    which texts were embedded; a row that is not kept is zeros. Each call
-    builds a new embedder with its own memo, so a memo lasts as long as the
-    command that built the embedder. The reference kind memoizes feature
-    hashes (FeatureMemo) and embeds with the reference_embeddings kernel;
-    it drops a text without alphanumeric tokens. The remote kind memoizes
-    whole vectors and requests each distinct text once, in batches of at
-    most _REMOTE_BATCH texts in the order the call gives them; it drops a
-    blank text without a request and raises DimensionMismatchError for a
-    vector that is not (dim,).
+    the rows of texts as a (len(texts), dim) matrix and which texts were
+    embedded; a row that is not kept is zeros. unit_rows turns the matrix
+    into unit vectors. Each call builds a new embedder with its own memo,
+    so a memo lasts as long as the command that built the embedder. The
+    reference kind memoizes feature hashes (FeatureMemo), gives exact
+    int64 feature counts from the reference_counts kernel, and drops a
+    text without alphanumeric tokens. The remote kind gives float64 rows;
+    it memoizes whole vectors and requests each distinct text once, in
+    batches of at most _REMOTE_BATCH texts in the order the call gives
+    them; it drops a blank text without a request and raises
+    DimensionMismatchError for a vector that is not (dim,).
     """
     if spec.kind == "hashed-reference":
         return _ReferenceEmbedder(spec.dim)

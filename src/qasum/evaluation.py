@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .embedding import Embedder, cosine, tokenize
+from .embedding import Embedder, cosine, tokenize, unit_rows
 from .errors import EmptyTextError, FormatError, IoError, ZeroSourceError
 
 
@@ -126,9 +126,10 @@ def compression_ratio(summary: str, source: str) -> float:
 
 def embedding_similarity(candidate: str, reference: str, embedder: Embedder) -> float:
     """Whole-text embedding cosine with the configured embedder."""
-    vectors, kept = embedder.embed_many([candidate, reference])
+    rows, kept = embedder.embed_many([candidate, reference])
     if not kept.all():
         raise EmptyTextError("embedding similarity requires texts the embedder can embed")
+    vectors = unit_rows(rows)
     return cosine(vectors[0], vectors[1])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .answer_engine import ScoredAnswer
 from .corpus import SegmentedCorpus
-from .embedding import Embedder, cosine_norms, normed_cosine
+from .embedding import Embedder, cosine_norms, normed_cosine, unit_rows
 from .fileio import write_atomic
 from .question_bank import QuestionBank, RetrievalParams
 
@@ -90,7 +90,8 @@ def dedupe(
             question_order.get(a.q_id, 0),
         ),
     )
-    vectors, embedded = embedder.embed_many([a.sentence.text for a in ranked])
+    rows, embedded = embedder.embed_many([a.sentence.text for a in ranked])
+    vectors = unit_rows(rows)
     survivors: list[ScoredAnswer] = []
     kept_ids: set[str] = set()
     kept_rows: list[tuple[np.ndarray, float]] = []

@@ -17,25 +17,35 @@ document order. A row's note type is its document's. In memory
 (``VectorIndex``) the vectors are one (n, dim) float64 matrix with its row
 norms. Nothing changes a built index, so concurrent searches need no lock.
 ``IndexWriter`` builds the file without the matrix, from batches of rows
-whose float32 vectors it spools to disk.
+that it spools to disk.
 
-The file (format v3) stores the same columns, little-endian: a header
+The file (format v4) stores the same columns, little-endian: a header
 (magic ``QASUMIDX``, version u16, dim u16, row count u64, string-table
-byte length u64), the string table as one UTF-8 JSON object
-``{"embedder": str, "corpus_sha256": str, "segmentation": str,
-"doc_ids": [str], "note_types": [str], "locators": [int | str],
-"doc_rows": [int], "ordinals": [int]}`` (doc_rows counts each document's
-rows), one contiguous block of count x dim float32 components, and a CRC32
-over all preceding bytes. Vectors are float64 in memory and float32 on
-disk, so reloaded scores agree within 1e-6; hits whose scores are closer
-than that can rank in another order after a reload.
+byte length u64, vector type as two ASCII bytes), the string table as one
+UTF-8 JSON object ``{"embedder": str, "corpus_sha256": str,
+"segmentation": str, "doc_ids": [str], "note_types": [str],
+"locators": [int | str], "doc_rows": [int], "ordinals": [int]}``
+(doc_rows counts each document's rows), for count rows one block of count
+float64 squared norms, one contiguous block of count x dim vector
+components, and a CRC32 over all preceding bytes. The vector type is
+``i1``, ``i2`` or ``i4`` for exact integer feature counts (the reference
+embedder's rows), stored in the narrowest of int8, int16 and int32 that
+holds the file's largest count, or ``f4`` for float32 components (a
+remote embedder's rows). A count row's squared norm is
+``embedding.squared_norms`` of it, exact below 2**53. ``load`` decodes a
+count row c into ``c / sqrt(sum(c**2))`` rounded to float32, and promotes
+float32 to float64, so the loaded matrix is the float32-rounded unit
+vectors either way; reloaded scores agree within 1e-6 with scores from the
+float64 unit vectors, and hits whose scores are closer than that can rank
+in another order after a reload.
 
 ``IndexWriter``, the one writer of index files, and ``load`` stream the
-float32 block ``_BLOCK_ROWS`` rows at a time through one block-sized
+vector block ``_BLOCK_ROWS`` rows at a time through one block-sized
 buffer, so an index in memory costs its float64 matrix plus one block,
-never a whole-file copy. ``load`` checks the header against the file size
-before it allocates anything sized from the header, and parses the table
-with one ``json.loads`` only after the CRC32 matches.
+never a whole-file copy; ``load`` takes each block's row norms as it
+decodes it. ``load`` checks the header against the file size before it
+allocates anything sized from the header, and parses the table with one
+``json.loads`` only after the CRC32 matches.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from typing import BinaryIO, Collection, Iterator, Sequence
 import numpy as np
 
 from .corpus import CorpusManifest, paragraph_id
+from .embedding import squared_norms
 from .errors import (
     CorruptIndexError,
     DimensionMismatchError,
@@ -62,13 +73,18 @@ from .errors import (
 from .fileio import write_atomic
 
 MAGIC = b"QASUMIDX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every version
-_HEADER = struct.Struct("<8sHHQQ")
+_HEADER = struct.Struct("<8sHHQQ2s")
 _CRC = struct.Struct("<I")
 MAX_DIM = 0xFFFF  # the header stores dim as u16
-_BLOCK_ROWS = 1024  # rows per step when norms are computed and the float32 block is read or written
+_BLOCK_ROWS = 1024  # rows per step when norms are computed and the vector block is read or written
+# The vector block's types by their header code: float32 components, or integer counts.
+_VECTOR_TYPES = {code: np.dtype(f"<{code.decode()}") for code in (b"f4", b"i1", b"i2", b"i4")}
+_COUNT_CODES = (b"i1", b"i2", b"i4")  # narrowest first
+_SPOOL_COUNT = np.dtype("<i4")  # how IndexWriter spools counts: the widest count type
+_SQUARES = np.dtype("<f8")  # the squared norms of count rows
 
 
 @dataclass(frozen=True)
@@ -99,11 +115,14 @@ class VectorIndex:
         ordinals: Sequence[int],
         matrix: np.ndarray,
         embedder: str,
+        norms: np.ndarray | None = None,
     ):
         """Row i is paragraph ordinals[i] of document row_docs[i] of corpus, with vector matrix[i].
 
         Rows are in document order: by document position, then by ordinal,
-        each paragraph once. embedder names what made the vectors.
+        each paragraph once. embedder names what made the vectors. norms,
+        when given, are np.linalg.norm(matrix, axis=1), which load takes as
+        it reads; otherwise they are computed here.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         row_docs = np.asarray(row_docs, dtype=np.intp)
@@ -131,7 +150,7 @@ class VectorIndex:
         doc_types = np.fromiter(map(code.__getitem__, corpus.note_types), dtype=np.intp, count=len(corpus.note_types))
         self._type_codes = doc_types[row_docs]
         self._matrix = matrix
-        self._norms = _row_norms(matrix)
+        self._norms = _row_norms(matrix) if norms is None else norms
         self._embedder = embedder
 
     def __len__(self) -> int:
@@ -196,10 +215,10 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a v3 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
+        """Read a v4 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
         try:
             with open(path, "rb") as file:
-                table_bytes, matrix = _read_checked(file, path)
+                table_bytes, matrix, norms = _read_checked(file, path)
         except OSError as exc:
             raise IoError(f"cannot read index from {path}: {exc}") from exc
 
@@ -234,7 +253,7 @@ class VectorIndex:
         try:
             corpus = CorpusManifest(sha256, segmentation, doc_ids, note_types, locators)
             row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows)
-            return cls(corpus, row_docs, ordinals, matrix, embedder)
+            return cls(corpus, row_docs, ordinals, matrix, embedder, norms)
         except (PreconditionError, ValueError, OverflowError) as exc:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
 
@@ -243,14 +262,17 @@ class IndexWriter:
     """An index file built from batches of rows, for a corpus read one chunk of documents at a time.
 
     ``add`` keeps each row's document position and paragraph ordinal, and
-    appends its vector as ``<f4`` to a spool: a temporary file in the
-    index's directory, unnamed where the system allows (a named one is
-    ``.<index name>.*.spool.tmp``, unlinked at once), so it needs the free
-    space of one float32 block there. ``write`` then writes the v3 file,
+    appends its vector to a spool: a temporary file in the index's
+    directory, unnamed where the system allows (a named one is
+    ``.<index name>.*.spool.tmp``, unlinked at once), which needs 4 bytes
+    of free space per vector component there. Integer rows (exact feature
+    counts) are spooled as int32, and the writer keeps the largest |count|
+    and each row's squared norm; float rows are spooled as float32.
+    ``write`` then writes the v4 file,
     reading the spool back ``_BLOCK_ROWS`` rows at a time through one
-    buffer, so the writer's memory is the row columns plus one block.
-    ``close`` (or leaving the ``with`` block) removes the spool, whether or
-    not ``write`` ran.
+    buffer and narrowing counts to the file's count type, so the writer's
+    memory is the row columns plus one block. ``close`` (or leaving the
+    ``with`` block) removes the spool, whether or not ``write`` ran.
     """
 
     def __init__(self, path: str | Path, dim: int, embedder: str):
@@ -259,6 +281,9 @@ class IndexWriter:
         self._embedder = embedder
         self._row_docs: list[int] = []
         self._ordinals: list[int] = []
+        self._spool_type: np.dtype | None = None  # set by the first add: int32 counts or float32 vectors
+        self._largest_count = 0
+        self._squares: list[np.ndarray] = []
         try:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._spool = tempfile.TemporaryFile(
@@ -277,18 +302,42 @@ class IndexWriter:
         self._spool.close()
 
     def add(self, row_docs: Sequence[int], ordinals: Sequence[int], vectors: np.ndarray) -> None:
-        """Append rows after the rows added so far, in document order, with their vectors."""
-        if not len(row_docs) == len(ordinals) == len(vectors) or np.shape(vectors)[1:] != (self._dim,):
+        """Append rows after the rows added so far, in document order, with their vectors.
+
+        Every batch holds integer counts, or every batch float vectors. A
+        count beyond the int32 range is a PreconditionError.
+        """
+        vectors = np.asarray(vectors)
+        if not len(row_docs) == len(ordinals) == len(vectors) or vectors.shape[1:] != (self._dim,):
             raise PreconditionError(
                 f"index rows disagree: {len(row_docs)} row documents, {len(ordinals)} ordinals, "
-                f"vectors of shape {np.shape(vectors)} for dim {self._dim}"
+                f"vectors of shape {vectors.shape} for dim {self._dim}"
             )
+        spool_type = _SPOOL_COUNT if np.issubdtype(vectors.dtype, np.integer) else _VECTOR_TYPES[b"f4"]
+        if self._spool_type not in (None, spool_type):
+            raise PreconditionError("index rows must all be integer counts or all be float vectors")
+        self._spool_type = spool_type
+        if spool_type == _SPOOL_COUNT and len(vectors):
+            largest = max(-int(vectors.min()), int(vectors.max()))
+            if largest > np.iinfo(_SPOOL_COUNT).max:
+                raise PreconditionError(
+                    f"a paragraph has a feature count of magnitude {largest}, beyond the int32 range "
+                    "an index file can store"
+                )
+            self._largest_count = max(self._largest_count, largest)
+            self._squares.append(squared_norms(vectors))
         try:
-            self._spool.write(np.ascontiguousarray(vectors, dtype="<f4"))
+            self._spool.write(np.ascontiguousarray(vectors, dtype=spool_type))
         except OSError as exc:
             raise IoError(f"cannot write {self._path}: {exc}") from exc
         self._row_docs += row_docs
         self._ordinals += ordinals
+
+    def _vector_code(self) -> bytes:
+        """The file's vector type: the narrowest count type that holds every count, or float32."""
+        if self._spool_type != _SPOOL_COUNT:
+            return b"f4"
+        return next(code for code in _COUNT_CODES if self._largest_count <= np.iinfo(_VECTOR_TYPES[code]).max)
 
     def write(self, corpus: CorpusManifest) -> None:
         """Write the index of the rows added, over corpus, atomically to the path.
@@ -311,17 +360,27 @@ class IndexWriter:
             },
             separators=(",", ":"),
         ).encode("utf-8")
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self._dim, count, len(table))
+        code = self._vector_code()
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self._dim, count, len(table), code)
 
         def chunks() -> Iterator[bytes | np.ndarray]:
             crc = zlib.crc32(table, zlib.crc32(header))
             yield header
             yield table
+            if self._squares:
+                squares = np.concatenate(self._squares).astype(_SQUARES, copy=False)
+                crc = zlib.crc32(squares, crc)
+                yield squares
             self._spool.seek(0)  # flushes the spool, so a failed spool write fails the index write
-            buffer = np.empty((min(count, _BLOCK_ROWS), self._dim), dtype="<f4")
+            stored_type = _VECTOR_TYPES[code]
+            spooled = np.empty((min(count, _BLOCK_ROWS), self._dim), dtype=self._spool_type or stored_type)
+            stored = spooled if spooled.dtype == stored_type else np.empty(spooled.shape, dtype=stored_type)
             for start in range(0, count, _BLOCK_ROWS):
-                block = buffer[: count - start]
-                _read_into(self._spool, block, self._path)
+                rows = slice(0, count - start)
+                _read_into(self._spool, spooled[rows], self._path)
+                if stored is not spooled:
+                    stored[rows] = spooled[rows]
+                block = stored[rows]
                 crc = zlib.crc32(block, crc)
                 yield block
             yield _CRC.pack(crc)
@@ -329,13 +388,16 @@ class IndexWriter:
         write_atomic(self._path, chunks())
 
 
-def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray]:
-    """Check and read an open v3 file: its string table bytes and its (count, dim) float64 matrix.
+def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray, np.ndarray]:
+    """Check and read an open v4 file: its string table bytes, its (count, dim) float64 matrix and row norms.
 
     The header is checked against the file size before anything sized from
-    the header is allocated. The float32 block is read a block of rows at a
-    time into one reused buffer, continuing the CRC32 and promoting each
-    block into the matrix; the stored CRC32 must then match.
+    the header is allocated. A count file's squared norms are read whole
+    (8 bytes a row). The vector block is read a block of rows at a time
+    into one reused buffer, continuing the CRC32; each block is decoded
+    into the matrix (counts to float32-rounded unit vectors, float32
+    promoted) and its row norms taken while it is at hand. The stored
+    CRC32 must then match.
     """
     size = os.fstat(file.fileno()).st_size
     if size < _PREFIX.size:
@@ -344,7 +406,7 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
     magic, version = _PREFIX.unpack_from(head)
     if magic != MAGIC:
         raise CorruptIndexError(f"index file {path} has bad magic bytes {magic!r}")
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise CorruptIndexError(
             f"index file {path} has format version {version}, which is no longer read; "
             "rebuild it with `qasum index`"
@@ -353,8 +415,12 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
         raise CorruptIndexError(f"index file {path} has unsupported version {version}")
     if size < _HEADER.size + _CRC.size:
         raise CorruptIndexError(f"index file {path} is truncated (too short for header)")
-    _, _, dim, count, table_len = _HEADER.unpack(head)
-    end = _HEADER.size + table_len + 4 * dim * count
+    _, _, dim, count, table_len, code = _HEADER.unpack(head)
+    if code not in _VECTOR_TYPES:
+        raise CorruptIndexError(f"index file {path} has unknown vector type {code!r}")
+    counts = code != b"f4"
+    end = _HEADER.size + table_len + (_SQUARES.itemsize * count if counts else 0)
+    end += _VECTOR_TYPES[code].itemsize * dim * count
     if end + _CRC.size > size:
         raise CorruptIndexError(f"index file {path} is truncated")
     if end + _CRC.size < size:
@@ -362,17 +428,35 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
 
     table = _read_exact(file, table_len, path)
     crc = zlib.crc32(table, zlib.crc32(head))
+    if counts:
+        count_norms = np.empty(count, dtype=_SQUARES)
+        _read_into(file, count_norms, path)
+        crc = zlib.crc32(count_norms, crc)
+        with np.errstate(invalid="ignore"):  # a negative square is refused once the CRC32 matches
+            np.sqrt(count_norms, out=count_norms)
+        count_norms[count_norms == 0.0] = 1.0  # a zero row divided by 1 stays zero
     matrix = np.empty((count, dim))
-    buffer = np.empty((min(count, _BLOCK_ROWS), dim), dtype="<f4")
+    norms = np.empty(count)
+    shape = (min(count, _BLOCK_ROWS), dim)
+    buffer = np.empty(shape, dtype=_VECTOR_TYPES[code])
+    single = np.empty(shape, dtype="<f4") if counts else buffer
+    squares = np.empty(shape)
     for start in range(0, count, _BLOCK_ROWS):
-        block = buffer[: count - start]
-        _read_into(file, block, path)
-        crc = zlib.crc32(block, crc)
-        matrix[start : start + len(block)] = block
+        n = min(count - start, _BLOCK_ROWS)
+        _read_into(file, buffer[:n], path)
+        crc = zlib.crc32(buffer[:n], crc)
+        if counts:  # unit_rows' division by the row's norm, rounded to float32
+            np.divide(buffer[:n], count_norms[start : start + n, None], out=single[:n], casting="same_kind")
+        rows, block_norms = matrix[start : start + n], norms[start : start + n]
+        rows[...] = single[:n]
+        # np.linalg.norm(rows, axis=1), bit for bit, without its temporaries.
+        np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares[:n]), axis=1, out=block_norms), out=block_norms)
     (stored_crc,) = _CRC.unpack(_read_exact(file, _CRC.size, path))
     if crc != stored_crc:
         raise CorruptIndexError(f"index file {path} failed its checksum (CRC32 mismatch)")
-    return table, matrix
+    if counts and not np.isfinite(count_norms).all():
+        raise CorruptIndexError(f"index file {path} has a squared norm that is negative or not finite")
+    return table, matrix, norms
 
 
 def _read_exact(file: BinaryIO, size: int, path: str | Path) -> bytearray:

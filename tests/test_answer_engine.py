@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from index_rows import Row, build_index
 from oracles import embed_oracle, knn_oracle
 from qasum import answer_engine as ae
 from qasum.corpus import Document, SegmentedCorpus
-from qasum.embedding import reference_embedding, reference_embeddings
+from qasum.embedding import reference_counts, reference_embedding, unit_rows
 from qasum.errors import (
     EmptyRetrievalError,
     GatewayHttpError,
@@ -232,9 +233,9 @@ def test_extract_noun_phrases_deduplicates_preserving_order():
 
 def np_match(q_text, a_text):
     """np_match_score of two texts, from the reference embeddings of their noun phrases."""
-    q_rows, _ = reference_embeddings(ae.extract_noun_phrases(q_text))
-    a_rows, _ = reference_embeddings(ae.extract_noun_phrases(a_text))
-    return ae.np_match_score(q_rows, a_rows)
+    q_rows, _ = reference_counts(ae.extract_noun_phrases(q_text))
+    a_rows, _ = reference_counts(ae.extract_noun_phrases(a_text))
+    return ae.np_match_score(unit_rows(q_rows), unit_rows(a_rows))
 
 
 def test_np_match_identical_lists():
@@ -303,6 +304,18 @@ def test_answer_questions_covers_every_question(bank, fixture_index, segmented, 
     assert "content tokens" in by_id["q-diet"].reason
     assert by_id["q-diet"].hits
     assert by_id["q-admit-reason"].passed
+
+
+def test_answer_questions_searches_and_scores_unit_vectors(bank, fixture_index, segmented, ref_embedder, monkeypatch):
+    """embed_many's counts reach search as the one-text reference vectors, bit for bit, and the NP score as unit rows."""
+    searched, scored = [], []
+    search, np_match_score = fixture_index.search, ae.np_match_score
+    monkeypatch.setattr(fixture_index, "search", lambda query, *args: searched.append(query) or search(query, *args))
+    monkeypatch.setattr(ae, "np_match_score", lambda q, a: scored.extend([q, a]) or np_match_score(q, a))
+    ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), bank.defaults)
+    assert [query.tobytes() for query in searched] == [reference_embedding(q.text).tobytes() for q in bank.questions]
+    rows = np.concatenate(scored)
+    assert len(rows) and rows.dtype == np.float64 and np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_answer_questions_parallel_matches_serial(bank, fixture_index, segmented, ref_embedder):

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from index_rows import Row, build_index
@@ -220,10 +221,11 @@ def test_cmd_index_is_byte_deterministic(pipeline_config, tmp_path):
     assert (tmp_path / "out" / "index.qidx").read_bytes() == first
 
 
-# SHA-256 of the fixture corpus's index, as the whole-corpus build wrote it from JSONL and from text-dir.
+# SHA-256 of the fixture corpus's v4 index (squared norms and int8 counts) from JSONL and from text-dir.
+# Each loads into the matrix and row norms, bit for bit, of the v3 file the whole-corpus build wrote.
 PINNED_INDEX_SHA256 = {
-    "jsonl": "04655bb971a4f5072045e89878f518b314b8779047fc62911c24237da02f8e8e",
-    "text-dir": "642ab443fa2ba8d0c184086d5c4f826073d90a96076a8c056fbe5818325179c6",
+    "jsonl": "529c1ec7b4eb7f1cc9a2f152ae6599ad044bb59260a4bfc521db8afa10417332",
+    "text-dir": "c07d5da9a873fa51a808f6ad150a2c098e1d6db209b1cd4a97771c8ee0645db9",
 }
 
 
@@ -255,6 +257,52 @@ def test_cmd_index_bytes_do_not_depend_on_the_chunk_size(
     assert run(["index", "--config", str(pipeline_config)]) == 0
     index_bytes = (tmp_path / "out" / "index.qidx").read_bytes()
     assert hashlib.sha256(index_bytes).hexdigest() == PINNED_INDEX_SHA256[corpus_format]
+
+
+def _vector_type(path):
+    return qasum.vector_index._HEADER.unpack_from(path.read_bytes())[-1]
+
+
+def _float32_rounded(vectors):
+    return np.asarray(vectors).astype("<f4").astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "text, vector_type",
+    [("sore throat", b"i1"), (" ".join(["a"] * 200), b"i2"), ("-".join(["a"] * 33_000), b"i4")],
+    ids=["int8", "int16", "int32"],
+)
+def test_index_stores_counts_in_the_narrowest_type(pipeline_config, tmp_path, text, vector_type):
+    # 200 tokens of one word: 200 unigrams and 199 bigrams. One whitespace word of 33,000 hyphen-joined
+    # tokens: the paragraph cap counts whitespace tokens, so it stays one paragraph.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"doc_id": "d1", "patient_id": "p", "note_type": "other", "text": text}) + "\n")
+    config_with(pipeline_config, corpus={"path": str(corpus), "format": "jsonl"})
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    path = tmp_path / "out" / "index.qidx"
+    assert _vector_type(path) == vector_type
+    loaded = VectorIndex.load(path)
+    assert loaded._matrix.tobytes() == _float32_rounded([reference_embedding(text)]).tobytes()
+    assert [hit.para_id for hit in loaded.search(reference_embedding(text), k=1)] == ["d1#0"]
+
+
+def test_count_index_searches_as_the_float32_unit_rows(pipeline_config, tmp_path, corpus_docs, segmented, bank,
+                                                       ref_embedder):
+    """The v4 index gives the hits and scores an in-memory index of the float32-rounded unit rows gives."""
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    loaded = VectorIndex.load(tmp_path / "out" / "index.qidx")
+    texts = [para.text for para in segmented.paragraphs]
+    doc_type = {doc.doc_id: doc.note_type for doc in corpus_docs}
+    rows = [Row(para.para_id, vector, para.doc_id, doc_type[para.doc_id])
+            for para, vector in zip(segmented.paragraphs, _float32_rounded([reference_embedding(t) for t in texts]))]
+    in_memory = build_index(rows)
+    queries = [question.text for question in bank.questions] + texts
+    counts, kept = ref_embedder.embed_many(queries)
+    assert counts.dtype == np.int64 and kept.all()
+    vectors = qasum.embedding.unit_rows(counts)
+    for query, vector in zip(queries, vectors):
+        assert vector.tobytes() == reference_embedding(query).tobytes()
+        assert loaded.search(vector, k=len(rows)) == in_memory.search(vector, k=len(rows))
 
 
 def _break_record(bad):
@@ -323,11 +371,11 @@ def _write_repeated_corpus(fixtures_dir, path, n_docs):
 
 
 def test_cmd_index_memory_does_not_grow_with_the_vectors(pipeline_config, tmp_path, fixtures_dir):
-    """index's peak grows by a small share of the float32 block when the corpus grows 4x.
+    """index's peak grows by a small share of the spooled block (4 bytes a component) when the corpus grows 4x.
 
-    Only one chunk's vectors are in memory at a time; what grows with the
-    corpus is its bytes and the per-document and per-row columns. A wide dim
-    makes the vectors the bulk of an index.
+    Only one chunk's rows are in memory at a time, and the corpus is read a
+    line at a time; what grows with the corpus is the per-document and
+    per-row columns. A wide dim makes the vectors the bulk of an index.
     """
     dim = 1024
     peaks, blocks = [], []
@@ -596,13 +644,14 @@ def _rewrite_index_table(path, change):
     import struct
     import zlib
 
-    header = struct.Struct("<8sHHQQ")
+    from qasum.vector_index import _HEADER as header
+
     blob = path.read_bytes()
-    magic, version, dim, count, table_bytes = header.unpack_from(blob)
+    magic, version, dim, count, table_bytes, vector_type = header.unpack_from(blob)
     table = json.loads(blob[header.size : header.size + table_bytes])
     change(table)
     table = json.dumps(table, separators=(",", ":")).encode()
-    body = header.pack(magic, version, dim, count, len(table)) + table + blob[header.size + table_bytes : -4]
+    body = header.pack(magic, version, dim, count, len(table), vector_type) + table + blob[header.size + table_bytes : -4]
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -869,6 +918,18 @@ def _use_recording_gateway(pipeline_config, monkeypatch, embedder="remote"):
         extractor="remote",
         gateway={"base_url": "https://example.invalid", "model": "m", "mode": "live"},
     )
+
+
+def test_remote_index_keeps_a_float32_block(pipeline_config, tmp_path, monkeypatch):
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    counts = VectorIndex.load(tmp_path / "out" / "index.qidx")
+    _use_recording_gateway(pipeline_config, monkeypatch)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert _vector_type(tmp_path / "out" / "index.qidx") == b"f4"
+    # The gateway's vectors are the reference unit vectors, so both blocks load the same matrix.
+    remote = VectorIndex.load(tmp_path / "out" / "index.qidx")
+    assert remote.embedder == "remote:m"
+    assert remote._matrix.tobytes() == counts._matrix.tobytes()
 
 
 def test_remote_summarize_embeds_the_same_batches_whatever_the_workers(pipeline_config, tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from unittest.mock import patch
 
@@ -147,7 +149,9 @@ def test_text_dir_entries_decode_each_file_as_it_is_drawn(tmp_path):
 @given(st.text(alphabet="ab\n\r", max_size=30).map(str.encode))
 def test_lines_are_the_lines_of_split(data):
     offsets = itertools.accumulate((len(line) + 1 for line in data.split(b"\n")), initial=0)
-    assert list(_lines(data)) == list(zip(offsets, data.split(b"\n")))
+    digest = hashlib.sha256()
+    assert list(_lines(io.BytesIO(data), digest.update)) == list(zip(offsets, data.split(b"\n")))
+    assert digest.digest() == hashlib.sha256(data).digest()
 
 
 def test_missing_path_is_io_error(tmp_path):
@@ -174,6 +178,23 @@ def test_jsonl_locators_are_line_offsets_and_the_digest_covers_the_bytes(tmp_pat
     assert [d.doc_id for d in docs] == list(manifest.doc_ids) == ["a", "b"]
     assert manifest.locators == [0, data.index(b'{"doc_id": "b"')]
     assert source.sha256 == hashlib.sha256(data).hexdigest()
+
+
+def test_jsonl_entries_stream_the_file(tmp_path):
+    """entries reads, hashes and parses one line at a time: its peak is far below the file's size."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record(f"d{i}", text="Fever and cough. " * 250) for i in range(1000)])
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        source = read_corpus(path)
+        drawn = sum(1 for _ in source.entries())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == 1000 and peak < size / 8, (peak, size)
+    # The digest of the streamed bytes is the digest the query path takes of the bytes read whole.
+    assert source.sha256 == read_corpus(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_text_dir_reads_universal_newlines(tmp_path):

@@ -22,9 +22,10 @@ from qasum.embedding import (
     cosine,
     cosine_norms,
     normed_cosine,
+    reference_counts,
     reference_embedding,
-    reference_embeddings,
     tokenize,
+    unit_rows,
 )
 from qasum.errors import DimensionMismatchError, EmptyTextError, GatewayError, PreconditionError
 
@@ -40,10 +41,10 @@ def random_text(rng, n=None):
 
 
 def embed(text):
-    """The vector of one text, through the embedder's one entry point."""
+    """The vector of one text, through the embedder's one entry point and the helper that normalizes its rows."""
     matrix, kept = EMBEDDER.embed_many([text])
     assert kept.tolist() == [True]
-    return matrix[0]
+    return unit_rows(matrix)[0]
 
 
 def test_tokenize_lowercases_and_splits():
@@ -140,10 +141,10 @@ def text_sequences(draw):
 def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim, chunk):
     fresh = [embed_or_error(text, dim) for text in texts]
     memos = []
-    traced = lambda texts, dim, memo: memos.append(memo) or reference_embeddings(texts, dim, memo)
+    traced = lambda texts, dim, memo: memos.append(memo) or reference_counts(texts, dim, memo)
     with mock.patch.object(qasum.embedding, "FEATURE_MEMO_CAP", cap), \
             mock.patch.object(qasum.embedding, "_EMBED_CHUNK", chunk), \
-            mock.patch.object(qasum.embedding, "reference_embeddings", traced):
+            mock.patch.object(qasum.embedding, "reference_counts", traced):
         # One embedder fills its memo one text at a time first, the other in one batch first.
         one_first = build_embedder(EmbedderSpec(dim=dim))
         singles = [one_first.embed_many([text]) for text in texts]
@@ -155,7 +156,7 @@ def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim, chunk)
     batches += [(np.concatenate([m for m, _ in rows]), np.concatenate([k for _, k in rows]))
                 for rows in (singles, singles_after)]
     for matrix, kept in batches:
-        assert matrix.shape == (len(texts), dim) and matrix.dtype == np.float64 and kept.dtype == bool
+        assert matrix.shape == (len(texts), dim) and matrix.dtype == np.int64 and kept.dtype == bool
         assert kept.tolist() == [f is not EmptyTextError for f in fresh]
         assert not matrix[~kept].any()
     for i, (text, expected) in enumerate(zip(texts, fresh)):
@@ -163,7 +164,7 @@ def test_memo_embedder_is_bit_equal_to_a_fresh_embedding(cap, texts, dim, chunk)
             continue
         assert expected.dtype == np.float64
         for matrix, _ in batches:
-            assert matrix[i].tobytes() == expected.tobytes()
+            assert unit_rows(matrix[i : i + 1])[0].tobytes() == expected.tobytes()
         # The per-feature loop of the standalone oracle gives the same bits.
         assert expected.tobytes() == np.array(embed_oracle.hashed_embedding(text, dim)).tobytes()
     assert len(set(map(id, memos))) == 2 and len(memos) == 2 * (len(texts) + 1)
@@ -175,9 +176,9 @@ def test_each_reference_embedder_has_its_own_memo(monkeypatch):
 
     def traced(texts, dim, memo):
         calls.append((texts, memo))
-        return reference_embeddings(texts, dim, memo)
+        return reference_counts(texts, dim, memo)
 
-    monkeypatch.setattr(qasum.embedding, "reference_embeddings", traced)
+    monkeypatch.setattr(qasum.embedding, "reference_counts", traced)
     first = build_embedder(EmbedderSpec())
     second = build_embedder(EmbedderSpec())
     first.embed_many(["fever and cough"])
@@ -196,8 +197,9 @@ def test_each_reference_embedder_has_its_own_memo(monkeypatch):
 
 
 def assert_rows_equal_one_text_calls(texts, matrix, kept, dim=DEFAULT_DIM):
+    """unit_rows of an embed_many matrix are the one-text embeddings and the oracle's, bit for bit."""
     assert matrix.shape == (len(texts), dim)
-    for text, row, row_kept in zip(texts, matrix, kept):
+    for text, row, row_kept in zip(texts, unit_rows(matrix), kept):
         single = embed_or_error(text, dim)
         if single is EmptyTextError:
             assert not row_kept and not row.any()
@@ -213,8 +215,9 @@ def test_embed_many_on_blank_punctuation_special_case_and_repeated_texts():
     assert kept.tolist() == [False, False, False, True, True, True, True, True, True, True]
     assert_rows_equal_one_text_calls(texts, matrix, kept)
     # The dotted capital I lowers to "i" plus a combining dot, which splits "iv"; the Kelvin sign lowers to "k".
-    assert matrix[3].tobytes() == reference_embedding("i v 40mg").tobytes()
-    assert matrix[4].tobytes() == reference_embedding("kcl 20").tobytes()
+    vectors = unit_rows(matrix)
+    assert vectors[3].tobytes() == reference_embedding("i v 40mg").tobytes()
+    assert vectors[4].tobytes() == reference_embedding("kcl 20").tobytes()
 
 
 def test_embed_many_spans_several_chunks():
@@ -222,7 +225,7 @@ def test_embed_many_spans_several_chunks():
     count = 2 * qasum.embedding._EMBED_CHUNK + 3
     texts = [random_text(rng) if i % 9 else "-- * --" for i in range(count)]
     memo = FeatureMemo()
-    matrix, kept = reference_embeddings(texts, DEFAULT_DIM, memo)
+    matrix, kept = reference_counts(texts, DEFAULT_DIM, memo)
     assert kept.sum() == count - len(range(0, count, 9))
     assert_rows_equal_one_text_calls(texts, matrix, kept)
 
@@ -234,13 +237,13 @@ def test_embed_many_of_no_texts():
 
 def test_bigrams_never_cross_texts():
     memo = FeatureMemo()
-    apart, _ = reference_embeddings(["a", "b"], DEFAULT_DIM, memo)
+    apart, _ = reference_counts(["a", "b"], DEFAULT_DIM, memo)
     assert set(memo) == {"a", "b"}
-    together, _ = reference_embeddings(["a b"], DEFAULT_DIM, memo)
+    together, _ = reference_counts(["a b"], DEFAULT_DIM, memo)
     assert set(memo) == {"a", "b", "a b"}
-    assert apart[0].tobytes() == reference_embedding("a").tobytes()
-    assert apart[1].tobytes() == reference_embedding("b").tobytes()
-    assert together[0].tobytes() == reference_embedding("a b").tobytes()
+    assert unit_rows(apart)[0].tobytes() == reference_embedding("a").tobytes()
+    assert unit_rows(apart)[1].tobytes() == reference_embedding("b").tobytes()
+    assert unit_rows(together)[0].tobytes() == reference_embedding("a b").tobytes()
 
 
 def test_no_text_with_tokens_cancels_to_a_zero_vector():
@@ -248,8 +251,10 @@ def test_no_text_with_tokens_cancels_to_a_zero_vector():
     # all land in the one bucket, so its sum is odd: every vector is exactly [1.0] or [-1.0].
     rng = random.Random(16)
     texts = [random_text(rng) for _ in range(300)]
-    matrix, kept = reference_embeddings(texts, 1)
-    assert kept.all() and set(np.abs(matrix[:, 0]).tolist()) == {1.0}
+    counts, kept = reference_counts(texts, 1)
+    assert kept.all() and (counts % 2 == 1).all()
+    matrix = unit_rows(counts)
+    assert set(np.abs(matrix[:, 0]).tolist()) == {1.0}
     assert set(matrix[:, 0].tolist()) == {1.0, -1.0}
 
 

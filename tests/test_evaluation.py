@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import embed_oracle, metrics_oracle
+from qasum.embedding import cosine, reference_embedding
 from qasum.errors import EmptyTextError, IoError, ZeroSourceError
 from qasum.evaluation import (
     bleu,
@@ -167,6 +168,13 @@ def test_embedding_similarity_fixture_pair(ref_embedder):
         ref_embedder,
     )
     assert value == pytest.approx(0.5012804118276031, abs=1e-9)
+
+
+def test_embedding_similarity_is_the_cosine_of_the_unit_vectors(ref_embedder, segmented):
+    """embed_many's counts are normalized first: the similarity has the bits of the one-text vectors' cosine."""
+    texts = [para.text for para in segmented.paragraphs]
+    for a, b in zip(texts, texts[1:]):
+        assert embedding_similarity(a, b, ref_embedder) == cosine(reference_embedding(a), reference_embedding(b))
 
 
 def test_embedding_similarity_deterministic(ref_embedder):

@@ -6,6 +6,7 @@ from oracles import embed_oracle
 from qasum import answer_engine as ae
 from qasum.answer_engine import ScoredAnswer
 from qasum.corpus import Document, SegmentedCorpus, Sentence
+from qasum.embedding import reference_embedding
 from qasum.question_bank import RetrievalParams, bank_from_dict
 from qasum.summarizer import (
     Summary,
@@ -113,6 +114,19 @@ def test_distinct_candidates_all_survive(ref_embedder):
     ]
     survivors = dedupe(answers, RetrievalParams(), ref_embedder, simple_order_key)
     assert len(survivors) == 3
+
+
+def test_dedupe_compares_the_unit_vectors(ref_embedder, monkeypatch):
+    import qasum.summarizer
+
+    compared = []
+    normed_cosine = qasum.summarizer.normed_cosine
+    monkeypatch.setattr(qasum.summarizer, "normed_cosine",
+                        lambda a, a_norm, b, b_norm: compared.extend([a, b]) or normed_cosine(a, a_norm, b, b_norm))
+    texts = [NEAR_DUP_A, NEAR_DUP_B, "Admitted with chest pain."]
+    dedupe([answer(f"q{i}", f"d{i}#0:0", text, 0.9 - i / 10) for i, text in enumerate(texts)], RetrievalParams(),
+           ref_embedder, simple_order_key)
+    assert compared and {v.tobytes() for v in compared} <= {reference_embedding(t).tobytes() for t in texts}
 
 
 def test_dedupe_threshold_is_configurable(ref_embedder):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from index_rows import Row, build_index, write_index
 from oracles.knn_oracle import brute_force_search
 from qasum.cli import load_config, main
-from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding
+from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding, unit_rows
 from qasum.errors import (
     CorruptIndexError,
     DimensionMismatchError,
@@ -309,8 +309,8 @@ def with_checksum(path, payload):
 
 
 def index_file(path, table, count, dim=2, version=FORMAT_VERSION):
-    """An index file around the given string table (bytes) and count x dim zero vectors."""
-    header = struct.pack("<8sHHQQ", MAGIC, version, dim, count, len(table))
+    """An index file around the given string table (bytes) and count x dim float32 zero vectors."""
+    header = vector_index._HEADER.pack(MAGIC, version, dim, count, len(table), b"f4")
     with_checksum(path, header + table + bytes(4 * dim * count))
 
 
@@ -459,10 +459,13 @@ def write_one_document(path, matrix, batch_rows=None):
         writer.write(ONE_DOCUMENT)
 
 
-def one_shot_file(table, vectors):
-    """The v3 file written in one piece: header, table, the whole float32 block, CRC32."""
-    payload = struct.pack("<8sHHQQ", MAGIC, FORMAT_VERSION, vectors.shape[1], len(vectors), len(table))
-    payload += table + vectors.astype("<f4").tobytes()
+def one_shot_file(table, vectors, vector_type=b"f4"):
+    """The v4 file written in one piece: header, table, the squared norms of counts, the whole vector block, CRC32."""
+    payload = vector_index._HEADER.pack(MAGIC, FORMAT_VERSION, vectors.shape[1], len(vectors), len(table), vector_type)
+    payload += table
+    if vector_type != b"f4":
+        payload += np.square(vectors.astype(np.float64)).sum(axis=1).astype("<f8").tobytes()
+    payload += vectors.astype(vector_index._VECTOR_TYPES[vector_type]).tobytes()
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
@@ -509,7 +512,7 @@ def test_load_fails_in_mid_block(tmp_path, monkeypatch, error, expected, message
     path = tmp_path / "index.qidx"
     write_one_document(path, np.ones((count, 3)))
     table = one_document_table(count)
-    mid_second_block = struct.calcsize("<8sHHQQ") + len(table) + 4 * 3 * (BLOCK + BLOCK // 2) + 2
+    mid_second_block = vector_index._HEADER.size + len(table) + 4 * 3 * (BLOCK + BLOCK // 2) + 2
     # The file is sized whole when opened, then ends or fails while the second block is read.
     monkeypatch.setattr(vector_index, "open", lambda p, mode: FailingFile(p, mid_second_block, error), raising=False)
     with pytest.raises(expected, match=message or re.escape(str(path))):
@@ -551,4 +554,129 @@ def test_write_memory_is_the_table_plus_one_block(four_block_matrix, tmp_path):
     # The spooled rows are read back through one float32 block.
     bound = len(one_document_table(rows)) + 4 * vector_index._BLOCK_ROWS * dim + SLACK
     with one_document_writer(tmp_path / "index.qidx", four_block_matrix) as writer:
+        assert traced_peak(lambda: writer.write(ONE_DOCUMENT)) <= bound
+
+
+# -- v4 count blocks ------------------------------------------------------------
+
+
+def vector_type_of(path):
+    """The vector type code a v4 file's header names."""
+    return vector_index._HEADER.unpack_from(path.read_bytes())[-1]
+
+
+def float32_unit_rows(counts):
+    """What a v3 file stored for these counts and load promoted: each row over its L2 norm, as float32."""
+    counts = np.asarray(counts, dtype=np.float64)
+    norms = np.sqrt(np.square(counts).sum(axis=1))
+    with np.errstate(invalid="ignore"):
+        units = counts / norms[:, None]
+    return np.where(norms[:, None] > 0.0, units, 0.0).astype("<f4").astype(np.float64)
+
+
+PLANTED = (127, -127, 128, -128, 32767, -32767, 32768, -32768)
+
+
+@st.composite
+def count_matrices(draw):
+    """Small count matrices: mostly small counts and zero rows, and rows with a planted count at a type bound."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=2 * BLOCK + 1))
+    cells = st.integers(-3, 3) | st.sampled_from(PLANTED)
+    return np.array(draw(st.lists(st.lists(cells, min_size=dim, max_size=dim), min_size=rows, max_size=rows)),
+                    dtype=np.int64).reshape(rows, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=count_matrices(), batch_rows=st.integers(min_value=1, max_value=BLOCK + 1))
+def test_count_block_loads_the_float32_unit_rows_bit_for_bit(counts, batch_rows):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vector_index, "_BLOCK_ROWS", BLOCK)
+        path = Path(tmp) / "index.qidx"
+        write_one_document(path, counts, batch_rows)
+        largest = int(np.abs(counts).max(initial=0))
+        assert vector_type_of(path) == (b"i1" if largest <= 127 else b"i2" if largest <= 32767 else b"i4")
+        expected = float32_unit_rows(counts)
+        # The block is the counts in that type, after the header and the table.
+        table = one_document_table(len(counts))
+        assert path.read_bytes() == one_shot_file(table, counts, vector_type_of(path))
+        loaded = VectorIndex.load(path)
+        assert loaded._matrix.tobytes() == expected.tobytes()
+        assert loaded._matrix.tobytes() == unit_rows(counts).astype("<f4").astype(np.float64).tobytes()
+        assert loaded._norms.tobytes() == np.linalg.norm(expected, axis=1).tobytes()
+        # Float input keeps a float32 block, loaded as before.
+        write_one_document(path, counts.astype(np.float64), batch_rows)
+        assert vector_type_of(path) == b"f4"
+        assert VectorIndex.load(path)._matrix.tobytes() == counts.astype("<f4").astype(np.float64).tobytes()
+
+
+def test_counts_beyond_int32_are_refused(tmp_path):
+    with one_document_writer(tmp_path / "index.qidx", np.zeros((1, 2), dtype=np.int64)) as writer:
+        with pytest.raises(PreconditionError, match="int32"):
+            writer.add([0], [1], np.array([[0, -(2**31)]]))
+        writer.add([0], [1], np.array([[0, 2**31 - 1]]))
+        writer.write(ONE_DOCUMENT)
+    assert vector_type_of(tmp_path / "index.qidx") == b"i4"
+
+
+def test_count_and_float_batches_do_not_mix(tmp_path):
+    with one_document_writer(tmp_path / "index.qidx", np.ones((1, 2), dtype=np.int64)) as writer:
+        with pytest.raises(PreconditionError, match="integer counts"):
+            writer.add([0], [1], np.ones((1, 2)))
+
+
+def test_load_refuses_version_3_with_rebuild_hint(tmp_path):
+    path = tmp_path / "v3.qidx"
+    # The v3 header (magic, version, dim, count, table length), then its table and float32 block.
+    table = v3_table()
+    with_checksum(path, struct.pack("<8sHHQQ", MAGIC, 3, 2, 1, len(table)) + table + bytes(8))
+    with pytest.raises(CorruptIndexError, match="version 3.*qasum index"):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("square", [-1.0, np.nan, np.inf])
+def test_load_refuses_a_squared_norm_that_is_negative_or_not_finite(tmp_path, square):
+    path = tmp_path / "index.qidx"
+    write_one_document(path, np.array([[1, 2], [3, 4]]))
+    blob = bytearray(path.read_bytes()[:-4])
+    squares_at = vector_index._HEADER.size + len(one_document_table(2))
+    assert struct.unpack_from("<2d", blob, squares_at) == (5.0, 25.0)
+    struct.pack_into("<d", blob, squares_at + 8, square)
+    with_checksum(path, blob)
+    with pytest.raises(CorruptIndexError, match="squared norm"):
+        VectorIndex.load(path)
+
+
+def test_load_unknown_vector_type(saved_index):
+    blob = bytearray(saved_index.read_bytes()[:-4])
+    blob[vector_index._HEADER.size - 2 : vector_index._HEADER.size] = b"i8"
+    with_checksum(saved_index, blob)
+    with pytest.raises(CorruptIndexError, match="vector type"):
+        VectorIndex.load(saved_index)
+
+
+@pytest.fixture()
+def four_block_counts():
+    """Counts for four blocks of rows and three more, in the int16 range."""
+    return np.random.default_rng(7).integers(-300, 300, size=(4 * vector_index._BLOCK_ROWS + 3, 128))
+
+
+def test_count_load_memory_is_the_matrix_plus_two_blocks(four_block_counts, tmp_path):
+    rows, dim = four_block_counts.shape
+    path = tmp_path / "index.qidx"
+    write_one_document(path, four_block_counts)
+    assert vector_type_of(path) == b"i2"
+    # Beside the matrix, its norms and the table: the rows' count norms, and the decode buffers (a float64
+    # and a float32 block) and the int16 read buffer, which fit in two float64 blocks.
+    table = one_document_table(rows)
+    bound = 8 * rows * dim + 2 * 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
+    assert traced_peak(lambda: VectorIndex.load(path)) <= bound
+
+
+def test_count_write_memory_is_the_table_plus_two_blocks(four_block_counts, tmp_path):
+    rows, dim = four_block_counts.shape
+    # The spooled int32 counts are read back through one block and narrowed a block at a time; the
+    # squared norms are kept per batch and joined once.
+    bound = len(one_document_table(rows)) + 2 * 8 * rows + (4 + 2) * vector_index._BLOCK_ROWS * dim + SLACK
+    with one_document_writer(tmp_path / "index.qidx", four_block_counts) as writer:
         assert traced_peak(lambda: writer.write(ONE_DOCUMENT)) <= bound

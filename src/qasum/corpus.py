@@ -9,9 +9,10 @@ Spans are byte offsets into the parent text's UTF-8 encoding, and are
 tight: slicing the encoded parent at the span reproduces the chunk text
 exactly (so trimming the slice is a no-op).
 
-A corpus is read from disk once, as bytes (``read_corpus``). An index
-records a manifest of those bytes; the query path checks the bytes against
-it and then parses only the documents it looks up.
+``read_corpus`` opens a corpus. ``qasum index`` streams it a document at
+a time and records a manifest of its bytes; the query path reads the bytes
+once, checks them against the manifest and then parses only the documents
+it looks up.
 """
 
 from __future__ import annotations
@@ -146,12 +147,11 @@ class CorpusFile:
     """A corpus on disk and the SHA-256 of its bytes.
 
     ``entries`` parses and validates one document at a time (the index
-    path); a JSONL file is read, hashed and parsed a line at a time, so
-    ``sha256`` after the stream is the digest of the bytes it parsed.
-    ``pinned`` checks the bytes, read once, against an index's manifest and
-    then parses each document the first time it is looked up, from these
-    same bytes (the query path): the bytes that were hashed are the bytes
-    that are parsed.
+    path); a JSONL file is read, hashed and parsed a line at a time.
+    ``pinned`` reads the bytes whole, checks them against an index's
+    manifest and then parses each document the first time it is looked up,
+    from these same bytes (the query path). Either way the bytes that were
+    hashed are the bytes that are parsed, and ``sha256`` is their digest.
     """
 
     path: Path
@@ -173,30 +173,35 @@ class CorpusFile:
         return CorpusManifest(self.sha256, segmentation_digest(), doc_ids, note_types, locators)
 
     def pinned(self, manifest: CorpusManifest) -> Mapping[str, Document]:
-        """The manifest's documents, in its order, each parsed on first lookup.
+        """The manifest's documents, in its order, each parsed on first lookup from the bytes read now.
 
         Raises CorruptIndexError, with a rebuild hint, when these bytes or the
         segmentation rules differ from those the manifest records, or when
         its locators do not fit these bytes.
         """
-        if manifest.sha256 != self.sha256:
+        sha256, data = self._read_whole()
+        if manifest.sha256 != sha256:
             raise CorruptIndexError(
                 f"corpus {self.path} is not the corpus the index was built from (SHA-256 "
-                f"{self.sha256[:12]}, the index has {manifest.sha256[:12]}); rebuild it with `qasum index`"
+                f"{sha256[:12]}, the index has {manifest.sha256[:12]}); rebuild it with `qasum index`"
             )
         if manifest.segmentation != segmentation_digest():
             raise CorruptIndexError(
                 "the index was built with other segmentation rules (abbreviation list or paragraph "
                 "token cap); rebuild it with `qasum index`"
             )
-        return _PinnedDocuments(self, manifest)
+        return _PinnedDocuments(self, data, manifest)
 
-    def _check_locators(self, locators: Sequence[int | str]) -> None:
-        """Raise CorruptIndexError unless every locator can name a document of these bytes."""
+    def _read_whole(self) -> tuple[str, object]:
+        """The SHA-256 of the corpus bytes, and those bytes in the form _document_at reads."""
         raise NotImplementedError
 
-    def _document_at(self, locator: int | str) -> Document:
-        """The document a checked locator names; FormatError if it names none."""
+    def _check_locators(self, data, locators: Sequence[int | str]) -> None:
+        """Raise CorruptIndexError unless every locator can name a document of data."""
+        raise NotImplementedError
+
+    def _document_at(self, data, locator: int | str) -> Document:
+        """The document a checked locator names in data; FormatError if it names none."""
         raise NotImplementedError
 
 
@@ -210,14 +215,15 @@ class _PinnedDocuments(Mapping):
     looked up once.
     """
 
-    def __init__(self, source: CorpusFile, manifest: CorpusManifest):
-        source._check_locators(manifest.locators)
+    def __init__(self, source: CorpusFile, data, manifest: CorpusManifest):
+        source._check_locators(data, manifest.locators)
         self._source = source
+        self._data = data
         self._locators = dict(zip(manifest.doc_ids, manifest.locators))
 
     def __getitem__(self, doc_id: str) -> Document:
         locator = self._locators[doc_id]
-        doc = self._source._document_at(locator)
+        doc = self._source._document_at(self._data, locator)
         if doc.doc_id != doc_id:
             raise CorruptIndexError(
                 f"the index locates document {doc_id!r} at {locator!r} in corpus {self._source.path}, "
@@ -236,15 +242,15 @@ class _PinnedDocuments(Mapping):
 
 
 class _JsonlCorpus(CorpusFile):
-    """A JSONL corpus: ``entries`` reads, hashes and parses it a line at a time; ``pinned`` reads it whole, once.
+    """A JSONL corpus: ``entries`` reads, hashes and parses it a line at a time; ``pinned`` reads it whole.
 
-    ``sha256`` is the digest of the bytes the last finished ``entries``
-    read, or else of the bytes read whole (read on first use).
+    ``sha256`` is the digest of the bytes of the last finished read: an
+    ``entries`` stream drawn to its end, or ``pinned``. Before one, and
+    while a stream is being drawn, it is a PreconditionError.
     """
 
     def __init__(self, path: Path):
         self.path = path
-        self._data: bytes | None = None
         self._sha256: str | None = None
         try:
             open(path, "rb").close()  # an unreadable path fails here, before any command work
@@ -257,18 +263,14 @@ class _JsonlCorpus(CorpusFile):
     @property
     def sha256(self) -> str:
         if self._sha256 is None:
-            self._sha256 = hashlib.sha256(self._bytes()).hexdigest()
+            raise PreconditionError(
+                f"the SHA-256 of corpus {self.path} is known once entries() has been drawn to its end "
+                "or pinned() has read it"
+            )
         return self._sha256
 
-    def _bytes(self) -> bytes:
-        if self._data is None:
-            try:
-                self._data = self.path.read_bytes()
-            except OSError as exc:
-                raise self._read_error(exc) from exc
-        return self._data
-
     def entries(self) -> Iterator[tuple[Document, int]]:
+        self._sha256 = None
         seen: dict[str, int] = {}
         digest = hashlib.sha256()
         try:
@@ -292,14 +294,22 @@ class _JsonlCorpus(CorpusFile):
             raise self._read_error(exc) from exc
         self._sha256 = digest.hexdigest()
 
-    def _check_locators(self, locators: Sequence[int | str]) -> None:
+    def _read_whole(self) -> tuple[str, bytes]:
+        try:
+            data = self.path.read_bytes()
+        except OSError as exc:
+            raise self._read_error(exc) from exc
+        self._sha256 = hashlib.sha256(data).hexdigest()
+        return self._sha256, data
+
+    def _check_locators(self, data: bytes, locators: Sequence[int | str]) -> None:
         if not set(map(type, locators)) <= {int}:
             problem = "are not all byte offsets"
-        elif locators and not 0 <= min(locators) <= max(locators) < len(self._bytes()):
+        elif locators and not 0 <= min(locators) <= max(locators) < len(data):
             problem = "reach outside it"
         else:
             offsets = np.array(locators, dtype=np.int64)
-            before = np.frombuffer(self._bytes(), dtype=np.uint8)[offsets[offsets > 0] - 1]
+            before = np.frombuffer(data, dtype=np.uint8)[offsets[offsets > 0] - 1]
             if (before == ord("\n")).all():
                 return
             problem = "are not all line starts"
@@ -307,8 +317,7 @@ class _JsonlCorpus(CorpusFile):
             f"the index's locators into corpus {self.path} {problem}; rebuild it with `qasum index`"
         )
 
-    def _document_at(self, locator: int) -> Document:
-        data = self._bytes()
+    def _document_at(self, data: bytes, locator: int) -> Document:
         end = data.find(b"\n", locator)
         line = data[locator : end if end >= 0 else len(data)]
         where = f"{self.path}@{locator}"
@@ -337,19 +346,22 @@ class _TextDirCorpus(CorpusFile):
 
     def entries(self) -> Iterator[tuple[Document, str]]:
         for name in self._files:
-            yield self._document_at(name), name
+            yield self._document_at(self._files, name), name
 
-    def _check_locators(self, locators: Sequence[int | str]) -> None:
-        missing = [loc for loc in locators if not (isinstance(loc, str) and loc in self._files)]
+    def _read_whole(self) -> tuple[str, dict[str, bytes]]:
+        return self.sha256, self._files
+
+    def _check_locators(self, files: dict[str, bytes], locators: Sequence[int | str]) -> None:
+        missing = [loc for loc in locators if not (isinstance(loc, str) and loc in files)]
         if missing:
             raise CorruptIndexError(
                 f"the index locates a document at {missing[0]!r}, which is not a .txt file of corpus "
                 f"directory {self.path}; rebuild it with `qasum index`"
             )
 
-    def _document_at(self, locator: str) -> Document:
+    def _document_at(self, files: dict[str, bytes], locator: str) -> Document:
         try:
-            text = self._files[locator].decode("utf-8")
+            text = files[locator].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path / locator} is not valid UTF-8: {exc}") from exc
         # Universal newlines, as text-mode reading gives them.

@@ -37,15 +37,16 @@ count row c into ``c / sqrt(sum(c**2))`` rounded to float32, and promotes
 float32 to float64, so the loaded matrix is the float32-rounded unit
 vectors either way; reloaded scores agree within 1e-6 with scores from the
 float64 unit vectors, and hits whose scores are closer than that can rank
-in another order after a reload.
+in another order after a reload. A count row whose decoded norm is not 1
+(or 0 for a zero row) has a squared norm that does not match its counts,
+and ``load`` refuses the file.
 
 ``IndexWriter``, the one writer of index files, and ``load`` stream the
-vector block ``_BLOCK_ROWS`` rows at a time through one block-sized
-buffer, so an index in memory costs its float64 matrix plus one block,
-never a whole-file copy; ``load`` takes each block's row norms as it
-decodes it. ``load`` checks the header against the file size before it
-allocates anything sized from the header, and parses the table with one
-``json.loads`` only after the CRC32 matches.
+vector block ``_BLOCK_ROWS`` rows at a time through block-sized buffers,
+so an index in memory costs its float64 matrix plus about a block, never
+a whole-file copy. ``load`` checks the header against the file size
+before it allocates anything sized from the header, and parses the table
+with one ``json.loads`` only after the CRC32 matches.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every ve
 _HEADER = struct.Struct("<8sHHQQ2s")
 _CRC = struct.Struct("<I")
 MAX_DIM = 0xFFFF  # the header stores dim as u16
-_BLOCK_ROWS = 1024  # rows per step when norms are computed and the vector block is read or written
+# Rows per step when norms are computed and the vector block is read or written; a float64
+# block of 256 components is 256 KiB, so a step's buffers stay in a core's L2 cache.
+_BLOCK_ROWS = 128
 # The vector block's types by their header code: float32 components, or integer counts.
 _VECTOR_TYPES = {code: np.dtype(f"<{code.decode()}") for code in (b"f4", b"i1", b"i2", b"i4")}
 _COUNT_CODES = (b"i1", b"i2", b"i4")  # narrowest first
@@ -95,15 +98,17 @@ class SearchHit:
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(matrix, axis=1), a block of rows at a time.
+    """np.linalg.norm(matrix, axis=1), bit for bit, a block of rows at a time.
 
-    Each row reduces on its own, so the result is bit-identical to the
-    one-shot call, without its matrix-sized temporary.
+    np.linalg.norm takes sqrt(np.add.reduce(x * x, axis=1)); here the
+    squares of each block go through one block-sized buffer, so no
+    matrix-sized temporary is made.
     """
     norms = np.empty(len(matrix))
+    squares = np.empty((min(len(matrix), _BLOCK_ROWS), matrix.shape[1]))
     for start in range(0, len(matrix), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        norms[block] = np.linalg.norm(matrix[block], axis=1)
+        rows, out = matrix[start : start + _BLOCK_ROWS], norms[start : start + _BLOCK_ROWS]
+        np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares[: len(rows)]), axis=1, out=out), out=out)
     return norms
 
 
@@ -115,14 +120,11 @@ class VectorIndex:
         ordinals: Sequence[int],
         matrix: np.ndarray,
         embedder: str,
-        norms: np.ndarray | None = None,
     ):
         """Row i is paragraph ordinals[i] of document row_docs[i] of corpus, with vector matrix[i].
 
         Rows are in document order: by document position, then by ordinal,
-        each paragraph once. embedder names what made the vectors. norms,
-        when given, are np.linalg.norm(matrix, axis=1), which load takes as
-        it reads; otherwise they are computed here.
+        each paragraph once. embedder names what made the vectors.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         row_docs = np.asarray(row_docs, dtype=np.intp)
@@ -150,7 +152,7 @@ class VectorIndex:
         doc_types = np.fromiter(map(code.__getitem__, corpus.note_types), dtype=np.intp, count=len(corpus.note_types))
         self._type_codes = doc_types[row_docs]
         self._matrix = matrix
-        self._norms = _row_norms(matrix) if norms is None else norms
+        self._norms = _row_norms(matrix)
         self._embedder = embedder
 
     def __len__(self) -> int:
@@ -218,7 +220,7 @@ class VectorIndex:
         """Read a v4 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
         try:
             with open(path, "rb") as file:
-                table_bytes, matrix, norms = _read_checked(file, path)
+                table_bytes, matrix, squares = _read_checked(file, path)
         except OSError as exc:
             raise IoError(f"cannot read index from {path}: {exc}") from exc
 
@@ -253,9 +255,12 @@ class VectorIndex:
         try:
             corpus = CorpusManifest(sha256, segmentation, doc_ids, note_types, locators)
             row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows)
-            return cls(corpus, row_docs, ordinals, matrix, embedder, norms)
+            index = cls(corpus, row_docs, ordinals, matrix, embedder)
         except (PreconditionError, ValueError, OverflowError) as exc:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
+        if squares is not None:
+            _unit_rows_check(squares, index._norms, path)
+        return index
 
 
 class IndexWriter:
@@ -388,16 +393,16 @@ class IndexWriter:
         write_atomic(self._path, chunks())
 
 
-def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray, np.ndarray]:
-    """Check and read an open v4 file: its string table bytes, its (count, dim) float64 matrix and row norms.
+def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray, np.ndarray | None]:
+    """Check and read an open v4 file: its string table bytes, its (count, dim) float64 matrix, and its squared norms.
 
     The header is checked against the file size before anything sized from
     the header is allocated. A count file's squared norms are read whole
-    (8 bytes a row). The vector block is read a block of rows at a time
-    into one reused buffer, continuing the CRC32; each block is decoded
-    into the matrix (counts to float32-rounded unit vectors, float32
-    promoted) and its row norms taken while it is at hand. The stored
-    CRC32 must then match.
+    (8 bytes a row); a float32 file has none (None). The vector block is
+    read a block of rows at a time into one reused buffer, continuing the
+    CRC32, and each block is decoded into the matrix: counts to
+    float32-rounded unit vectors, float32 promoted. The stored CRC32 must
+    then match.
     """
     size = os.fstat(file.fileno()).st_size
     if size < _PREFIX.size:
@@ -428,35 +433,68 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
 
     table = _read_exact(file, table_len, path)
     crc = zlib.crc32(table, zlib.crc32(head))
-    if counts:
-        count_norms = np.empty(count, dtype=_SQUARES)
-        _read_into(file, count_norms, path)
-        crc = zlib.crc32(count_norms, crc)
-        with np.errstate(invalid="ignore"):  # a negative square is refused once the CRC32 matches
-            np.sqrt(count_norms, out=count_norms)
-        count_norms[count_norms == 0.0] = 1.0  # a zero row divided by 1 stays zero
-    matrix = np.empty((count, dim))
-    norms = np.empty(count)
-    shape = (min(count, _BLOCK_ROWS), dim)
-    buffer = np.empty(shape, dtype=_VECTOR_TYPES[code])
-    single = np.empty(shape, dtype="<f4") if counts else buffer
-    squares = np.empty(shape)
-    for start in range(0, count, _BLOCK_ROWS):
-        n = min(count - start, _BLOCK_ROWS)
-        _read_into(file, buffer[:n], path)
-        crc = zlib.crc32(buffer[:n], crc)
-        if counts:  # unit_rows' division by the row's norm, rounded to float32
-            np.divide(buffer[:n], count_norms[start : start + n, None], out=single[:n], casting="same_kind")
-        rows, block_norms = matrix[start : start + n], norms[start : start + n]
-        rows[...] = single[:n]
-        # np.linalg.norm(rows, axis=1), bit for bit, without its temporaries.
-        np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares[:n]), axis=1, out=block_norms), out=block_norms)
+    squares = None
+    with np.errstate(over="ignore", invalid="ignore"):  # a wrong squared norm is refused by _unit_rows_check
+        if counts:
+            squares = np.empty(count, dtype=_SQUARES)
+            _read_into(file, squares, path)
+            crc = zlib.crc32(squares, crc)
+            divisors = np.sqrt(squares)
+            divisors[squares == 0.0] = 1.0  # a zero row divided by 1 stays zero
+            scales = (1.0 / divisors).astype("<f4")
+        matrix = np.empty((count, dim))
+        shape = (min(count, _BLOCK_ROWS), dim)
+        buffer = np.empty(shape, dtype=_VECTOR_TYPES[code])
+        single = np.empty(shape, dtype="<f4") if counts else buffer
+        large = np.empty(shape, dtype=bool) if counts else None
+        for start in range(0, count, _BLOCK_ROWS):
+            n = min(count - start, _BLOCK_ROWS)
+            _read_into(file, buffer[:n], path)
+            crc = zlib.crc32(buffer[:n], crc)
+            if counts:
+                rows = slice(start, start + n)
+                _decode_counts(buffer[:n], divisors[rows], scales[rows], single[:n], large[:n])
+            matrix[start : start + n] = single[:n]
     (stored_crc,) = _CRC.unpack(_read_exact(file, _CRC.size, path))
     if crc != stored_crc:
         raise CorruptIndexError(f"index file {path} failed its checksum (CRC32 mismatch)")
-    if counts and not np.isfinite(count_norms).all():
-        raise CorruptIndexError(f"index file {path} has a squared norm that is negative or not finite")
-    return table, matrix, norms
+    return table, matrix, squares
+
+
+def _decode_counts(counts: np.ndarray, divisors: np.ndarray, scales: np.ndarray, out, large) -> None:
+    """out = counts / divisors[:, None] rounded to float32, as unit_rows divides a count row by its norm.
+
+    scales is 1 / divisors rounded to float32. A count of 0, 1 or 2 in
+    magnitude times its row's scale is exact in float32 and equals its
+    quotient rounded to float32, since scaling by a power of two commutes
+    with rounding; so does the count type's minimum, a power of two that
+    np.abs leaves negative. So only the larger counts (0.4% of the entries
+    of the 12k-document bench index) are divided in float64 and rounded,
+    unless they are more than an eighth of the block, which is then
+    divided whole. large is a boolean scratch block of the counts' shape.
+    """
+    np.greater(np.abs(counts), 2, out=large)
+    if np.count_nonzero(large) > large.size // 8:
+        np.divide(counts, divisors[:, None], out=out, casting="same_kind")
+        return
+    np.copyto(out, counts, casting="unsafe")
+    np.multiply(out, scales[:, None], out=out)
+    at = np.flatnonzero(large)
+    out.reshape(-1)[at] = counts.reshape(-1)[at] / divisors[at // counts.shape[1]]
+
+
+def _unit_rows_check(squares: np.ndarray, norms: np.ndarray, path: str | Path) -> None:
+    """Refuse the file unless each decoded count row has norm 1, or is a zero row with a squared norm of 0.
+
+    A row divided by the square root of its true squared norm has norm 1
+    within float32 rounding (relative error at most 2**-24). A stored
+    squared norm of 0 for a nonzero row, a positive one for a zero row, or
+    one that is negative, not finite or far from the row's gives a row
+    norm that fails this, at a cost of one comparison per row.
+    """
+    zero = squares == 0.0
+    if not ((norms == 0.0) == zero).all() or not (np.abs(norms[~zero] - 1.0) <= 1e-6).all():
+        raise CorruptIndexError(f"index file {path} has a squared norm that does not match its row's counts")
 
 
 def _read_exact(file: BinaryIO, size: int, path: str | Path) -> bytearray:

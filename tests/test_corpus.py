@@ -26,7 +26,7 @@ from qasum.corpus import (
     split_sentences,
     _lines,
 )
-from qasum.errors import CorruptIndexError, DuplicateIdError, FormatError, IoError
+from qasum.errors import CorruptIndexError, DuplicateIdError, FormatError, IoError, PreconditionError
 
 
 def make_doc(text, doc_id="d1", note_type="other"):
@@ -111,7 +111,8 @@ def test_lone_surrogate_is_a_format_error_on_both_paths(tmp_path, field):
     source = read_corpus(path)
     offset = path.read_bytes().index(b"\n") + 1
     doc_id = "Pain \ud800 noted." if field == "doc_id" else "b"
-    manifest = CorpusManifest(sha256=source.sha256, segmentation=segmentation_digest(), doc_ids=["a", doc_id],
+    sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest = CorpusManifest(sha256=sha256, segmentation=segmentation_digest(), doc_ids=["a", doc_id],
                               note_types=["other", "other"], locators=[0, offset])
     pinned = source.pinned(manifest)
     assert pinned["a"].text == "some text"
@@ -194,7 +195,47 @@ def test_jsonl_entries_stream_the_file(tmp_path):
         tracemalloc.stop()
     assert drawn == 1000 and peak < size / 8, (peak, size)
     # The digest of the streamed bytes is the digest the query path takes of the bytes read whole.
-    assert source.sha256 == read_corpus(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert source.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    fresh = read_corpus(path)
+    fresh.pinned(source.manifest([], [], []))
+    assert fresh.sha256 == source.sha256
+
+
+def test_jsonl_digest_is_known_only_after_a_whole_read(tmp_path):
+    """sha256 and manifest() never read the file themselves: they wait for a stream drawn to its end or pinned()."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record("a"), record("b")])
+    source = read_corpus(path)
+    with pytest.raises(PreconditionError, match="SHA-256"):
+        source.sha256
+    entries = source.entries()
+    first = next(entries)
+    with pytest.raises(PreconditionError, match="SHA-256"):
+        source.manifest([first[0].doc_id], [first[0].note_type], [first[1]])
+    assert len(list(entries)) == 1
+    streamed = source.sha256
+    assert streamed == hashlib.sha256(path.read_bytes()).hexdigest()
+    # A second stream forgets the first digest until it too is drawn to its end.
+    again = source.entries()
+    next(again)
+    with pytest.raises(PreconditionError, match="SHA-256"):
+        source.sha256
+    list(again)
+    assert source.sha256 == streamed
+
+
+def test_pinned_parses_the_bytes_it_hashed(tmp_path):
+    """Bytes that change after pinned() read them are neither hashed nor parsed by its mapping."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [record("a"), record("b")])
+    source = read_corpus(path)
+    _, manifest = read_all(source)
+    pinned = source.pinned(manifest)
+    write_jsonl(path, [record("x"), record("y")])
+    assert [pinned[doc_id].doc_id for doc_id in pinned] == ["a", "b"]
+    assert source.sha256 == manifest.sha256
+    with pytest.raises(CorruptIndexError, match="SHA-256.*qasum index"):
+        source.pinned(manifest)
 
 
 def test_text_dir_reads_universal_newlines(tmp_path):

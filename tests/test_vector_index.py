@@ -647,6 +647,52 @@ def test_load_refuses_a_squared_norm_that_is_negative_or_not_finite(tmp_path, sq
         VectorIndex.load(path)
 
 
+@pytest.mark.parametrize(
+    "row, square",
+    [(1, 0.0), (1, 1e-300), (1, 24.0), (1, 26.0), (0, 1.0)],
+    ids=["zero_for_a_nonzero_row", "tiny", "too_small", "too_large", "positive_for_a_zero_row"],
+)
+def test_load_refuses_a_squared_norm_that_does_not_match_its_row(tmp_path, row, square):
+    """Under a valid CRC32, a stored squared norm that disagrees with its row's counts is still refused."""
+    path = tmp_path / "index.qidx"
+    write_one_document(path, np.array([[0, 0], [3, 4]]))
+    blob = bytearray(path.read_bytes()[:-4])
+    squares_at = vector_index._HEADER.size + len(one_document_table(2))
+    assert struct.unpack_from("<2d", blob, squares_at) == (0.0, 25.0)
+    struct.pack_into("<d", blob, squares_at + 8 * row, square)
+    with_checksum(path, blob)
+    with pytest.raises(CorruptIndexError, match="squared norm"):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("large_share", [0.0, 0.01, 0.1, 0.5, 1.0])
+def test_count_decode_is_the_division_on_both_paths(tmp_path, large_share):
+    """Counts beyond 2 in magnitude, few (divided one by one) or many (the block divided whole), load bit for bit."""
+    rng = np.random.default_rng(11)
+    rows, dim = 3 * vector_index._BLOCK_ROWS + 5, 64
+    counts = rng.integers(-2, 3, size=(rows, dim))
+    large = rng.random(size=counts.shape) < large_share
+    counts[large] = rng.choice([-1, 1], size=large.sum()) * rng.integers(3, 128, size=large.sum())
+    counts[rows // 2] = 0
+    path = tmp_path / "index.qidx"
+    write_one_document(path, counts)
+    assert vector_type_of(path) == b"i1"
+    loaded = VectorIndex.load(path)
+    expected = float32_unit_rows(counts)
+    assert loaded._matrix.tobytes() == expected.tobytes()
+    assert loaded._norms.tobytes() == np.linalg.norm(expected, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("code", [b"i1", b"i2", b"i4"])
+def test_count_type_minimum_loads_bit_for_bit(tmp_path, code):
+    """A count at its type's minimum, which np.abs leaves negative, loads as its float32-rounded quotient too."""
+    low = int(np.iinfo(vector_index._VECTOR_TYPES[code]).min)
+    counts = np.array([[low, 1, 3], [low, 0, 0], [2, -2, 5]])
+    path = tmp_path / "index.qidx"
+    path.write_bytes(one_shot_file(one_document_table(len(counts)), counts, code))
+    assert VectorIndex.load(path)._matrix.tobytes() == float32_unit_rows(counts).tobytes()
+
+
 def test_load_unknown_vector_type(saved_index):
     blob = bytearray(saved_index.read_bytes()[:-4])
     blob[vector_index._HEADER.size - 2 : vector_index._HEADER.size] = b"i8"

@@ -533,7 +533,13 @@ SLACK = 128 * 1024
 
 
 @pytest.fixture()
-def four_block_matrix():
+def memory_blocks(monkeypatch):
+    """Blocks of 1,024 rows, so that four blocks of vectors dwarf SLACK and the per-row Python objects."""
+    monkeypatch.setattr(vector_index, "_BLOCK_ROWS", 1024)
+
+
+@pytest.fixture()
+def four_block_matrix(memory_blocks):
     """Vectors for four blocks of rows and three more."""
     return np.random.default_rng(7).normal(size=(4 * vector_index._BLOCK_ROWS + 3, 128))
 
@@ -702,7 +708,7 @@ def test_load_unknown_vector_type(saved_index):
 
 
 @pytest.fixture()
-def four_block_counts():
+def four_block_counts(memory_blocks):
     """Counts for four blocks of rows and three more, in the int16 range."""
     return np.random.default_rng(7).integers(-300, 300, size=(4 * vector_index._BLOCK_ROWS + 3, 128))
 
@@ -712,8 +718,9 @@ def test_count_load_memory_is_the_matrix_plus_two_blocks(four_block_counts, tmp_
     path = tmp_path / "index.qidx"
     write_one_document(path, four_block_counts)
     assert vector_type_of(path) == b"i2"
-    # Beside the matrix, its norms and the table: the rows' count norms, and the decode buffers (a float64
-    # and a float32 block) and the int16 read buffer, which fit in two float64 blocks.
+    # Beside the matrix, its norms and the table: the rows' squared norms (with their square roots and
+    # reciprocals), the decode buffers (the int16 read block, a float32 and a boolean block) and the
+    # row-norm step's float64 block, which fit in two float64 blocks.
     table = one_document_table(rows)
     bound = 8 * rows * dim + 2 * 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
     assert traced_peak(lambda: VectorIndex.load(path)) <= bound

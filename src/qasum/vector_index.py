@@ -44,7 +44,8 @@ and ``load`` refuses the file.
 ``IndexWriter``, the one writer of index files, and ``load`` stream the
 vector block ``_BLOCK_ROWS`` rows at a time through block-sized buffers,
 so an index in memory costs its float64 matrix plus about a block, never
-a whole-file copy. ``load`` checks the header against the file size
+a whole-file copy; row norms are taken ``_NORM_ROWS`` rows at a time
+after the decode. ``load`` checks the header against the file size
 before it allocates anything sized from the header, and parses the table
 with one ``json.loads`` only after the CRC32 matches.
 """
@@ -80,9 +81,10 @@ _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every ve
 _HEADER = struct.Struct("<8sHHQQ2s")
 _CRC = struct.Struct("<I")
 MAX_DIM = 0xFFFF  # the header stores dim as u16
-# Rows per step when norms are computed and the vector block is read or written; a float64
-# block of 256 components is 256 KiB, so a step's buffers stay in a core's L2 cache.
-_BLOCK_ROWS = 128
+_BLOCK_ROWS = 1024  # rows per step when the vector block is read, decoded or written
+# Rows per step of _row_norms: a float64 block of 256 components is 256 KiB, so the block and
+# its squares stay in a core's L2 cache between the multiply and the sum.
+_NORM_ROWS = 128
 # The vector block's types by their header code: float32 components, or integer counts.
 _VECTOR_TYPES = {code: np.dtype(f"<{code.decode()}") for code in (b"f4", b"i1", b"i2", b"i4")}
 _COUNT_CODES = (b"i1", b"i2", b"i4")  # narrowest first
@@ -105,9 +107,9 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     matrix-sized temporary is made.
     """
     norms = np.empty(len(matrix))
-    squares = np.empty((min(len(matrix), _BLOCK_ROWS), matrix.shape[1]))
-    for start in range(0, len(matrix), _BLOCK_ROWS):
-        rows, out = matrix[start : start + _BLOCK_ROWS], norms[start : start + _BLOCK_ROWS]
+    squares = np.empty((min(len(matrix), _NORM_ROWS), matrix.shape[1]))
+    for start in range(0, len(matrix), _NORM_ROWS):
+        rows, out = matrix[start : start + _NORM_ROWS], norms[start : start + _NORM_ROWS]
         np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares[: len(rows)]), axis=1, out=out), out=out)
     return norms
 

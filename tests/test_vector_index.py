@@ -533,13 +533,7 @@ SLACK = 128 * 1024
 
 
 @pytest.fixture()
-def memory_blocks(monkeypatch):
-    """Blocks of 1,024 rows, so that four blocks of vectors dwarf SLACK and the per-row Python objects."""
-    monkeypatch.setattr(vector_index, "_BLOCK_ROWS", 1024)
-
-
-@pytest.fixture()
-def four_block_matrix(memory_blocks):
+def four_block_matrix():
     """Vectors for four blocks of rows and three more."""
     return np.random.default_rng(7).normal(size=(4 * vector_index._BLOCK_ROWS + 3, 128))
 
@@ -708,7 +702,7 @@ def test_load_unknown_vector_type(saved_index):
 
 
 @pytest.fixture()
-def four_block_counts(memory_blocks):
+def four_block_counts():
     """Counts for four blocks of rows and three more, in the int16 range."""
     return np.random.default_rng(7).integers(-300, 300, size=(4 * vector_index._BLOCK_ROWS + 3, 128))
 
@@ -719,8 +713,8 @@ def test_count_load_memory_is_the_matrix_plus_two_blocks(four_block_counts, tmp_
     write_one_document(path, four_block_counts)
     assert vector_type_of(path) == b"i2"
     # Beside the matrix, its norms and the table: the rows' squared norms (with their square roots and
-    # reciprocals), the decode buffers (the int16 read block, a float32 and a boolean block) and the
-    # row-norm step's float64 block, which fit in two float64 blocks.
+    # reciprocals) and the decode buffers (the int16 read block, a float32 and a boolean block), which
+    # fit in two float64 blocks.
     table = one_document_table(rows)
     bound = 8 * rows * dim + 2 * 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
     assert traced_peak(lambda: VectorIndex.load(path)) <= bound

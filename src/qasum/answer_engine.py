@@ -106,17 +106,17 @@ def content_tokens(text: str) -> set[str]:
 def retrieve_context(
     question: Question,
     index: VectorIndex,
-    vector: np.ndarray,
+    row: np.ndarray,
     corpus: SegmentedCorpus,
     k: int,
 ) -> RetrievedContext:
-    """Top-k paragraphs for the question, whose embedding is vector, concatenated in rank order.
+    """Top-k paragraphs for the question, whose embed_many row is row, concatenated in rank order.
 
     Raises EmptyRetrievalError when the question's note-type filter leaves
     no hits, and CorruptIndexError when a hit names a paragraph the corpus
     does not have (an index built from another corpus).
     """
-    hits = index.search(vector, k, question.note_type_filter)
+    hits = index.search(row, k, question.note_type_filter)
     if not hits:
         raise EmptyRetrievalError(
             f"question {question.q_id!r}: note-type filter "
@@ -297,7 +297,6 @@ def answer_questions(
     embeds, so each embed_many gets the same texts whatever max_workers is.
     """
     rows, kept = embedder.embed_many([q.text for q in questions])
-    vectors = unit_rows(rows)
     if not kept.all():
         question = questions[int(np.argmin(kept))]
         raise EmptyTextError(f"question {question.q_id!r}: {question.text[:50]!r} has no words to embed")
@@ -307,7 +306,7 @@ def answer_questions(
         question = questions[i]
         hits: tuple[SearchHit, ...] = ()
         try:
-            ctx = retrieve_context(question, index, vectors[i], corpus, effective_params(question, params).k)
+            ctx = retrieve_context(question, index, rows[i], corpus, effective_params(question, params).k)
             hits = ctx.hits
             return hits, extractor.extract(build_prompt(ctx), ctx), None
         except (EmptyRetrievalError, NoAnswerError, UnlocatableSourceError) as exc:

@@ -3,10 +3,10 @@
 The reference embedder is a signed feature-hashing bag of unigrams and
 adjacent bigrams: deterministic, dependency-free, and good enough to make
 lexical-overlap retrieval meaningful offline. Its rows are exact integer
-feature counts; ``unit_rows`` divides them by their L2 norm into the
-float64 unit vectors that search and cosine take. Remote embedders are
-reached through the gateway, which L2-normalizes their float64 rows on
-receipt.
+feature counts, which a count index searches as they are; ``unit_rows``
+divides them by their L2 norm into the float64 unit vectors that cosine
+takes. Remote embedders are reached through the gateway, which
+L2-normalizes their float64 rows on receipt.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def squared_norms(counts: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """The rows of an embed_many matrix as the float64 unit vectors that search and cosine take.
+    """The rows of an embed_many matrix as the float64 unit vectors that cosine takes.
 
     Integer counts (the reference kind) are divided by their L2 norm, the
     square root of squared_norms; both steps are correctly rounded, so a

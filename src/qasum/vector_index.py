@@ -1,23 +1,39 @@
 """Exact cosine k-nearest-neighbor index: an immutable column store.
 
 Search is an exact full scan, the semantics of FAISS ``IndexFlatIP``
-(Johnson, Douze & Jegou, 2017) over cosine: one matrix-vector product
-scores every row, a zero norm scores 0.0, scores are clamped to [-1, 1],
-the note-type filter is a boolean row mask, and ``np.partition`` picks the
-candidates at or above the k-th score (ties at the k-th score included)
-before an exact sort by (-score, para_id). Every result can be checked
-against a brute-force oracle.
+(Johnson, Douze & Jegou, 2017) over cosine: every row is scored, a zero row
+scores 0.0, the note-type filter is a boolean row mask, and
+``np.partition`` picks the candidates at or above the k-th score (ties at
+the k-th score included) before an exact sort by (-score, para_id). Every
+result can be checked against a brute-force oracle.
 
 An index is made from its columns: the manifest of the corpus it indexes
 (corpus digest, segmentation digest, and per document its id, note type and
 locator), per row the position of its document in the manifest and its
 paragraph ordinal (so row i is paragraph ``<doc_id>#<ordinal>``), the
 vectors, and the identity of the embedder that made them. Rows are in
-document order. A row's note type is its document's. In memory
-(``VectorIndex``) the vectors are one (n, dim) float64 matrix with its row
-norms. Nothing changes a built index, so concurrent searches need no lock.
-``IndexWriter`` builds the file without the matrix, from batches of rows
-that it spools to disk.
+document order. A row's note type is its document's. Nothing changes a
+built index, and a search allocates its own scratch block, so concurrent
+searches need no lock. ``IndexWriter`` builds the file without the
+matrix, from batches of rows that it spools to disk.
+
+The vectors are of two kinds. Integer feature counts (the reference
+embedder's rows) are kept as they are, with each row's squared norm, and
+are searched with the query's integer counts (its ``embed_many`` row):
+each ``_BLOCK_ROWS``-row block is cast to float32 and multiplied by the
+query, and the dot products are exact integers whenever the largest row
+squared norm times the query's is below 2**48, since by Cauchy-Schwarz
+every partial sum is then below 2**24; past that the blocks are float64,
+exact below 2**106, and past that the search is refused. So the dot
+products are the same under any BLAS, blocking or batching. A row's score
+is ``sign(dot) * sqrt(dot**2 / (row_sq * q_sq))`` in float64, or 0.0 for
+a zero row or query. While ``row_sq * q_sq`` is below 2**53 both operands
+of the division are exact, so two rows with equal exact cosines get the
+same score bits and rank by para_id. Float rows (a remote embedder's unit
+vectors) are one (n, dim) float64 matrix with its row norms: one
+matrix-vector product scores every row, divided by the row and query
+norms and clamped to [-1, 1], so their order at near-ties depends on the
+BLAS summation order.
 
 The file (format v4) stores the same columns, little-endian: a header
 (magic ``QASUMIDX``, version u16, dim u16, row count u64, string-table
@@ -28,26 +44,23 @@ UTF-8 JSON object ``{"embedder": str, "corpus_sha256": str,
 (doc_rows counts each document's rows), for count rows one block of count
 float64 squared norms, one contiguous block of count x dim vector
 components, and a CRC32 over all preceding bytes. The vector type is
-``i1``, ``i2`` or ``i4`` for exact integer feature counts (the reference
-embedder's rows), stored in the narrowest of int8, int16 and int32 that
-holds the file's largest count, or ``f4`` for float32 components (a
-remote embedder's rows). A count row's squared norm is
-``embedding.squared_norms`` of it, exact below 2**53. ``load`` decodes a
-count row c into ``c / sqrt(sum(c**2))`` rounded to float32, and promotes
-float32 to float64, so the loaded matrix is the float32-rounded unit
-vectors either way; reloaded scores agree within 1e-6 with scores from the
-float64 unit vectors, and hits whose scores are closer than that can rank
-in another order after a reload. A count row whose decoded norm is not 1
-(or 0 for a zero row) has a squared norm that does not match its counts,
-and ``load`` refuses the file.
+``i1``, ``i2`` or ``i4`` for exact integer feature counts, stored in the
+narrowest of int8, int16 and int32 that holds the file's largest count,
+or ``f4`` for float32 components (a remote embedder's rows). A count
+row's squared norm is ``embedding.squared_norms`` of it, exact below
+2**53. ``load`` keeps a count block in its file type with the stored
+squared norms, each of which must equal its row's recomputed sum of
+squares exactly, and promotes a float32 block to float64.
 
 ``IndexWriter``, the one writer of index files, and ``load`` stream the
-vector block ``_BLOCK_ROWS`` rows at a time through block-sized buffers,
-so an index in memory costs its float64 matrix plus about a block, never
-a whole-file copy; row norms are taken ``_NORM_ROWS`` rows at a time
-after the decode. ``load`` checks the header against the file size
-before it allocates anything sized from the header, and parses the table
-with one ``json.loads`` only after the CRC32 matches.
+vector block ``_BLOCK_ROWS`` rows at a time: the writer through
+block-sized buffers, ``load`` straight into the kept count block (checking
+each block's squared norms through one float32 block) or through one
+float32 buffer into the float64 matrix, never a whole-file copy; float
+row norms are taken ``_NORM_ROWS`` rows at a time. ``load`` checks the
+header against the file size before it allocates anything sized from the
+header, and parses the table with one ``json.loads`` only after the CRC32
+matches.
 """
 
 from __future__ import annotations
@@ -81,7 +94,7 @@ _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every ve
 _HEADER = struct.Struct("<8sHHQQ2s")
 _CRC = struct.Struct("<I")
 MAX_DIM = 0xFFFF  # the header stores dim as u16
-_BLOCK_ROWS = 1024  # rows per step when the vector block is read, decoded or written
+_BLOCK_ROWS = 1024  # rows per step when the vector block is read, checked, searched or written
 # Rows per step of _row_norms: a float64 block of 256 components is 256 KiB, so the block and
 # its squares stay in a core's L2 cache between the multiply and the sum.
 _NORM_ROWS = 128
@@ -90,6 +103,10 @@ _VECTOR_TYPES = {code: np.dtype(f"<{code.decode()}") for code in (b"f4", b"i1", 
 _COUNT_CODES = (b"i1", b"i2", b"i4")  # narrowest first
 _SPOOL_COUNT = np.dtype("<i4")  # how IndexWriter spools counts: the widest count type
 _SQUARES = np.dtype("<f8")  # the squared norms of count rows
+# Integer dot products are exact in float32 while every partial sum is below 2**24, and in float64
+# below 2**53; by Cauchy-Schwarz that holds when the largest row squared norm times the query's is
+# below the square of that, the bound paired with each type here.
+_EXACT_DOTS = ((2**48, np.dtype(np.float32)), (2**106, np.dtype(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -122,13 +139,17 @@ class VectorIndex:
         ordinals: Sequence[int],
         matrix: np.ndarray,
         embedder: str,
+        squares: np.ndarray | None = None,
     ):
         """Row i is paragraph ordinals[i] of document row_docs[i] of corpus, with vector matrix[i].
 
         Rows are in document order: by document position, then by ordinal,
-        each paragraph once. embedder names what made the vectors.
+        each paragraph once. embedder names what made the vectors. An
+        integer matrix holds feature counts, kept in its type, and squares
+        their rows' squared norms (squared_norms of the matrix when None);
+        any other matrix is kept as float64.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
         row_docs = np.asarray(row_docs, dtype=np.intp)
         ordinals = np.asarray(ordinals, dtype=np.intp)
         if matrix.ndim != 2 or not row_docs.shape == ordinals.shape == (len(matrix),):
@@ -153,16 +174,23 @@ class VectorIndex:
         code = {name: i for i, name in enumerate(self._type_names)}
         doc_types = np.fromiter(map(code.__getitem__, corpus.note_types), dtype=np.intp, count=len(corpus.note_types))
         self._type_codes = doc_types[row_docs]
-        self._matrix = matrix
-        self._norms = _row_norms(matrix)
+        self._dim = matrix.shape[1]
+        if np.issubdtype(matrix.dtype, np.integer):
+            self._counts = matrix
+            self._squares = squared_norms(matrix) if squares is None else squares
+            self._largest_square = int(self._squares.max(initial=0.0))
+        else:
+            self._matrix = np.asarray(matrix, dtype=np.float64)
+            self._norms = _row_norms(self._matrix)
+            self._squares = None
         self._embedder = embedder
 
     def __len__(self) -> int:
-        return len(self._matrix)
+        return len(self._row_docs)
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[1]
+        return self._dim
 
     @property
     def embedder(self) -> str:
@@ -177,24 +205,31 @@ class VectorIndex:
     def search(self, query: np.ndarray, k: int, note_filter: Collection[str] | None = None) -> list[SearchHit]:
         """Exact top-k by cosine over the rows whose note type is in note_filter (all rows for None).
 
-        Equal scores are broken by para_id ascending; ranks count from 1. Two
-        vectors with the same exact cosine can score an ulp apart, and then rank
-        by score.
+        query is the question's embed_many row: integer counts for a count
+        index, a float vector for a float index. Equal scores are broken by
+        para_id ascending; ranks count from 1. On a count index, equal exact
+        cosines score the same bits (see the module docstring); on a float
+        index two vectors with the same exact cosine can score an ulp apart,
+        and then rank by score.
         """
         if k < 1:
             raise PreconditionError(f"k must be positive, got {k}")
         if not len(self):
             raise EmptyIndexError("search on an empty index")
-        query = np.asarray(query, dtype=np.float64)
+        query = np.asarray(query)
         if query.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"query dim {query.shape[0] if query.ndim == 1 else query.shape} "
                 f"does not match index dim {self.dim}"
             )
-        denom = self._norms * float(np.linalg.norm(query))
-        scores = np.zeros(len(denom))
-        np.divide(self._matrix @ query, denom, out=scores, where=denom != 0.0)
-        np.clip(scores, -1.0, 1.0, out=scores)
+        if self._squares is None:
+            query = query.astype(np.float64, copy=False)
+            denom = self._norms * float(np.linalg.norm(query))
+            scores = np.zeros(len(denom))
+            np.divide(self._matrix @ query, denom, out=scores, where=denom != 0.0)
+            np.clip(scores, -1.0, 1.0, out=scores)
+        else:
+            scores = self._count_scores(query)
 
         if note_filter is None:
             rows = np.arange(len(scores))
@@ -217,12 +252,41 @@ class VectorIndex:
             for rank, (score, pid) in enumerate(scored[:k], start=1)
         ]
 
+    def _count_scores(self, query: np.ndarray) -> np.ndarray:
+        """Each count row's cosine with the integer query, from exact dot products (see the module docstring)."""
+        if not np.issubdtype(query.dtype, np.integer):
+            raise PreconditionError(
+                f"a count index is searched with a question's integer counts, got a {query.dtype} vector"
+            )
+        query_square = sum(c * c for c in query.tolist())
+        bound = self._largest_square * query_square
+        exact = next((dtype for limit, dtype in _EXACT_DOTS if bound < limit), None)
+        if exact is None:
+            raise PreconditionError(
+                f"the question's counts are too large to score exactly: the largest row squared norm times "
+                f"the question's is {bound}, not below 2**106, the bound for exact float64 dot products"
+            )
+        typed_query = query.astype(exact)
+        dots = np.empty(len(self), dtype=exact)
+        block = np.empty((min(len(self), _BLOCK_ROWS), self.dim), dtype=exact)
+        for start in range(0, len(self), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            counts = self._counts[rows]
+            np.copyto(block[: len(counts)], counts, casting="unsafe")
+            np.matmul(block[: len(counts)], typed_query, out=dots[rows])
+        dots = dots.astype(np.float64)
+        denom = self._squares * float(query_square)
+        scores = np.zeros(len(dots))
+        np.divide(np.square(dots), denom, out=scores, where=denom != 0.0)
+        np.sqrt(scores, out=scores)
+        return np.negative(scores, out=scores, where=dots < 0.0)
+
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Read a v4 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
         try:
             with open(path, "rb") as file:
-                table_bytes, matrix, squares = _read_checked(file, path)
+                table_bytes, vectors, squares = _read_checked(file, path)
         except OSError as exc:
             raise IoError(f"cannot read index from {path}: {exc}") from exc
 
@@ -232,7 +296,7 @@ class VectorIndex:
             raise CorruptIndexError(f"index file {path} has a string table that is not valid UTF-8: {exc}") from exc
         except ValueError as exc:
             raise CorruptIndexError(f"index file {path} has a string table that is not JSON: {exc}") from exc
-        count = len(matrix)
+        count = len(vectors)
         fields = table if isinstance(table, dict) else {}
         embedder, sha256, segmentation = (fields.get(key) for key in ("embedder", "corpus_sha256", "segmentation"))
         doc_ids, note_types, locators, doc_rows, ordinals = (
@@ -257,12 +321,9 @@ class VectorIndex:
         try:
             corpus = CorpusManifest(sha256, segmentation, doc_ids, note_types, locators)
             row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows)
-            index = cls(corpus, row_docs, ordinals, matrix, embedder)
+            return cls(corpus, row_docs, ordinals, vectors, embedder, squares)
         except (PreconditionError, ValueError, OverflowError) as exc:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
-        if squares is not None:
-            _unit_rows_check(squares, index._norms, path)
-        return index
 
 
 class IndexWriter:
@@ -396,15 +457,17 @@ class IndexWriter:
 
 
 def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray, np.ndarray | None]:
-    """Check and read an open v4 file: its string table bytes, its (count, dim) float64 matrix, and its squared norms.
+    """Check and read an open v4 file: its string table bytes, its vectors, and a count file's squared norms.
 
     The header is checked against the file size before anything sized from
     the header is allocated. A count file's squared norms are read whole
-    (8 bytes a row); a float32 file has none (None). The vector block is
-    read a block of rows at a time into one reused buffer, continuing the
-    CRC32, and each block is decoded into the matrix: counts to
-    float32-rounded unit vectors, float32 promoted. The stored CRC32 must
-    then match.
+    (8 bytes a row), and its count block a block of rows at a time straight
+    into the (count, dim) array of the file's type that load keeps; each
+    block's sums of squares must equal its stored squared norms exactly. A
+    float32 block is read through one block buffer into a (count, dim)
+    float64 matrix, and has no squared norms (None). Every block continues
+    the CRC32. The stored CRC32 must then match, and only then is a squared
+    norm that does not match refused, so a damaged file fails its checksum.
     """
     size = os.fstat(file.fileno()).st_size
     if size < _PREFIX.size:
@@ -436,67 +499,45 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
     table = _read_exact(file, table_len, path)
     crc = zlib.crc32(table, zlib.crc32(head))
     squares = None
-    with np.errstate(over="ignore", invalid="ignore"):  # a wrong squared norm is refused by _unit_rows_check
+    if counts:
+        squares = np.empty(count, dtype=_SQUARES)
+        _read_into(file, squares, path)
+        crc = zlib.crc32(squares, crc)
+    vectors = np.empty((count, dim), dtype=_VECTOR_TYPES[code] if counts else np.float64)
+    # The float32 block: the read buffer of a float32 file, the squared-norm check's of a count file.
+    single = np.empty((min(count, _BLOCK_ROWS), dim), dtype="<f4")
+    matching = True
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        n = min(count - start, _BLOCK_ROWS)
+        block = vectors[rows] if counts else single[:n]
+        _read_into(file, block, path)
+        crc = zlib.crc32(block, crc)
         if counts:
-            squares = np.empty(count, dtype=_SQUARES)
-            _read_into(file, squares, path)
-            crc = zlib.crc32(squares, crc)
-            divisors = np.sqrt(squares)
-            divisors[squares == 0.0] = 1.0  # a zero row divided by 1 stays zero
-            scales = (1.0 / divisors).astype("<f4")
-        matrix = np.empty((count, dim))
-        shape = (min(count, _BLOCK_ROWS), dim)
-        buffer = np.empty(shape, dtype=_VECTOR_TYPES[code])
-        single = np.empty(shape, dtype="<f4") if counts else buffer
-        large = np.empty(shape, dtype=bool) if counts else None
-        for start in range(0, count, _BLOCK_ROWS):
-            n = min(count - start, _BLOCK_ROWS)
-            _read_into(file, buffer[:n], path)
-            crc = zlib.crc32(buffer[:n], crc)
-            if counts:
-                rows = slice(start, start + n)
-                _decode_counts(buffer[:n], divisors[rows], scales[rows], single[:n], large[:n])
-            matrix[start : start + n] = single[:n]
+            matching = matching and _squares_match(block, squares[rows], single[:n])
+        else:
+            vectors[rows] = block
     (stored_crc,) = _CRC.unpack(_read_exact(file, _CRC.size, path))
     if crc != stored_crc:
         raise CorruptIndexError(f"index file {path} failed its checksum (CRC32 mismatch)")
-    return table, matrix, squares
-
-
-def _decode_counts(counts: np.ndarray, divisors: np.ndarray, scales: np.ndarray, out, large) -> None:
-    """out = counts / divisors[:, None] rounded to float32, as unit_rows divides a count row by its norm.
-
-    scales is 1 / divisors rounded to float32. A count of 0, 1 or 2 in
-    magnitude times its row's scale is exact in float32 and equals its
-    quotient rounded to float32, since scaling by a power of two commutes
-    with rounding; so does the count type's minimum, a power of two that
-    np.abs leaves negative. So only the larger counts (0.4% of the entries
-    of the 12k-document bench index) are divided in float64 and rounded,
-    unless they are more than an eighth of the block, which is then
-    divided whole. large is a boolean scratch block of the counts' shape.
-    """
-    np.greater(np.abs(counts), 2, out=large)
-    if np.count_nonzero(large) > large.size // 8:
-        np.divide(counts, divisors[:, None], out=out, casting="same_kind")
-        return
-    np.copyto(out, counts, casting="unsafe")
-    np.multiply(out, scales[:, None], out=out)
-    at = np.flatnonzero(large)
-    out.reshape(-1)[at] = counts.reshape(-1)[at] / divisors[at // counts.shape[1]]
-
-
-def _unit_rows_check(squares: np.ndarray, norms: np.ndarray, path: str | Path) -> None:
-    """Refuse the file unless each decoded count row has norm 1, or is a zero row with a squared norm of 0.
-
-    A row divided by the square root of its true squared norm has norm 1
-    within float32 rounding (relative error at most 2**-24). A stored
-    squared norm of 0 for a nonzero row, a positive one for a zero row, or
-    one that is negative, not finite or far from the row's gives a row
-    norm that fails this, at a cost of one comparison per row.
-    """
-    zero = squares == 0.0
-    if not ((norms == 0.0) == zero).all() or not (np.abs(norms[~zero] - 1.0) <= 1e-6).all():
+    if not matching:
         raise CorruptIndexError(f"index file {path} has a squared norm that does not match its row's counts")
+    return table, vectors, squares
+
+
+def _squares_match(counts: np.ndarray, squares: np.ndarray, single: np.ndarray) -> bool:
+    """Whether squares holds each count row's sum of squares, exactly.
+
+    The sums are taken in float32 through single, a float32 block of the
+    counts' shape: they are exact while below 2**24 and, the terms being
+    squares, at least 2**24 otherwise, so they match stored squares below
+    2**24 exactly when those are right. A block whose stored squares are not
+    all below 2**24 is summed by squared_norms, as IndexWriter summed it.
+    """
+    if not squares.max(initial=0.0) < 2**24:
+        return np.array_equal(squared_norms(counts), squares)
+    np.copyto(single, counts, casting="unsafe")
+    return np.array_equal(np.einsum("ij,ij->i", single, single), squares)
 
 
 def _read_exact(file: BinaryIO, size: int, path: str | Path) -> bytearray:

@@ -1,5 +1,6 @@
 """Index rows for tests: the oracle's (para_id, vector, doc_id, note_type) tuple, with names."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -50,3 +51,20 @@ def write_index(path, rows, dim=4, embedder="hashed-reference"):
     with IndexWriter(path, matrix.shape[1], embedder) as writer:
         writer.add(row_docs, ordinals, matrix)
         writer.write(manifest)
+
+
+def exact_hits(counts, para_ids, query, k):
+    """The exact ranking of integer count rows for an integer query, as (para_id, score) pairs.
+
+    The dot products are int64 matmul; each score is sign(dot) * sqrt(dot**2 / (row_sq * q_sq)), the
+    division of Python integers correctly rounded, or 0.0 for a zero row or query; ties rank by para_id.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    query = np.asarray(query, dtype=np.int64)
+    q_sq = sum(c * c for c in query.tolist())
+    scored = []
+    for para_id, row, dot in zip(para_ids, counts.tolist(), (counts @ query).tolist()):
+        row_sq = sum(c * c for c in row)
+        score = math.copysign(math.sqrt(dot * dot / (row_sq * q_sq)), dot) if row_sq and q_sq else 0.0
+        scored.append((para_id, score))
+    return sorted(scored, key=lambda hit: (-hit[1], hit[0]))[:k]

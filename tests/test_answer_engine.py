@@ -306,14 +306,16 @@ def test_answer_questions_covers_every_question(bank, fixture_index, segmented, 
     assert by_id["q-admit-reason"].passed
 
 
-def test_answer_questions_searches_and_scores_unit_vectors(bank, fixture_index, segmented, ref_embedder, monkeypatch):
-    """embed_many's counts reach search as the one-text reference vectors, bit for bit, and the NP score as unit rows."""
+def test_answer_questions_searches_counts_and_scores_unit_vectors(bank, fixture_index, segmented, ref_embedder,
+                                                                  monkeypatch):
+    """embed_many's counts reach search as they are, bit for bit, and the NP score as unit rows."""
     searched, scored = [], []
     search, np_match_score = fixture_index.search, ae.np_match_score
     monkeypatch.setattr(fixture_index, "search", lambda query, *args: searched.append(query) or search(query, *args))
     monkeypatch.setattr(ae, "np_match_score", lambda q, a: scored.extend([q, a]) or np_match_score(q, a))
     ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), bank.defaults)
-    assert [query.tobytes() for query in searched] == [reference_embedding(q.text).tobytes() for q in bank.questions]
+    assert all(query.dtype == np.int64 for query in searched)
+    assert [query.tobytes() for query in searched] == [reference_counts([q.text])[0][0].tobytes() for q in bank.questions]
     rows = np.concatenate(scored)
     assert len(rows) and rows.dtype == np.float64 and np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
 

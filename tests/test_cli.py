@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from index_rows import Row, build_index
+from index_rows import Row, build_index, exact_hits
 from oracles import embed_oracle
 import qasum.cli
 import qasum.embedding
@@ -19,7 +19,7 @@ import qasum.vector_index
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
 from qasum.corpus import SegmentedCorpus, read_corpus
-from qasum.embedding import reference_embedding
+from qasum.embedding import reference_counts, reference_embedding, unit_rows
 from qasum.errors import ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, canonical_body
 from qasum.question_bank import effective_params, load_question_bank
@@ -263,10 +263,6 @@ def _vector_type(path):
     return qasum.vector_index._HEADER.unpack_from(path.read_bytes())[-1]
 
 
-def _float32_rounded(vectors):
-    return np.asarray(vectors).astype("<f4").astype(np.float64)
-
-
 @pytest.mark.parametrize(
     "text, vector_type",
     [("sore throat", b"i1"), (" ".join(["a"] * 200), b"i2"), ("-".join(["a"] * 33_000), b"i4")],
@@ -282,27 +278,46 @@ def test_index_stores_counts_in_the_narrowest_type(pipeline_config, tmp_path, te
     path = tmp_path / "out" / "index.qidx"
     assert _vector_type(path) == vector_type
     loaded = VectorIndex.load(path)
-    assert loaded._matrix.tobytes() == _float32_rounded([reference_embedding(text)]).tobytes()
-    assert [hit.para_id for hit in loaded.search(reference_embedding(text), k=1)] == ["d1#0"]
+    counts, _ = reference_counts([text])
+    assert loaded._counts.dtype == qasum.vector_index._VECTOR_TYPES[vector_type]
+    assert loaded._counts.tobytes() == counts.astype(loaded._counts.dtype).tobytes()
+    assert [(hit.para_id, hit.score) for hit in loaded.search(counts[0], k=1)] == [("d1#0", 1.0)]
 
 
-def test_count_index_searches_as_the_float32_unit_rows(pipeline_config, tmp_path, corpus_docs, segmented, bank,
-                                                       ref_embedder):
-    """The v4 index gives the hits and scores an in-memory index of the float32-rounded unit rows gives."""
+def test_count_index_searches_as_the_exact_reference(pipeline_config, tmp_path, segmented, bank, ref_embedder):
+    """The v4 index, searched with embed_many's counts, ranks the paragraphs as exact integer arithmetic does."""
     assert run(["index", "--config", str(pipeline_config)]) == 0
     loaded = VectorIndex.load(tmp_path / "out" / "index.qidx")
     texts = [para.text for para in segmented.paragraphs]
-    doc_type = {doc.doc_id: doc.note_type for doc in corpus_docs}
-    rows = [Row(para.para_id, vector, para.doc_id, doc_type[para.doc_id])
-            for para, vector in zip(segmented.paragraphs, _float32_rounded([reference_embedding(t) for t in texts]))]
-    in_memory = build_index(rows)
-    queries = [question.text for question in bank.questions] + texts
-    counts, kept = ref_embedder.embed_many(queries)
+    para_ids = [para.para_id for para in segmented.paragraphs]
+    rows, kept = ref_embedder.embed_many(texts)
+    assert kept.all() and len(loaded) == len(para_ids)
+    counts, kept = ref_embedder.embed_many([question.text for question in bank.questions] + texts)
     assert counts.dtype == np.int64 and kept.all()
-    vectors = qasum.embedding.unit_rows(counts)
-    for query, vector in zip(queries, vectors):
-        assert vector.tobytes() == reference_embedding(query).tobytes()
-        assert loaded.search(vector, k=len(rows)) == in_memory.search(vector, k=len(rows))
+    for query in counts:
+        hits = loaded.search(query, k=len(para_ids))
+        assert [(hit.para_id, hit.score) for hit in hits] == exact_hits(rows, para_ids, query, len(para_ids))
+
+
+def test_ask_past_the_exact_score_bound_exits_1(pipeline_config, tmp_path, monkeypatch, capsys):
+    """A question whose counts, times the index's largest, pass 2**106 cannot be scored exactly: exit 1, naming it."""
+
+    class LargeFirstRow(qasum.vector_index.IndexWriter):
+        def add(self, row_docs, ordinals, vectors):
+            vectors = np.array(vectors)
+            vectors[:1] = 2**31 - 1
+            super().add(row_docs, ordinals, vectors)
+
+    monkeypatch.setattr(qasum.cli, "IndexWriter", LargeFirstRow)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    assert _vector_type(tmp_path / "out" / "index.qidx") == b"i4"
+    question = "fever " * 190_000
+    counts, _ = reference_counts([question])
+    assert 256 * (2**31 - 1) ** 2 * int(counts[0] @ counts[0]) >= 2**106
+    capsys.readouterr()
+    assert run(["ask", "--config", str(pipeline_config), question]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**106" in err and err.count("\n") == 1
 
 
 def _break_record(bad):
@@ -405,9 +420,9 @@ def test_cmd_index_leaves_out_unembeddable_paragraphs(pipeline_config, tmp_path,
     paragraphs = [p for p in SegmentedCorpus(docs).paragraphs if p.text != "* * *"]
     assert len(index) == len(paragraphs) == 32
     for para in paragraphs:
-        hits = index.search(reference_embedding(para.text), k=len(index))
+        hits = index.search(reference_counts([para.text])[0][0], k=len(index))
         own = next(hit for hit in hits if hit.para_id == para.para_id)
-        assert own.score == pytest.approx(1.0, abs=1e-6)
+        assert own.score == 1.0
 
 
 def test_failed_replace_keeps_the_previous_artifacts(pipeline_config, tmp_path, monkeypatch, capsys):
@@ -926,10 +941,11 @@ def test_remote_index_keeps_a_float32_block(pipeline_config, tmp_path, monkeypat
     _use_recording_gateway(pipeline_config, monkeypatch)
     assert run(["index", "--config", str(pipeline_config)]) == 0
     assert _vector_type(tmp_path / "out" / "index.qidx") == b"f4"
-    # The gateway's vectors are the reference unit vectors, so both blocks load the same matrix.
+    # The gateway's vectors are the reference unit vectors: the block holds them as float32, and loads
+    # them promoted to float64, as the count index's rows divided by their norms and rounded to float32.
     remote = VectorIndex.load(tmp_path / "out" / "index.qidx")
     assert remote.embedder == "remote:m"
-    assert remote._matrix.tobytes() == counts._matrix.tobytes()
+    assert remote._matrix.tobytes() == unit_rows(counts._counts).astype("<f4").astype(np.float64).tobytes()
 
 
 def test_remote_summarize_embeds_the_same_batches_whatever_the_workers(pipeline_config, tmp_path, monkeypatch):

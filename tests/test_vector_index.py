@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import re
 import struct
 import tempfile
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_rows import Row, build_index, write_index
+from index_rows import Row, build_index, exact_hits, write_index
 from oracles.knn_oracle import brute_force_search
 from qasum.cli import load_config, main
-from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding, unit_rows
+from qasum.embedding import EmbedderSpec, build_embedder, reference_counts, reference_embedding, squared_norms
 from qasum.errors import (
     CorruptIndexError,
     DimensionMismatchError,
@@ -419,7 +420,7 @@ def test_load_missing_file(tmp_path):
         VectorIndex.load(tmp_path / "missing.qidx")
 
 
-def test_concurrent_searches_are_consistent(fixture_index):
+def test_concurrent_searches_are_consistent(fixture_index, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     query = reference_embedding("fever and productive cough")
@@ -427,6 +428,17 @@ def test_concurrent_searches_are_consistent(fixture_index):
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: fixture_index.search(query, k=5), range(32)))
     assert all(r == expected for r in results)
+    # A count index scores block by block through a scratch block of its own per search, so searches
+    # with different queries on several threads each score only their own blocks.
+    monkeypatch.setattr(vector_index, "_BLOCK_ROWS", 256)
+    rng = np.random.default_rng(5)
+    rows = 32 * 256
+    index = VectorIndex(ONE_DOCUMENT, [0] * rows, range(rows), rng.integers(-3, 4, size=(rows, 128)), "hashed-reference")
+    queries = rng.integers(-3, 4, size=(8, 128))
+    expected = [index.search(query, k=5) for query in queries]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(lambda i: index.search(queries[i % 8], k=5), range(256)))
+    assert all(r == expected[i % 8] for i, r in enumerate(results))
 
 
 # -- streaming the float32 block ---------------------------------------------
@@ -565,15 +577,6 @@ def vector_type_of(path):
     return vector_index._HEADER.unpack_from(path.read_bytes())[-1]
 
 
-def float32_unit_rows(counts):
-    """What a v3 file stored for these counts and load promoted: each row over its L2 norm, as float32."""
-    counts = np.asarray(counts, dtype=np.float64)
-    norms = np.sqrt(np.square(counts).sum(axis=1))
-    with np.errstate(invalid="ignore"):
-        units = counts / norms[:, None]
-    return np.where(norms[:, None] > 0.0, units, 0.0).astype("<f4").astype(np.float64)
-
-
 PLANTED = (127, -127, 128, -128, 32767, -32767, 32768, -32768)
 
 
@@ -587,24 +590,39 @@ def count_matrices(draw):
                     dtype=np.int64).reshape(rows, dim)
 
 
+def para_ids_of(count):
+    """The para_ids of rows 0..count-1 of ONE_DOCUMENT."""
+    return [f"d#{ordinal}" for ordinal in range(count)]
+
+
+def hit_pairs(hits):
+    return [(hit.para_id, hit.score) for hit in hits]
+
+
 @settings(max_examples=200, deadline=None)
 @given(counts=count_matrices(), batch_rows=st.integers(min_value=1, max_value=BLOCK + 1))
-def test_count_block_loads_the_float32_unit_rows_bit_for_bit(counts, batch_rows):
+def test_count_block_loads_as_stored_bit_for_bit(counts, batch_rows):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(vector_index, "_BLOCK_ROWS", BLOCK)
         path = Path(tmp) / "index.qidx"
         write_one_document(path, counts, batch_rows)
         largest = int(np.abs(counts).max(initial=0))
-        assert vector_type_of(path) == (b"i1" if largest <= 127 else b"i2" if largest <= 32767 else b"i4")
-        expected = float32_unit_rows(counts)
-        # The block is the counts in that type, after the header and the table.
+        code = b"i1" if largest <= 127 else b"i2" if largest <= 32767 else b"i4"
+        assert vector_type_of(path) == code
+        # The block is the counts in that type, after the header, the table and the squared norms.
         table = one_document_table(len(counts))
-        assert path.read_bytes() == one_shot_file(table, counts, vector_type_of(path))
+        assert path.read_bytes() == one_shot_file(table, counts, code)
         loaded = VectorIndex.load(path)
-        assert loaded._matrix.tobytes() == expected.tobytes()
-        assert loaded._matrix.tobytes() == unit_rows(counts).astype("<f4").astype(np.float64).tobytes()
-        assert loaded._norms.tobytes() == np.linalg.norm(expected, axis=1).tobytes()
-        # Float input keeps a float32 block, loaded as before.
+        # load keeps the block as the file stores it, with the stored squared norms, and no float copy.
+        assert loaded._counts.dtype == vector_index._VECTOR_TYPES[code]
+        assert loaded._counts.tobytes() == counts.astype(vector_index._VECTOR_TYPES[code]).tobytes()
+        assert loaded._squares.tobytes() == squared_norms(counts).tobytes()
+        assert not hasattr(loaded, "_matrix")
+        # Small queries keep the largest row squared norm times the query's below 2**53, where scores are exact.
+        for query in np.clip(counts[:3], -3, 3):
+            expected = exact_hits(counts, para_ids_of(len(counts)), query, len(counts))
+            assert hit_pairs(loaded.search(query, k=len(counts))) == expected
+        # Float input keeps a float32 block, loaded promoted to float64.
         write_one_document(path, counts.astype(np.float64), batch_rows)
         assert vector_type_of(path) == b"f4"
         assert VectorIndex.load(path)._matrix.tobytes() == counts.astype("<f4").astype(np.float64).tobytes()
@@ -648,17 +666,23 @@ def test_load_refuses_a_squared_norm_that_is_negative_or_not_finite(tmp_path, sq
 
 
 @pytest.mark.parametrize(
-    "row, square",
-    [(1, 0.0), (1, 1e-300), (1, 24.0), (1, 26.0), (0, 1.0)],
-    ids=["zero_for_a_nonzero_row", "tiny", "too_small", "too_large", "positive_for_a_zero_row"],
+    "second_row, row, square",
+    [([3, 4], 1, 0.0), ([3, 4], 1, 1e-300), ([3, 4], 1, 24.0), ([3, 4], 1, 26.0), ([3, 4], 0, 1.0),
+     ([1000, 0], 1, 10**6 + 1)],
+    ids=["zero_for_a_nonzero_row", "tiny", "too_small", "too_large", "positive_for_a_zero_row",
+         "off_by_one_int16"],
 )
-def test_load_refuses_a_squared_norm_that_does_not_match_its_row(tmp_path, row, square):
-    """Under a valid CRC32, a stored squared norm that disagrees with its row's counts is still refused."""
+def test_load_refuses_a_squared_norm_that_does_not_match_its_row(tmp_path, second_row, row, square):
+    """Under a valid CRC32, a stored squared norm that disagrees with its row's counts is still refused.
+
+    The int16 row's squared norm, 10**6, stored as 10**6 + 1 would pass a check that the row divided
+    by the square root of its stored squared norm has norm 1 within 1e-6: that norm is 1 - 5e-7.
+    """
     path = tmp_path / "index.qidx"
-    write_one_document(path, np.array([[0, 0], [3, 4]]))
+    write_one_document(path, np.array([[0, 0], second_row]))
     blob = bytearray(path.read_bytes()[:-4])
     squares_at = vector_index._HEADER.size + len(one_document_table(2))
-    assert struct.unpack_from("<2d", blob, squares_at) == (0.0, 25.0)
+    assert struct.unpack_from("<2d", blob, squares_at) == (0.0, float(np.dot(second_row, second_row)))
     struct.pack_into("<d", blob, squares_at + 8 * row, square)
     with_checksum(path, blob)
     with pytest.raises(CorruptIndexError, match="squared norm"):
@@ -667,7 +691,12 @@ def test_load_refuses_a_squared_norm_that_does_not_match_its_row(tmp_path, row, 
 
 @pytest.mark.parametrize("large_share", [0.0, 0.01, 0.1, 0.5, 1.0])
 def test_count_decode_is_the_division_on_both_paths(tmp_path, large_share):
-    """Counts beyond 2 in magnitude, few (divided one by one) or many (the block divided whole), load bit for bit."""
+    """Scores are the exact division, from float32 dot products and, past 2**48, from float64 ones.
+
+    Counts beyond 2 in magnitude make up the given share of a three-block int8 index. A small query
+    takes the float32 dots; one scaled so that the largest row squared norm times its own is in
+    [2**48, 2**53) takes the float64 dots, where both operands of the division are still exact.
+    """
     rng = np.random.default_rng(11)
     rows, dim = 3 * vector_index._BLOCK_ROWS + 5, 64
     counts = rng.integers(-2, 3, size=(rows, dim))
@@ -678,19 +707,40 @@ def test_count_decode_is_the_division_on_both_paths(tmp_path, large_share):
     write_one_document(path, counts)
     assert vector_type_of(path) == b"i1"
     loaded = VectorIndex.load(path)
-    expected = float32_unit_rows(counts)
-    assert loaded._matrix.tobytes() == expected.tobytes()
-    assert loaded._norms.tobytes() == np.linalg.norm(expected, axis=1).tobytes()
+    small = rng.integers(-3, 4, size=dim)
+    largest = int(squared_norms(counts).max())
+    large_query = small * math.isqrt(2**50 // (largest * int(small @ small)))
+    assert largest * int(small @ small) < 2**48 <= largest * int(large_query @ large_query) < 2**53
+    for query in (small, large_query, counts[0]):
+        assert hit_pairs(loaded.search(query, k=50)) == exact_hits(counts, para_ids_of(rows), query, 50)
 
 
 @pytest.mark.parametrize("code", [b"i1", b"i2", b"i4"])
 def test_count_type_minimum_loads_bit_for_bit(tmp_path, code):
-    """A count at its type's minimum, which np.abs leaves negative, loads as its float32-rounded quotient too."""
+    """A count at its type's minimum, which np.abs leaves negative, loads as stored and passes the norm check."""
     low = int(np.iinfo(vector_index._VECTOR_TYPES[code]).min)
     counts = np.array([[low, 1, 3], [low, 0, 0], [2, -2, 5]])
     path = tmp_path / "index.qidx"
     path.write_bytes(one_shot_file(one_document_table(len(counts)), counts, code))
-    assert VectorIndex.load(path)._matrix.tobytes() == float32_unit_rows(counts).tobytes()
+    loaded = VectorIndex.load(path)
+    assert loaded._counts.tobytes() == counts.astype(vector_index._VECTOR_TYPES[code]).tobytes()
+    query = np.array([0, 1, 1])
+    hits = loaded.search(query, k=3)
+    expected = exact_hits(counts, para_ids_of(3), query, 3)
+    assert [hit.para_id for hit in hits] == [para_id for para_id, _ in expected]
+    # Past 2**53 (int32's minimum squared) the division's operands are rounded, so scores agree to an ulp.
+    assert [hit.score for hit in hits] == pytest.approx([score for _, score in expected], rel=1e-15)
+
+
+def test_count_block_damage_fails_the_checksum(tmp_path):
+    """A damaged count block is reported as a checksum failure, not as the squared-norm mismatch it also makes."""
+    path = tmp_path / "index.qidx"
+    write_one_document(path, np.array([[1, 2], [3, 4]]))
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 0x01  # the last count
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptIndexError, match="checksum"):
+        VectorIndex.load(path)
 
 
 def test_load_unknown_vector_type(saved_index):
@@ -727,3 +777,120 @@ def test_count_write_memory_is_the_table_plus_two_blocks(four_block_counts, tmp_
     bound = len(one_document_table(rows)) + 2 * 8 * rows + (4 + 2) * vector_index._BLOCK_ROWS * dim + SLACK
     with one_document_writer(tmp_path / "index.qidx", four_block_counts) as writer:
         assert traced_peak(lambda: writer.write(ONE_DOCUMENT)) <= bound
+
+
+def test_count_load_memory_is_the_count_block_plus_one_block(four_block_counts, tmp_path):
+    rows, dim = four_block_counts.shape
+    path = tmp_path / "index.qidx"
+    write_one_document(path, four_block_counts)
+    assert vector_type_of(path) == b"i2"
+    # load keeps the int16 block and the squared norms, beside the table; the one float32 block
+    # (through which each block's squared norms are checked) bounds the transient rest.
+    table = one_document_table(rows)
+    bound = 2 * rows * dim + 8 * rows + len(table) + 4 * vector_index._BLOCK_ROWS * dim + SLACK
+    assert traced_peak(lambda: VectorIndex.load(path)) <= bound
+
+
+# -- exact count scores ------------------------------------------------------------
+
+# Planted exact ties between different vectors: for the first query, 6/sqrt(117) and 2/sqrt(13)
+# (the two cosines of a fixture tie); for the second, two rows of dot 26 and squared norm 119.
+TIE_QUERIES = ([1, 0, 0, 0, 0], [2, 2, 1, 1, 0])
+TIE_ROWS = ([6, 6, 6, 3, 0], [2, 3, 0, 0, 0], [2, 4, 7, 7, -1], [2, 5, 5, 7, -4])
+
+
+@st.composite
+def planted_ties(draw):
+    """Count rows with planted exact ties, the para_ids of the rows (not in row order), and queries.
+
+    Beside TIE_ROWS, each drawn row may get a scaled copy (the same cosine with every query), a copy
+    with two components swapped where the first drawn query's are equal, or with one negated where
+    that query's is 0 (the same dot and squared norm for it); a zero row is planted too.
+    """
+    vector = st.lists(st.integers(-7, 7), min_size=5, max_size=5)
+    queries = [list(q) for q in TIE_QUERIES] + draw(st.lists(vector, min_size=1, max_size=3))
+    query = queries[2]
+    rows = [list(row) for row in TIE_ROWS] + [[0] * 5]
+    for row in draw(st.lists(vector, max_size=8)):
+        rows.append(row)
+        plant = draw(st.sampled_from(["none", "scale", "swap"]))
+        if plant == "scale":
+            rows.append([draw(st.integers(2, 3)) * c for c in row])
+        elif plant == "swap":
+            partner = list(row)
+            equal = [(i, j) for i in range(5) for j in range(i + 1, 5) if query[i] == query[j] and row[i] != row[j]]
+            zeros = [i for i in range(5) if query[i] == 0 and row[i] != 0]
+            if equal:
+                i, j = draw(st.sampled_from(equal))
+                partner[i], partner[j] = row[j], row[i]
+            elif zeros:
+                i = draw(st.sampled_from(zeros))
+                partner[i] = -row[i]
+            rows.append(partner)
+    order = draw(st.permutations(range(len(rows))))
+    return np.array(rows, dtype=np.int64), [f"p{order[i]:02d}#0" for i in range(len(rows))], np.array(queries)
+
+
+def gemm_hits(counts, para_ids, queries, k):
+    """Every query's ranking from one float32 GEMM over all queries, scored as search scores."""
+    dots = (counts.astype(np.float32) @ queries.astype(np.float32).T).astype(np.float64)
+    rankings = []
+    for q, q_dots in zip(queries, dots.T):
+        denom = squared_norms(counts) * float(q @ q)
+        scores = np.zeros(len(counts))
+        np.divide(np.square(q_dots), denom, out=scores, where=denom != 0.0)
+        scores = np.where(q_dots < 0.0, -np.sqrt(scores), np.sqrt(scores))
+        rankings.append(sorted(zip(para_ids, scores.tolist()), key=lambda hit: (-hit[1], hit[0]))[:k])
+    return rankings
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=planted_ties(), k=st.integers(min_value=1, max_value=8))
+def test_count_search_ranks_planted_ties_by_para_id_under_any_blocking(case, k):
+    counts, para_ids, queries = case
+    rows = [Row(pid, vector, pid.partition("#")[0], "other") for pid, vector in zip(para_ids, counts)]
+    oracle_entries = as_oracle_entries(rows)
+    expected = [exact_hits(counts, para_ids, q, k) for q in queries]
+    assert gemm_hits(counts, para_ids, queries, k) == expected
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for block_rows in (1, 3, 7):
+            patch.setattr(vector_index, "_BLOCK_ROWS", block_rows)
+            write_index(Path(tmp) / "index.qidx", rows)
+            loaded = VectorIndex.load(Path(tmp) / "index.qidx")
+            for q, ranking in zip(queries, expected):
+                hits = loaded.search(q, k=k)
+                assert hit_pairs(hits) == ranking
+                assert [hit.rank for hit in hits] == list(range(1, len(ranking) + 1))
+                # The oracle's float scores agree within rounding; its order at exact ties can differ.
+                oracle = dict(brute_force_search(oracle_entries, q.tolist(), len(rows)))
+                assert all(abs(hit.score - oracle[hit.para_id]) <= 1e-12 for hit in hits)
+            # Each planted pair of TIE_ROWS scores the same bits with its query.
+            for q, (a, b) in zip(queries, ((0, 1), (2, 3))):
+                scores = {hit.para_id: hit.score for hit in loaded.search(q, k=len(rows))}
+                assert scores[para_ids[a]] == scores[para_ids[b]] > 0.0
+
+
+def test_count_search_keeps_exact_dots_past_the_float32_bound(tmp_path):
+    """A row and query whose squared norms multiply to just past 2**48 get float64 dots, equal to int64 matmul."""
+    counts = np.array([[4096, 1, 0], [4095, 64, 3], [1, 1, 1]])
+    query = np.array([4096, 3, 0])
+    assert 2**48 <= int(squared_norms(counts).max()) * int(query @ query) < 2**53
+    # float32 dots would round 4096 * 4096 + 3 = 2**24 + 3.
+    assert (counts.astype(np.float32) @ query.astype(np.float32) != counts @ query).any()
+    path = tmp_path / "index.qidx"
+    write_one_document(path, counts)
+    for index in (VectorIndex.load(path), VectorIndex(ONE_DOCUMENT, [0] * 3, [0, 1, 2], counts, "hashed-reference")):
+        assert hit_pairs(index.search(query, k=3)) == exact_hits(counts, para_ids_of(3), query, 3)
+
+
+def test_count_search_past_the_float64_bound_is_refused(tmp_path):
+    counts = np.array([[2**31 - 1, 0], [1, 1]])
+    path = tmp_path / "index.qidx"
+    write_one_document(path, counts)
+    loaded = VectorIndex.load(path)
+    just_below = np.array([2**21 - 1, 0])  # (2**31 - 1)**2 * (2**21 - 1)**2 < 2**104
+    assert hit_pairs(loaded.search(just_below, k=2)) == exact_hits(counts, para_ids_of(2), just_below, 2)
+    with pytest.raises(PreconditionError, match=r"2\*\*106"):
+        loaded.search(np.array([2**22, 2**22]), k=2)
+    with pytest.raises(PreconditionError, match="integer counts"):
+        loaded.search(np.array([1.0, 0.0]), k=2)

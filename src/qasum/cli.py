@@ -18,7 +18,7 @@ from itertools import compress, islice
 from pathlib import Path
 
 from . import answer_engine, evaluation, summarizer
-from .corpus import Document, SegmentedCorpus, read_corpus
+from .corpus import SegmentedCorpus, paragraph_columns, read_corpus
 from .embedding import Embedder, EmbedderSpec, build_embedder
 from .errors import (
     CorruptIndexError,
@@ -213,19 +213,18 @@ def _timestamp(cfg: PipelineConfig) -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _index_chunk(docs: list[Document], first: int, embedder: Embedder, writer: IndexWriter) -> tuple[int, int]:
-    """Segment, embed and spool docs, whose first is document first of the corpus.
+def _index_chunk(texts: list[str], first: int, embedder: Embedder, writer: IndexWriter) -> tuple[int, int]:
+    """Segment, embed and spool the texts of documents first, first + 1, ... of the corpus.
 
     Returns how many paragraphs the documents have and how many of them
     were left out as unembeddable. The chunk's paragraphs and vectors are
     freed on return, before the next chunk is read.
     """
-    doc_pos = {doc.doc_id: first + i for i, doc in enumerate(docs)}
-    paragraphs = SegmentedCorpus(docs).paragraphs
-    vectors, kept = embedder.embed_many([para.text for para in paragraphs])
-    embedded = list(compress(paragraphs, kept))
-    writer.add([doc_pos[para.doc_id] for para in embedded], [para.ordinal for para in embedded], vectors[kept])
-    return len(paragraphs), len(paragraphs) - len(embedded)
+    rows, ordinals, _, paragraphs = paragraph_columns(texts)
+    vectors, kept = embedder.embed_many(paragraphs)
+    keep = kept.tolist()
+    writer.add([first + row for row in compress(rows, keep)], list(compress(ordinals, keep)), vectors[kept])
+    return len(paragraphs), keep.count(False)
 
 
 def cmd_index(cfg: PipelineConfig) -> int:
@@ -244,12 +243,11 @@ def cmd_index(cfg: PipelineConfig) -> int:
     entries = source.entries()
     with IndexWriter(cfg.index_path, cfg.embedder.dim, _embedder_identity(cfg)) as writer:
         while chunk := list(islice(entries, _INDEX_CHUNK_DOCS)):
-            docs = [doc for doc, _ in chunk]
             first = len(doc_ids)
-            doc_ids += [doc.doc_id for doc in docs]
-            note_types += [doc.note_type for doc in docs]
+            doc_ids += [doc.doc_id for doc, _ in chunk]
+            note_types += [doc.note_type for doc, _ in chunk]
             locators += [locator for _, locator in chunk]
-            paragraphs, unembeddable = _index_chunk(docs, first, embedder, writer)
+            paragraphs, unembeddable = _index_chunk([doc.text for doc, _ in chunk], first, embedder, writer)
             paragraph_count += paragraphs
             skipped += unembeddable
         writer.write(source.manifest(doc_ids, note_types, locators))

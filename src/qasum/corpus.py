@@ -22,11 +22,12 @@ import json
 import re
 import string
 import threading
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO
 
@@ -38,7 +39,28 @@ NOTE_TYPES = frozenset({"admission", "progress", "discharge", "radiology", "lab"
 
 MAX_PARAGRAPH_TOKENS = 256  # segmentation_digest pins it, so an index records it
 
-_HEADER_RE = re.compile(r"^[A-Z][A-Za-z /]{1,40}:$")
+_HEADER = r"[A-Z][A-Za-z /]{1,40}:"  # a whole line, ended by \r, \n or the end of the text
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines, with \r\n as one
+# One paragraph piece: a run of non-blank lines that starts at a line start and
+# stops before a blank line or a header line. Group 1 is the piece trimmed of
+# surrounding whitespace; a line's trailing whitespace, break and next line's
+# leading whitespace are taken only together with that next line.
+_PIECE_RE = re.compile(
+    rf"""
+    (?:\A|(?<=[{_BREAKS}]))
+    [^\S{_BREAKS}]*+
+    (
+        \S(?:[^{_BREAKS}]*\S)?
+        (?:
+            [^\S{_BREAKS}]*(?:\r\n|[{_BREAKS}])
+            (?!{_HEADER}(?:[\r\n]|\Z))
+            [^\S{_BREAKS}]*\S(?:[^{_BREAKS}]*\S)?
+        )*
+    )
+    """,
+    re.VERBOSE,
+)
+_raw_decode = json.JSONDecoder().raw_decode
 _PUNCT_RE = re.compile(r"[.!?;]")
 _WORD_RE = re.compile(r"\S+")
 _TOKEN_CHARS = frozenset(string.ascii_letters + ".")
@@ -391,10 +413,25 @@ def _lines(file: BinaryIO, update: Callable[[bytes], object]) -> Iterator[tuple[
         yield start, b""
 
 
+def _json_value(line: str):
+    """json.loads(line), without its per-call overhead when line is one JSON value and JSON whitespace.
+
+    Any other line goes through json.loads, which accepts or refuses it
+    with its own message.
+    """
+    try:
+        value, end = _raw_decode(line)
+        if not line[end:].strip(" \t\n\r"):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
 def _record_document(line: str, where: str) -> Document:
     """The document of one JSONL record; FormatError, naming where, if it is not a valid record."""
     try:
-        record = json.loads(line)
+        record = _json_value(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
@@ -454,46 +491,6 @@ def _trim_span(text: str, start: int, end: int) -> tuple[int, int]:
     while end > start and text[end - 1].isspace():
         end -= 1
     return start, end
-
-
-def _line_spans(text: str) -> list[tuple[int, int]]:
-    """(start, end) codepoint spans of each line, end excluding the newline."""
-    spans = []
-    pos = 0
-    for line in text.splitlines(keepends=True):
-        content = line.rstrip("\n")
-        if content.endswith("\r"):
-            content = content[:-1]
-        spans.append((pos, pos + len(content)))
-        pos += len(line)
-    return spans
-
-
-def _blank_line_chunks(text: str) -> list[list[tuple[int, int]]]:
-    """The line spans of each run of non-blank lines, in document order."""
-    chunks = []
-    current: list[tuple[int, int]] = []
-    for start, end in _line_spans(text):
-        if text[start:end].strip():
-            current.append((start, end))
-        elif current:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _split_on_headers(text: str, lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Split one chunk, given as its line spans, before each section-header line."""
-    pieces = []
-    piece_start = lines[0][0]
-    for s, e in lines:
-        if s > piece_start and _HEADER_RE.match(text[s:e]):
-            pieces.append((piece_start, s))
-            piece_start = s
-    pieces.append((piece_start, lines[-1][1]))
-    return pieces
 
 
 def _is_sentence_boundary(text: str, match: re.Match, abbreviations: frozenset[str]) -> bool:
@@ -580,36 +577,61 @@ def _hard_split(text: str, start: int, end: int, cap: int) -> list[tuple[int, in
     return pieces
 
 
-def segment_paragraphs(doc: Document) -> list[Paragraph]:
-    """Split a document into paragraphs.
+def paragraph_columns(texts: Sequence[str]) -> tuple[list[int], list[int], list[tuple[int, int]], list[str]]:
+    """The paragraphs of every text, in order, as columns: text index, ordinal, codepoint span, paragraph text.
 
-    Rules: blank-line runs separate paragraphs; a section-header line
-    (e.g. "DISCHARGE MEDICATIONS:") starts a new paragraph that includes
-    the header; paragraphs longer than MAX_PARAGRAPH_TOKENS are split
-    at sentence boundaries (single over-long sentences at word
-    boundaries). Whitespace-only chunks are dropped.
+    Rules: lines end at the line breaks of ``str.splitlines``; blank-line
+    runs separate paragraphs; a section-header line (e.g. "DISCHARGE
+    MEDICATIONS:", ended by ``\\r``, ``\\n`` or the end of the text) starts a
+    new paragraph that includes the header; paragraphs longer than
+    MAX_PARAGRAPH_TOKENS are split at sentence boundaries (single over-long
+    sentences at word boundaries). Paragraphs are trimmed of surrounding
+    whitespace, and whitespace-only ones are dropped.
+
+    The texts are joined with a blank line, which always ends a paragraph,
+    and segmented in one pass. A piece of at most twice the cap in
+    characters has at most the cap in tokens, so only longer ones are
+    counted.
     """
-    text = doc.text
-    pieces: list[tuple[int, int]] = []
-    for lines in _blank_line_chunks(text):
-        for piece in _split_on_headers(text, lines):
-            pieces.extend(_enforce_token_cap(text, piece, MAX_PARAGRAPH_TOKENS))
+    joined = "\n\n".join(texts)
+    starts = list(accumulate((len(text) + 2 for text in texts), initial=0))
+    cap = MAX_PARAGRAPH_TOKENS
+    rows: list[int] = []
+    ordinals: list[int] = []
+    spans: list[tuple[int, int]] = []
+    paragraphs: list[str] = []
+    row = -1
+    for match in _PIECE_RE.finditer(joined):
+        start, end = match.span(1)
+        if start >= starts[row + 1]:  # the first piece of a later text
+            row = bisect_right(starts, start) - 1
+            offset, ordinal = starts[row], 0
+        pieces = [(start, end)]
+        if end - start > 2 * cap:
+            pieces = [_trim_span(joined, *piece) for piece in _enforce_token_cap(joined, pieces[0], cap)]
+        for s, e in pieces:
+            rows.append(row)
+            ordinals.append(ordinal)
+            spans.append((s - offset, e - offset))
+            paragraphs.append(joined[s:e])
+            ordinal += 1
+    return rows, ordinals, spans, paragraphs
 
-    spans = [(start, end) for start, end in (_trim_span(text, *piece) for piece in pieces) if start < end]
-    byte_of = _byte_offsets(text, chain.from_iterable(spans))
-    paragraphs = []
-    for start, end in spans:
-        ordinal = len(paragraphs)
-        paragraphs.append(
-            Paragraph(
-                para_id=paragraph_id(doc.doc_id, ordinal),
-                doc_id=doc.doc_id,
-                ordinal=ordinal,
-                char_span=(byte_of[start], byte_of[end]),
-                text=text[start:end],
-            )
+
+def segment_paragraphs(doc: Document) -> list[Paragraph]:
+    """Split a document into paragraphs by the rules of ``paragraph_columns``."""
+    _, _, spans, texts = paragraph_columns([doc.text])
+    byte_of = _byte_offsets(doc.text, chain.from_iterable(spans))
+    return [
+        Paragraph(
+            para_id=paragraph_id(doc.doc_id, ordinal),
+            doc_id=doc.doc_id,
+            ordinal=ordinal,
+            char_span=(byte_of[start], byte_of[end]),
+            text=text,
         )
-    return paragraphs
+        for ordinal, ((start, end), text) in enumerate(zip(spans, texts))
+    ]
 
 
 def split_sentences(para: Paragraph) -> list[Sentence]:

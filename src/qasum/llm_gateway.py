@@ -273,6 +273,9 @@ def _parse_answer_reply(payload) -> AnswerReply:
     )
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _parse_embeddings(payload) -> list[np.ndarray]:
     if isinstance(payload, dict) and "data" in payload:
         try:
@@ -283,11 +286,20 @@ def _parse_embeddings(payload) -> list[np.ndarray]:
         rows = payload["embeddings"]
     else:
         raise SchemaError(f"embedding reply has no 'data' or 'embeddings': {str(payload)[:200]!r}")
+    if not isinstance(rows, list):
+        raise SchemaError(f"embedding reply vectors are not a list: {str(rows)[:200]!r}")
     vectors = []
     for i, row in enumerate(rows):
-        vector = np.asarray(row, dtype=np.float64)
-        if vector.ndim != 1 or vector.size == 0 or not np.all(np.isfinite(vector)):
-            raise SchemaError(f"embedding reply vector {i} is not a finite 1-D array")
+        # Booleans and numeric strings are not numbers here; the type test runs in C.
+        if not (isinstance(row, list) and row and set(map(type, row)) <= _NUMBER_TYPES):
+            raise SchemaError(f"embedding reply vector {i} is not a nonempty list of numbers")
+        try:
+            vector = np.asarray(row, dtype=np.float64)
+            finite = np.all(np.isfinite(vector))
+        except OverflowError:  # an integer beyond the float64 range
+            finite = False
+        if not finite:
+            raise SchemaError(f"embedding reply vector {i} has a component that is not finite")
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:
             raise SchemaError(f"embedding reply vector {i} has zero norm")

@@ -159,7 +159,7 @@ def _question_from_dict(raw, where: str) -> Question:
     if note_type_filter is not None:
         if not isinstance(note_type_filter, list) or not note_type_filter:
             raise ValidationError(f"{where}.note_type_filter: must be a nonempty list")
-        bad = [t for t in note_type_filter if t not in NOTE_TYPES]
+        bad = [t for t in note_type_filter if not isinstance(t, str) or t not in NOTE_TYPES]
         if bad:
             raise ValidationError(f"{where}.note_type_filter: unknown note types {bad}")
         note_type_filter = frozenset(note_type_filter)

@@ -181,6 +181,35 @@ def test_embed_zero_norm_vector_is_schema_error(tmp_path):
         Gateway(cfg).embed_remote(["a"])
 
 
+@pytest.mark.parametrize(
+    "row",
+    [["x", 1.0], [{}, 1.0], [[1.0], 1.0], ["0.5", 1.0], [True, 1.0], [1.0, False], [None, 1.0], [], "ab", 1.0, {}],
+)
+def test_embed_vector_that_is_not_a_list_of_numbers_is_schema_error(tmp_path, row):
+    cfg = replay_cfg(tmp_path / "fx")
+    write_fixture(tmp_path / "fx", embed_body(cfg, ["a", "b"]), 200, {"embeddings": [[1.0, 0.0], row]})
+    with pytest.raises(SchemaError, match="vector 1 is not a nonempty list of numbers"):
+        Gateway(cfg).embed_remote(["a", "b"])
+
+
+@pytest.mark.parametrize("rows", ["ab", {"a": [1.0]}, 3])
+def test_embed_vectors_that_are_not_a_list_are_schema_error(tmp_path, rows):
+    cfg = replay_cfg(tmp_path / "fx")
+    write_fixture(tmp_path / "fx", embed_body(cfg, ["a"]), 200, {"embeddings": rows})
+    with pytest.raises(SchemaError, match="not a list"):
+        Gateway(cfg).embed_remote(["a"])
+
+
+def test_embed_integer_components_are_numbers_and_huge_ones_are_schema_error(tmp_path):
+    cfg = replay_cfg(tmp_path / "fx")
+    write_fixture(tmp_path / "fx", embed_body(cfg, ["a"]), 200, {"embeddings": [[3, 4.0]]})
+    assert Gateway(cfg).embed_remote(["a"])[0].tolist() == [0.6, 0.8]
+    cfg = replay_cfg(tmp_path / "big")
+    write_fixture(tmp_path / "big", embed_body(cfg, ["a"]), 200, {"embeddings": [[10**400, 1.0]]})
+    with pytest.raises(SchemaError, match="vector 0 has a component that is not finite"):
+        Gateway(cfg).embed_remote(["a"])
+
+
 # -- API key ------------------------------------------------------------------
 
 

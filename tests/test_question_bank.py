@@ -114,6 +114,14 @@ def test_unknown_note_type_rejected(tmp_path):
         load_question_bank(write_bank(tmp_path, data))
 
 
+@pytest.mark.parametrize("element", [["discharge"], {"type": "discharge"}, 5, None])
+def test_note_type_filter_element_that_is_not_a_string_is_rejected(tmp_path, element):
+    data = base_bank()
+    data["questions"][1]["note_type_filter"] = ["discharge", element]
+    with pytest.raises(ValidationError, match=r"questions\[1\]\.note_type_filter: unknown note types"):
+        load_question_bank(write_bank(tmp_path, data))
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_question_bank(tmp_path / "missing.json")

@@ -223,7 +223,8 @@ def _index_chunk(texts: list[str], first: int, embedder: Embedder, writer: Index
     rows, ordinals, _, paragraphs = paragraph_columns(texts)
     vectors, kept = embedder.embed_many(paragraphs)
     keep = kept.tolist()
-    writer.add([first + row for row in compress(rows, keep)], list(compress(ordinals, keep)), vectors[kept])
+    doc_pos = list(range(first, first + len(texts)))  # one int object per document, shared by its rows
+    writer.add([doc_pos[row] for row in compress(rows, keep)], list(compress(ordinals, keep)), vectors[kept])
     return len(paragraphs), keep.count(False)
 
 

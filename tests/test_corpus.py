@@ -9,7 +9,7 @@ from collections import Counter
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qasum.corpus
@@ -506,6 +506,67 @@ def test_byte_spans_recover_text_on_arbitrary_unicode(text, cap):
     with patch.object(qasum.corpus, "MAX_PARAGRAPH_TOKENS", cap):
         paras = segment_paragraphs(doc)
     assert_spans_valid(doc, paras)
+
+
+# Paragraph-rule texts: every line break of str.splitlines, whitespace that
+# does not break a line, whitespace-only lines, header-like lines with 0, 1,
+# 40 and 41 letters after the capital (so 1, 2, 41 and 42 letters in all),
+# non-ASCII text, and pieces over the 256-token cap: a run of short
+# sentences, and one sentence with no end.
+_LINE_BREAKS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_INLINE_SPACES = [" ", "\t", "\x1f", "\u00a0", "\u3000"]
+_header_like = st.builds(
+    lambda first, letters, end: first + letters + end,
+    st.sampled_from(["M", "m"]),
+    st.sampled_from(["", "E", "B" * 40, "B" * 41, "OSPITAL COURSE", "a/b C"]),
+    st.sampled_from([":", ":", ":x", ": "]),
+)
+_header_unit = st.tuples(
+    st.sampled_from(["Fever.", "x", " "]),
+    st.sampled_from(_LINE_BREAKS),
+    _header_like,
+    st.sampled_from(["\n", "\r\n", "\r", "\v", "\x85", ""]),
+).map("".join)
+_paragraph_unit = st.one_of(
+    st.sampled_from(_LINE_BREAKS),
+    st.sampled_from(_LINE_BREAKS).map(lambda brk: brk + brk),
+    st.sampled_from(_INLINE_SPACES),
+    st.tuples(st.sampled_from(_INLINE_SPACES), st.sampled_from(_LINE_BREAKS)).map("".join),
+    _header_unit,
+    _header_unit,
+    st.sampled_from(["Fever. ", "Dr. Lee; Then ", "word ", "x", "İ", "Zoë. ", "°C", "µg ", "Hélène Dubé."]),
+    st.text(st.characters(codec="utf-8"), max_size=5),
+    st.just("Alpha beta gamma. " * 90),
+    st.just(" ".join(f"w{i}" for i in range(300))),
+)
+_paragraph_texts = st.lists(_paragraph_unit, max_size=20).map("".join)
+
+
+def _columns_as_oracle(texts):
+    """paragraph_columns(texts), per text, as the oracle states paragraphs: (text, (start byte, end byte))."""
+    rows, ordinals, spans, paragraphs = qasum.corpus.paragraph_columns(texts)
+    per_text = [[] for _ in texts]
+    for row, ordinal, (start, end), paragraph in zip(rows, ordinals, spans, paragraphs):
+        assert ordinal == len(per_text[row])
+        text = texts[row]
+        per_text[row].append((paragraph, (len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8")))))
+    return per_text
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_paragraph_texts, min_size=1, max_size=4), cap=st.sampled_from([256, 256, 4]))
+@example(texts=["x\r\nMEDS:\r\ny", "x\nM" + "B" * 40 + ":\ny\vMEDS:\nz"], cap=256)
+@example(texts=["x\nM" + "B" * 41 + ":\ny", "x\u2028y\u2029\u2029z\x85MEDS:\x1c\x1cw\rMEDS:"], cap=256)
+def test_paragraphs_equal_the_segment_oracle(texts, cap):
+    with patch.object(qasum.corpus, "MAX_PARAGRAPH_TOKENS", cap):
+        expected = [segment_oracle.segment_paragraphs(text, cap) for text in texts]
+        assert [(p.text, p.char_span) for p in segment_paragraphs(make_doc(texts[0]))] == expected[0]
+        assert _columns_as_oracle(texts) == expected
+
+
+def test_segment_oracle_breaks_lines_as_splitlines():
+    breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == set(segment_oracle.LINE_BREAKS)
 
 
 # -- SegmentedCorpus --------------------------------------------------------

@@ -18,7 +18,7 @@ import qasum.embedding
 import qasum.vector_index
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
-from qasum.corpus import SegmentedCorpus, read_corpus
+from qasum.corpus import SegmentedCorpus, read_corpus, segment_paragraphs
 from qasum.embedding import reference_counts, reference_embedding, unit_rows
 from qasum.errors import ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, canonical_body
@@ -257,6 +257,41 @@ def test_cmd_index_bytes_do_not_depend_on_the_chunk_size(
     assert run(["index", "--config", str(pipeline_config)]) == 0
     index_bytes = (tmp_path / "out" / "index.qidx").read_bytes()
     assert hashlib.sha256(index_bytes).hexdigest() == PINNED_INDEX_SHA256[corpus_format]
+
+
+# Documents for the index path: every line break of str.splitlines, headers at the length bounds
+# (41 letters after the capital is one too many) and after each kind of break, pieces over the
+# 256-token cap, a whitespace-only document and an unembeddable paragraph.
+_SEGMENTATION_TEXTS = [
+    "Fever noted.\r\nCough\rworse\vat\fnight\x1cand\x1dday\x1ex\x85y\u2028z\u2029w\n\n\r\nSecond part."
+    "\v\vThird\f \fFourth\x1c\x1cFifth\x85\x85Sixth\u2028\u2028Seventh\u2029\u2029Eighth\r\rNinth",
+    "Intro line\nM" + "B" * 40 + ":\nheaded\nM" + "B" * 41 + ":\nnot headed\nMEDS:\r\nAspirin."
+    "\nHOSPITAL COURSE:\rStable.\nPLAN:\vnot a header\nNOTE:\x85not one either\nEND:",
+    "Alpha beta gamma. " * 100 + "\n\n" + " ".join(f"w{i}" for i in range(300)) + "\n \u3000\n Café İstanbul.",
+    " \u3000\n\x1f\n\u00a0",
+    "* * *\n\nReal words here.",
+]
+
+
+@pytest.mark.parametrize("chunk_docs", [1, 2, 100])
+def test_cmd_index_rows_are_those_of_per_document_segmentation(pipeline_config, tmp_path, monkeypatch, chunk_docs):
+    corpus = tmp_path / "corpus.jsonl"
+    records = [{"doc_id": f"d{i}", "patient_id": "p", "note_type": "other", "text": text}
+               for i, text in enumerate(_SEGMENTATION_TEXTS)]
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in records), "utf-8")
+    config_with(pipeline_config, corpus={"path": str(corpus), "format": "jsonl"})
+    monkeypatch.setattr(qasum.cli, "_INDEX_CHUNK_DOCS", chunk_docs)
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    loaded = VectorIndex.load(tmp_path / "out" / "index.qidx")
+
+    docs = [doc for doc, _ in read_corpus(corpus).entries()]
+    paragraphs = [(row, para) for row, doc in enumerate(docs) for para in segment_paragraphs(doc)]
+    counts, kept = reference_counts([para.text for _, para in paragraphs])
+    expected = [(row, para.ordinal) for (row, para), keep in zip(paragraphs, kept) if keep]
+    assert len(expected) < len(paragraphs)  # "* * *" is left out
+    assert max(len(para.text.split()) for _, para in paragraphs) == 256
+    assert list(zip(loaded._row_docs.tolist(), loaded._ordinals.tolist())) == expected
+    assert loaded._counts.tolist() == counts[kept].tolist()
 
 
 def _vector_type(path):

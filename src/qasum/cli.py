@@ -220,7 +220,7 @@ def _index_chunk(texts: list[str], first: int, embedder: Embedder, writer: Index
     were left out as unembeddable. The chunk's paragraphs and vectors are
     freed on return, before the next chunk is read.
     """
-    rows, ordinals, _, paragraphs = paragraph_columns(texts)
+    rows, ordinals, paragraphs = paragraph_columns(texts)
     vectors, kept = embedder.embed_many(paragraphs)
     keep = kept.tolist()
     doc_pos = list(range(first, first + len(texts)))  # one int object per document, shared by its rows

@@ -48,7 +48,7 @@ _BREAKS = r"\n\r\v\f\x1c-\x1e\x85"  # the line breaks of str.splitlines below U+
 _PIECE_RE = re.compile(
     rf"""
     (?:\A|(?<=[{_BREAKS}]))
-    [^\S{_BREAKS}]*+
+    [^\S{_BREAKS}]*
     (
         \S(?:[^{_BREAKS}]*\S)?
         (?:
@@ -60,7 +60,6 @@ _PIECE_RE = re.compile(
     """,
     re.VERBOSE,
 )
-_raw_decode = json.JSONDecoder().raw_decode
 _PUNCT_RE = re.compile(r"[.!?;]")
 _WORD_RE = re.compile(r"\S+")
 _TOKEN_CHARS = frozenset(string.ascii_letters + ".")
@@ -413,25 +412,10 @@ def _lines(file: BinaryIO, update: Callable[[bytes], object]) -> Iterator[tuple[
         yield start, b""
 
 
-def _json_value(line: str):
-    """json.loads(line), without its per-call overhead when line is one JSON value and JSON whitespace.
-
-    Any other line goes through json.loads, which accepts or refuses it
-    with its own message.
-    """
-    try:
-        value, end = _raw_decode(line)
-        if not line[end:].strip(" \t\n\r"):
-            return value
-    except ValueError:
-        pass
-    return json.loads(line)
-
-
 def _record_document(line: str, where: str) -> Document:
     """The document of one JSONL record; FormatError, naming where, if it is not a valid record."""
     try:
-        record = _json_value(line)
+        record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
@@ -577,64 +561,73 @@ def _hard_split(text: str, start: int, end: int, cap: int) -> list[tuple[int, in
     return pieces
 
 
-def paragraph_columns(texts: Sequence[str]) -> tuple[list[int], list[int], list[tuple[int, int]], list[str]]:
-    """The paragraphs of every text, in order, as columns: text index, ordinal, codepoint span, paragraph text.
+def paragraph_pieces(joined: str, starts: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(text index, ordinal, start, end) of each paragraph of texts joined with a blank line, in order.
+
+    joined is ``"\n\n".join(texts)`` and starts[i] the position of text i
+    in it, followed by one more entry, ``len(joined) + 2``; start and end
+    are positions in joined, so ``joined[start:end]`` is the paragraph.
 
     Rules: lines end at the line breaks of ``str.splitlines``; blank-line
     runs separate paragraphs; a section-header line (e.g. "DISCHARGE
-    MEDICATIONS:", ended by ``\\r``, ``\\n`` or the end of the text) starts a
+    MEDICATIONS:", ended by ``\r``, ``\n`` or the end of the text) starts a
     new paragraph that includes the header; paragraphs longer than
     MAX_PARAGRAPH_TOKENS are split at sentence boundaries (single over-long
     sentences at word boundaries). Paragraphs are trimmed of surrounding
     whitespace, and whitespace-only ones are dropped.
 
-    The texts are joined with a blank line, which always ends a paragraph,
-    and segmented in one pass. A piece of at most twice the cap in
-    characters has at most the cap in tokens, so only longer ones are
-    counted.
+    The blank line between texts always ends a paragraph, so all texts are
+    segmented in one pass. A piece of at most twice the cap in characters
+    has at most the cap in tokens, so only longer ones are counted.
     """
-    joined = "\n\n".join(texts)
     # U+2028 and U+2029 break lines as \x1c does. Scanning them as \x1c keeps
     # _PIECE_RE's classes below U+0100, which sre compiles without the 64 KiB
     # table that costs every command about 0.25 MB of peak RSS.
     scanned = joined.replace("\u2028", "\x1c").replace("\u2029", "\x1c")
-    starts = list(accumulate((len(text) + 2 for text in texts), initial=0))
     cap = MAX_PARAGRAPH_TOKENS
-    rows: list[int] = []
-    ordinals: list[int] = []
-    spans: list[tuple[int, int]] = []
-    paragraphs: list[str] = []
     row = -1
     for match in _PIECE_RE.finditer(scanned):
         start, end = match.span(1)
         if start >= starts[row + 1]:  # the first piece of a later text
             row = bisect_right(starts, start) - 1
-            offset, ordinal = starts[row], 0
-        pieces = [(start, end)]
-        if end - start > 2 * cap:
-            pieces = [_trim_span(joined, *piece) for piece in _enforce_token_cap(joined, pieces[0], cap)]
-        for s, e in pieces:
-            rows.append(row)
-            ordinals.append(ordinal)
-            spans.append((s - offset, e - offset))
-            paragraphs.append(joined[s:e])
+            ordinal = 0
+        if end - start <= 2 * cap:
+            yield row, ordinal, start, end
             ordinal += 1
-    return rows, ordinals, spans, paragraphs
+            continue
+        for piece in _enforce_token_cap(joined, (start, end), cap):
+            yield row, ordinal, *_trim_span(joined, *piece)
+            ordinal += 1
+
+
+def paragraph_columns(texts: Sequence[str]) -> tuple[list[int], list[int], list[str]]:
+    """The paragraphs of every text, in order, as columns: text index, ordinal, paragraph text."""
+    joined = "\n\n".join(texts)
+    starts = list(accumulate((len(text) + 2 for text in texts), initial=0))
+    rows: list[int] = []
+    ordinals: list[int] = []
+    paragraphs: list[str] = []
+    for row, ordinal, start, end in paragraph_pieces(joined, starts):
+        rows.append(row)
+        ordinals.append(ordinal)
+        paragraphs.append(joined[start:end])
+    return rows, ordinals, paragraphs
 
 
 def segment_paragraphs(doc: Document) -> list[Paragraph]:
-    """Split a document into paragraphs by the rules of ``paragraph_columns``."""
-    _, _, spans, texts = paragraph_columns([doc.text])
-    byte_of = _byte_offsets(doc.text, chain.from_iterable(spans))
+    """Split a document into paragraphs by the rules of ``paragraph_pieces``."""
+    text = doc.text
+    spans = [(start, end) for _, _, start, end in paragraph_pieces(text, (0, len(text) + 2))]
+    byte_of = _byte_offsets(text, chain.from_iterable(spans))
     return [
         Paragraph(
             para_id=paragraph_id(doc.doc_id, ordinal),
             doc_id=doc.doc_id,
             ordinal=ordinal,
             char_span=(byte_of[start], byte_of[end]),
-            text=text,
+            text=text[start:end],
         )
-        for ordinal, ((start, end), text) in enumerate(zip(spans, texts))
+        for ordinal, (start, end) in enumerate(spans)
     ]
 
 

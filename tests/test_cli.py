@@ -745,19 +745,20 @@ def test_lazy_and_full_parsing_give_identical_summaries(
 
 
 def test_cmd_ask_json_loads_only_the_documents_of_its_hits(pipeline_config, capsys, monkeypatch):
+    import types
+
     import qasum.corpus
 
     assert run(["index", "--config", str(pipeline_config)]) == 0
     capsys.readouterr()
     loaded = []
-    decode = qasum.corpus._json_value
 
-    def counting_decode(text):
-        record = decode(text)
+    def counting_loads(text):
+        record = json.loads(text)
         loaded.append(record["doc_id"])
         return record
 
-    monkeypatch.setattr(qasum.corpus, "_json_value", counting_decode)
+    monkeypatch.setattr(qasum.corpus, "json", types.SimpleNamespace(loads=counting_loads, JSONDecodeError=json.JSONDecodeError))
     assert run(["ask", "--config", str(pipeline_config), "--k", "2",
                 "What medications were prescribed at discharge?"]) == 0
     hits = re.findall(r"^  \d+\. (\S+)  score=", capsys.readouterr().out, re.MULTILINE)

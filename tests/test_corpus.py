@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import importlib
 import io
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from collections import Counter
 from unittest.mock import patch
@@ -543,12 +545,24 @@ _paragraph_texts = st.lists(_paragraph_unit, max_size=20).map("".join)
 
 
 def _columns_as_oracle(texts):
-    """paragraph_columns(texts), per text, as the oracle states paragraphs: (text, (start byte, end byte))."""
-    rows, ordinals, spans, paragraphs = qasum.corpus.paragraph_columns(texts)
+    """The chunk kernel over texts, per text, as the oracle states paragraphs: (text, (start byte, end byte)).
+
+    Spans come from paragraph_pieces over the joined texts; the text of each
+    paragraph must also be paragraph_columns' text at the same place.
+    """
+    joined = "\n\n".join(texts)
+    starts = [0]
+    for text in texts:
+        starts.append(starts[-1] + len(text) + 2)
+    rows, ordinals, paragraphs = qasum.corpus.paragraph_columns(texts)
+    pieces = list(qasum.corpus.paragraph_pieces(joined, starts))
+    assert [(row, ordinal) for row, ordinal, _, _ in pieces] == list(zip(rows, ordinals))
     per_text = [[] for _ in texts]
-    for row, ordinal, (start, end), paragraph in zip(rows, ordinals, spans, paragraphs):
+    for (row, ordinal, start, end), paragraph in zip(pieces, paragraphs):
         assert ordinal == len(per_text[row])
-        text = texts[row]
+        assert paragraph == joined[start:end]
+        text, offset = texts[row], starts[row]
+        start, end = start - offset, end - offset
         per_text[row].append((paragraph, (len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8")))))
     return per_text
 
@@ -567,6 +581,26 @@ def test_paragraphs_equal_the_segment_oracle(texts, cap):
 def test_segment_oracle_breaks_lines_as_splitlines():
     breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
     assert breaks == set(segment_oracle.LINE_BREAKS)
+
+
+def _regex_opcodes(parsed):
+    """Names of every opcode in a parsed regular expression, nested ones included."""
+    for item in parsed:
+        if isinstance(item, tuple) and len(item) == 2 and hasattr(item[0], "name"):
+            yield item[0].name
+            yield from _regex_opcodes([item[1]])
+        elif isinstance(item, (tuple, list)) or hasattr(item, "data"):
+            yield from _regex_opcodes(item.data if hasattr(item, "data") else item)
+
+
+def test_patterns_compile_on_python_3_10():
+    # The package supports Python 3.10, whose re has no possessive quantifiers or atomic groups.
+    parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+    patterns = [value for value in vars(qasum.corpus).values() if isinstance(value, re.Pattern)]
+    assert qasum.corpus._PIECE_RE in patterns
+    for pattern in patterns:
+        opcodes = set(_regex_opcodes(parser.parse(pattern.pattern, pattern.flags)))
+        assert not opcodes & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
 
 
 # -- SegmentedCorpus --------------------------------------------------------

@@ -564,13 +564,13 @@ def _hard_split(text: str, start: int, end: int, cap: int) -> list[tuple[int, in
 def paragraph_pieces(joined: str, starts: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     """(text index, ordinal, start, end) of each paragraph of texts joined with a blank line, in order.
 
-    joined is ``"\n\n".join(texts)`` and starts[i] the position of text i
+    joined is ``"\\n\\n".join(texts)`` and starts[i] the position of text i
     in it, followed by one more entry, ``len(joined) + 2``; start and end
     are positions in joined, so ``joined[start:end]`` is the paragraph.
 
     Rules: lines end at the line breaks of ``str.splitlines``; blank-line
     runs separate paragraphs; a section-header line (e.g. "DISCHARGE
-    MEDICATIONS:", ended by ``\r``, ``\n`` or the end of the text) starts a
+    MEDICATIONS:", ended by ``\\r``, ``\\n`` or the end of the text) starts a
     new paragraph that includes the header; paragraphs longer than
     MAX_PARAGRAPH_TOKENS are split at sentence boundaries (single over-long
     sentences at word boundaries). Paragraphs are trimmed of surrounding

@@ -98,26 +98,30 @@ class CorpusManifest:
 
     sha256 is the digest of the corpus bytes (``CorpusFile.sha256``) and
     segmentation the digest of the segmentation rules
-    (``segmentation_digest``). doc_ids, note_types and locators hold one
-    entry per document, in document order. A JSONL document's locator is the
-    byte offset of its line (the line ends at the next ``\\n``); a text-dir
-    document's locator is its file name.
+    (``segmentation_digest``). type_names are the distinct note types,
+    sorted. doc_ids, type_codes and locators hold one entry per document, in
+    document order: a document's note type is ``type_names[type_codes[i]]``.
+    A JSONL document's locator is the byte offset of its line (the line ends
+    at the next ``\\n``); a text-dir document's locator is its file name.
     """
 
     sha256: str
     segmentation: str
     doc_ids: Sequence[str]
-    note_types: Sequence[str]
+    type_names: Sequence[str]
+    type_codes: np.ndarray
     locators: Sequence[int | str]
 
     def __post_init__(self):
-        if not len(self.doc_ids) == len(self.note_types) == len(self.locators):
+        if not len(self.doc_ids) == len(self.type_codes) == len(self.locators):
             raise PreconditionError(
                 f"corpus manifest columns disagree: {len(self.doc_ids)} doc_ids, "
-                f"{len(self.note_types)} note types, {len(self.locators)} locators"
+                f"{len(self.type_codes)} note types, {len(self.locators)} locators"
             )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise PreconditionError("corpus manifest repeats a doc_id")
+        if list(self.type_names) != sorted(set(self.type_names)) or np.any(self.type_codes >= len(self.type_names)):
+            raise PreconditionError("corpus manifest note types must be sorted distinct names, each code one of them")
 
 
 def _abbreviations_bytes() -> bytes:
@@ -191,7 +195,9 @@ class CorpusFile:
         self, doc_ids: Sequence[str], note_types: Sequence[str], locators: Sequence[int | str]
     ) -> CorpusManifest:
         """The manifest an index of these documents records: the columns, pinned to these bytes and today's rules."""
-        return CorpusManifest(self.sha256, segmentation_digest(), doc_ids, note_types, locators)
+        names = sorted(set(note_types))
+        codes = np.searchsorted(names, note_types)
+        return CorpusManifest(self.sha256, segmentation_digest(), doc_ids, names, codes, locators)
 
     def pinned(self, manifest: CorpusManifest) -> Mapping[str, Document]:
         """The manifest's documents, in its order, each parsed on first lookup from the bytes read now.

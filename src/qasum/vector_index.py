@@ -8,14 +8,14 @@ the k-th score included) before an exact sort by (-score, para_id). Every
 result can be checked against a brute-force oracle.
 
 An index is made from its columns: the manifest of the corpus it indexes
-(corpus digest, segmentation digest, and per document its id, note type and
-locator), per row the position of its document in the manifest and its
-paragraph ordinal (so row i is paragraph ``<doc_id>#<ordinal>``), the
-vectors, and the identity of the embedder that made them. Rows are in
-document order. A row's note type is its document's. Nothing changes a
-built index, and a search allocates its own scratch block, so concurrent
-searches need no lock. ``IndexWriter`` builds the file without the
-matrix, from batches of rows that it spools to disk.
+(corpus digest, segmentation digest, the sorted note-type names, and per
+document its id, note-type code and locator), per row the position of its
+document in the manifest and its paragraph ordinal (so row i is paragraph
+``<doc_id>#<ordinal>``), the vectors, and the identity of the embedder that
+made them. Rows are in document order. A row's note type is its
+document's. Nothing changes a built index, and a search allocates its own
+scratch block, so concurrent searches need no lock. ``IndexWriter`` builds
+the file without the matrix, from batches of rows that it spools to disk.
 
 The vectors are of two kinds. Integer feature counts (the reference
 embedder's rows) are kept as they are, with each row's squared norm, and
@@ -35,32 +35,30 @@ matrix-vector product scores every row, divided by the row and query
 norms and clamped to [-1, 1], so their order at near-ties depends on the
 BLAS summation order.
 
-The file (format v4) stores the same columns, little-endian: a header
-(magic ``QASUMIDX``, version u16, dim u16, row count u64, string-table
-byte length u64, vector type as two ASCII bytes), the string table as one
-UTF-8 JSON object ``{"embedder": str, "corpus_sha256": str,
-"segmentation": str, "doc_ids": [str], "note_types": [str],
-"locators": [int | str], "doc_rows": [int], "ordinals": [int]}``
-(doc_rows counts each document's rows), for count rows one block of count
-float64 squared norms, one contiguous block of count x dim vector
-components, and a CRC32 over all preceding bytes. The vector type is
-``i1``, ``i2`` or ``i4`` for exact integer feature counts, stored in the
-narrowest of int8, int16 and int32 that holds the file's largest count,
-or ``f4`` for float32 components (a remote embedder's rows). A count
-row's squared norm is ``embedding.squared_norms`` of it, exact below
-2**53. ``load`` keeps a count block in its file type with the stored
-squared norms, each of which must equal its row's recomputed sum of
-squares exactly, and promotes a float32 block to float64.
+The file (format v5) is little-endian: the ``_HEADER`` fields, the string
+table as one UTF-8 JSON object ``{"embedder", "corpus_sha256",
+"segmentation", "doc_ids", "note_types"}`` (the sorted names) plus, for a
+text-dir corpus, its file names as ``"locators"``, the integer columns of
+``_COLUMNS`` (doc_rows counts each document's rows), one contiguous block
+of count x dim vector components, and a CRC32 over all preceding bytes.
+Each column is stored in the narrowest of ``u1``, ``u2``, ``u4`` and
+``u8`` that holds its largest value; a locator type ``--`` says that the
+table holds the locators. The vectors are ``i1``, ``i2`` or ``i4`` exact
+integer feature counts, in the narrowest type that holds the file's
+largest count, or ``f4`` float32 components (a remote embedder's rows).
+No squared norm is stored: ``load`` keeps a count block in its file type
+and computes each row's squared norm (``embedding.squared_norms`` of it,
+exact below 2**53) as it reads the block, and promotes a float32 block to
+float64.
 
 ``IndexWriter``, the one writer of index files, and ``load`` stream the
 vector block ``_BLOCK_ROWS`` rows at a time: the writer through
-block-sized buffers, ``load`` straight into the kept count block (checking
-each block's squared norms through one float32 block) or through one
-float32 buffer into the float64 matrix, never a whole-file copy; float
-row norms are taken ``_NORM_ROWS`` rows at a time. ``load`` checks the
-header against the file size before it allocates anything sized from the
-header, and parses the table with one ``json.loads`` only after the CRC32
-matches.
+block-sized buffers, ``load`` straight into the kept count block (summing
+each block's squares through one float32 block) or through one float32
+buffer into the float64 matrix, never a whole-file copy; float row norms
+are taken ``_NORM_ROWS`` rows at a time. ``load`` checks the header
+against the file size before it allocates anything sized from the header,
+and parses the table with one ``json.loads`` only after the CRC32 matches.
 """
 
 from __future__ import annotations
@@ -78,31 +76,29 @@ import numpy as np
 
 from .corpus import CorpusManifest, paragraph_id
 from .embedding import squared_norms
-from .errors import (
-    CorruptIndexError,
-    DimensionMismatchError,
-    EmptyIndexError,
-    IoError,
-    PreconditionError,
-)
+from .errors import CorruptIndexError, DimensionMismatchError, EmptyIndexError, IoError, PreconditionError
 from .fileio import write_atomic
 
 MAGIC = b"QASUMIDX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _PREFIX = struct.Struct("<8sH")  # magic and version, laid out alike in every version
-_HEADER = struct.Struct("<8sHHQQ2s")
+# magic, version, dim u16, row count, document count, string-table length (u64 each), and as two
+# ASCII bytes each the types of the vector block and of the four _COLUMNS
+_HEADER = struct.Struct("<8sHHQQQ2s2s2s2s2s")
 _CRC = struct.Struct("<I")
 MAX_DIM = 0xFFFF  # the header stores dim as u16
 _BLOCK_ROWS = 1024  # rows per step when the vector block is read, checked, searched or written
 # Rows per step of _row_norms: a float64 block of 256 components is 256 KiB, so the block and
 # its squares stay in a core's L2 cache between the multiply and the sum.
 _NORM_ROWS = 128
-# The vector block's types by their header code: float32 components, or integer counts.
+# The vector block's types by their header code: float32 components, or integer counts, narrowest first.
 _VECTOR_TYPES = {code: np.dtype(f"<{code.decode()}") for code in (b"f4", b"i1", b"i2", b"i4")}
-_COUNT_CODES = (b"i1", b"i2", b"i4")  # narrowest first
 _SPOOL_COUNT = np.dtype("<i4")  # how IndexWriter spools counts: the widest count type
-_SQUARES = np.dtype("<f8")  # the squared norms of count rows
+# The integer columns' types by their header code, narrowest first.
+_COLUMN_TYPES = {code: np.dtype(f"<{code.decode()}") for code in (b"u1", b"u2", b"u4", b"u8")}
+_COLUMNS = ("doc_rows", "note-type code", "locator", "ordinal")  # in file order; all but ordinals per document
+_IN_TABLE = b"--"  # the locator code of a text-dir index: its locators are the string table's file names
 # Integer dot products are exact in float32 while every partial sum is below 2**24, and in float64
 # below 2**53; by Cauchy-Schwarz that holds when the largest row squared norm times the query's is
 # below the square of that, the bound paired with each type here.
@@ -170,10 +166,7 @@ class VectorIndex:
         self._corpus = corpus
         self._row_docs = row_docs
         self._ordinals = ordinals
-        self._type_names = sorted(set(corpus.note_types))
-        code = {name: i for i, name in enumerate(self._type_names)}
-        doc_types = np.fromiter(map(code.__getitem__, corpus.note_types), dtype=np.intp, count=len(corpus.note_types))
-        self._type_codes = doc_types[row_docs]
+        self._type_codes = corpus.type_codes[row_docs]
         self._dim = matrix.shape[1]
         if np.issubdtype(matrix.dtype, np.integer):
             self._counts = matrix
@@ -234,7 +227,7 @@ class VectorIndex:
         if note_filter is None:
             rows = np.arange(len(scores))
         else:
-            allowed = np.array([name in note_filter for name in self._type_names], dtype=bool)
+            allowed = np.array([name in note_filter for name in self._corpus.type_names], dtype=bool)
             rows = np.flatnonzero(allowed[self._type_codes])
         candidates = scores[rows]
         if k < len(rows):
@@ -283,10 +276,10 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a v4 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
+        """Read a v5 file; a damaged one is a CorruptIndexError and an unreadable one an IoError, naming path."""
         try:
             with open(path, "rb") as file:
-                table_bytes, vectors, squares = _read_checked(file, path)
+                table_bytes, (doc_rows, type_codes, locators, ordinals), vectors, squares = _read_checked(file, path)
         except OSError as exc:
             raise IoError(f"cannot read index from {path}: {exc}") from exc
 
@@ -298,19 +291,17 @@ class VectorIndex:
             raise CorruptIndexError(f"index file {path} has a string table that is not JSON: {exc}") from exc
         count = len(vectors)
         fields = table if isinstance(table, dict) else {}
-        embedder, sha256, segmentation = (fields.get(key) for key in ("embedder", "corpus_sha256", "segmentation"))
-        doc_ids, note_types, locators, doc_rows, ordinals = (
-            fields.get(key) for key in ("doc_ids", "note_types", "locators", "doc_rows", "ordinals")
+        embedder, sha256, segmentation, doc_ids, type_names = (
+            fields.get(key) for key in ("embedder", "corpus_sha256", "segmentation", "doc_ids", "note_types")
         )
+        # A text-dir corpus's file names, or byte offsets as the Python ints that messages show.
+        locators = fields.get("locators") if locators is None else locators.tolist()
         well_typed = (
             all(isinstance(value, str) for value in (embedder, sha256, segmentation))
-            and _is_list_of(doc_ids, {str})
-            and _is_list_of(note_types, {str})
-            and _is_list_of(locators, {int, str})
-            and _is_list_of(doc_rows, {int})
-            and _is_list_of(ordinals, {int}, count)
-            and min(doc_rows, default=0) >= 0
-            and sum(doc_rows) == count
+            and all(isinstance(value, list) for value in (doc_ids, type_names, locators))
+            and set(map(type, doc_ids)) | set(map(type, type_names)) <= {str}
+            and set(map(type, locators)) <= {int, str}
+            and sum(doc_rows.tolist()) == count
         )
         if not well_typed:
             raise CorruptIndexError(
@@ -319,8 +310,8 @@ class VectorIndex:
                 f"and {count} paragraph ordinals)"
             )
         try:
-            corpus = CorpusManifest(sha256, segmentation, doc_ids, note_types, locators)
-            row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows)
+            corpus = CorpusManifest(sha256, segmentation, doc_ids, type_names, type_codes, locators)
+            row_docs = np.repeat(np.arange(len(doc_rows)), doc_rows.astype(np.intp))
             return cls(corpus, row_docs, ordinals, vectors, embedder, squares)
         except (PreconditionError, ValueError, OverflowError) as exc:
             raise CorruptIndexError(f"index file {path} has a malformed string table: {exc}") from exc
@@ -334,9 +325,8 @@ class IndexWriter:
     directory, unnamed where the system allows (a named one is
     ``.<index name>.*.spool.tmp``, unlinked at once), which needs 4 bytes
     of free space per vector component there. Integer rows (exact feature
-    counts) are spooled as int32, and the writer keeps the largest |count|
-    and each row's squared norm; float rows are spooled as float32.
-    ``write`` then writes the v4 file,
+    counts) are spooled as int32, and the writer keeps the largest |count|;
+    float rows are spooled as float32. ``write`` then writes the v5 file,
     reading the spool back ``_BLOCK_ROWS`` rows at a time through one
     buffer and narrowing counts to the file's count type, so the writer's
     memory is the row columns plus one block. ``close`` (or leaving the
@@ -351,7 +341,6 @@ class IndexWriter:
         self._ordinals: list[int] = []
         self._spool_type: np.dtype | None = None  # set by the first add: int32 counts or float32 vectors
         self._largest_count = 0
-        self._squares: list[np.ndarray] = []
         try:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._spool = tempfile.TemporaryFile(
@@ -393,7 +382,6 @@ class IndexWriter:
                     "an index file can store"
                 )
             self._largest_count = max(self._largest_count, largest)
-            self._squares.append(squared_norms(vectors))
         try:
             self._spool.write(np.ascontiguousarray(vectors, dtype=spool_type))
         except OSError as exc:
@@ -403,9 +391,7 @@ class IndexWriter:
 
     def _vector_code(self) -> bytes:
         """The file's vector type: the narrowest count type that holds every count, or float32."""
-        if self._spool_type != _SPOOL_COUNT:
-            return b"f4"
-        return next(code for code in _COUNT_CODES if self._largest_count <= np.iinfo(_VECTOR_TYPES[code]).max)
+        return _narrowest(_VECTOR_TYPES, self._largest_count) if self._spool_type == _SPOOL_COUNT else b"f4"
 
     def write(self, corpus: CorpusManifest) -> None:
         """Write the index of the rows added, over corpus, atomically to the path.
@@ -414,31 +400,26 @@ class IndexWriter:
         block read back from the spool is written before the next is read.
         """
         count = len(self._ordinals)
-        doc_rows = np.bincount(np.asarray(self._row_docs, dtype=np.intp), minlength=len(corpus.doc_ids))
-        table = json.dumps(
-            {
-                "embedder": self._embedder,
-                "corpus_sha256": corpus.sha256,
-                "segmentation": corpus.segmentation,
-                "doc_ids": list(corpus.doc_ids),
-                "note_types": list(corpus.note_types),
-                "locators": list(corpus.locators),
-                "doc_rows": doc_rows.tolist(),
-                "ordinals": self._ordinals,
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        docs = len(corpus.doc_ids)
+        fields = {"embedder": self._embedder, "corpus_sha256": corpus.sha256, "segmentation": corpus.segmentation,
+                  "doc_ids": list(corpus.doc_ids), "note_types": list(corpus.type_names)}
+        file_names = bool(docs) and isinstance(corpus.locators[0], str)
+        if file_names:
+            fields["locators"] = list(corpus.locators)
+        table = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+        doc_rows = np.bincount(np.asarray(self._row_docs, dtype=np.intp), minlength=docs)
+        locators = (_IN_TABLE, b"") if file_names else _column(corpus.locators)
+        column_codes, columns = zip(_column(doc_rows), _column(corpus.type_codes), locators, _column(self._ordinals))
         code = self._vector_code()
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self._dim, count, len(table), code)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self._dim, count, docs, len(table), code, *column_codes)
 
         def chunks() -> Iterator[bytes | np.ndarray]:
             crc = zlib.crc32(table, zlib.crc32(header))
             yield header
             yield table
-            if self._squares:
-                squares = np.concatenate(self._squares).astype(_SQUARES, copy=False)
-                crc = zlib.crc32(squares, crc)
-                yield squares
+            for column in columns:
+                crc = zlib.crc32(column, crc)
+                yield column
             self._spool.seek(0)  # flushes the spool, so a failed spool write fails the index write
             stored_type = _VECTOR_TYPES[code]
             spooled = np.empty((min(count, _BLOCK_ROWS), self._dim), dtype=self._spool_type or stored_type)
@@ -456,18 +437,19 @@ class IndexWriter:
         write_atomic(self._path, chunks())
 
 
-def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarray, np.ndarray | None]:
-    """Check and read an open v4 file: its string table bytes, its vectors, and a count file's squared norms.
+def _read_checked(
+    file: BinaryIO, path: str | Path
+) -> tuple[bytearray, list[np.ndarray | None], np.ndarray, np.ndarray | None]:
+    """Check and read an open v5 file: its string table bytes, _COLUMNS, vectors and a count file's squared norms.
 
     The header is checked against the file size before anything sized from
-    the header is allocated. A count file's squared norms are read whole
-    (8 bytes a row), and its count block a block of rows at a time straight
-    into the (count, dim) array of the file's type that load keeps; each
-    block's sums of squares must equal its stored squared norms exactly. A
+    it is allocated. Each column is in its file type; the locators are None
+    when the table holds them. A count block is read a block of rows at a
+    time straight into the (count, dim) array of the file's type that load
+    keeps, and each block's squared norms are computed as it is read. A
     float32 block is read through one block buffer into a (count, dim)
     float64 matrix, and has no squared norms (None). Every block continues
-    the CRC32. The stored CRC32 must then match, and only then is a squared
-    norm that does not match refused, so a damaged file fails its checksum.
+    the CRC32, which must then match.
     """
     size = os.fstat(file.fileno()).st_size
     if size < _PREFIX.size:
@@ -476,7 +458,7 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
     magic, version = _PREFIX.unpack_from(head)
     if magic != MAGIC:
         raise CorruptIndexError(f"index file {path} has bad magic bytes {magic!r}")
-    if version in (1, 2, 3):
+    if version in (1, 2, 3, 4):
         raise CorruptIndexError(
             f"index file {path} has format version {version}, which is no longer read; "
             "rebuild it with `qasum index`"
@@ -485,12 +467,17 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
         raise CorruptIndexError(f"index file {path} has unsupported version {version}")
     if size < _HEADER.size + _CRC.size:
         raise CorruptIndexError(f"index file {path} is truncated (too short for header)")
-    _, _, dim, count, table_len, code = _HEADER.unpack(head)
+    _, _, dim, count, docs, table_len, code, *column_codes = _HEADER.unpack(head)
     if code not in _VECTOR_TYPES:
         raise CorruptIndexError(f"index file {path} has unknown vector type {code!r}")
-    counts = code != b"f4"
-    end = _HEADER.size + table_len + (_SQUARES.itemsize * count if counts else 0)
-    end += _VECTOR_TYPES[code].itemsize * dim * count
+    column_types: list[np.dtype | None] = []
+    for name, column_code in zip(_COLUMNS, column_codes):
+        if column_code not in _COLUMN_TYPES and (name, column_code) != ("locator", _IN_TABLE):
+            raise CorruptIndexError(f"index file {path} has unknown {name} column type {column_code!r}")
+        column_types.append(_COLUMN_TYPES.get(column_code))
+    lengths = (docs, docs, docs, count)
+    end = _HEADER.size + table_len + _VECTOR_TYPES[code].itemsize * dim * count
+    end += sum(n * dtype.itemsize for n, dtype in zip(lengths, column_types) if dtype is not None)
     if end + _CRC.size > size:
         raise CorruptIndexError(f"index file {path} is truncated")
     if end + _CRC.size < size:
@@ -498,15 +485,16 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
 
     table = _read_exact(file, table_len, path)
     crc = zlib.crc32(table, zlib.crc32(head))
-    squares = None
-    if counts:
-        squares = np.empty(count, dtype=_SQUARES)
-        _read_into(file, squares, path)
-        crc = zlib.crc32(squares, crc)
+    columns = [None if dtype is None else np.empty(n, dtype=dtype) for n, dtype in zip(lengths, column_types)]
+    for column in columns:
+        if column is not None:
+            _read_into(file, column, path)
+            crc = zlib.crc32(column, crc)
+    counts = code != b"f4"
     vectors = np.empty((count, dim), dtype=_VECTOR_TYPES[code] if counts else np.float64)
-    # The float32 block: the read buffer of a float32 file, the squared-norm check's of a count file.
+    squares = np.empty(count) if counts else None
+    # The float32 block: the read buffer of a float32 file, the squared norms' of a count file.
     single = np.empty((min(count, _BLOCK_ROWS), dim), dtype="<f4")
-    matching = True
     for start in range(0, count, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         n = min(count - start, _BLOCK_ROWS)
@@ -514,30 +502,26 @@ def _read_checked(file: BinaryIO, path: str | Path) -> tuple[bytearray, np.ndarr
         _read_into(file, block, path)
         crc = zlib.crc32(block, crc)
         if counts:
-            matching = matching and _squares_match(block, squares[rows], single[:n])
+            squares[rows] = _sums_of_squares(block, single[:n])
         else:
             vectors[rows] = block
     (stored_crc,) = _CRC.unpack(_read_exact(file, _CRC.size, path))
     if crc != stored_crc:
         raise CorruptIndexError(f"index file {path} failed its checksum (CRC32 mismatch)")
-    if not matching:
-        raise CorruptIndexError(f"index file {path} has a squared norm that does not match its row's counts")
-    return table, vectors, squares
+    return table, columns, vectors, squares
 
 
-def _squares_match(counts: np.ndarray, squares: np.ndarray, single: np.ndarray) -> bool:
-    """Whether squares holds each count row's sum of squares, exactly.
+def _sums_of_squares(counts: np.ndarray, single: np.ndarray) -> np.ndarray:
+    """Each count row's sum of squares, exactly: squared_norms of the counts, bit for bit.
 
     The sums are taken in float32 through single, a float32 block of the
     counts' shape: they are exact while below 2**24 and, the terms being
-    squares, at least 2**24 otherwise, so they match stored squares below
-    2**24 exactly when those are right. A block whose stored squares are not
-    all below 2**24 is summed by squared_norms, as IndexWriter summed it.
+    squares, at least 2**24 otherwise. A block with a sum that reaches
+    2**24 is summed again by squared_norms.
     """
-    if not squares.max(initial=0.0) < 2**24:
-        return np.array_equal(squared_norms(counts), squares)
     np.copyto(single, counts, casting="unsafe")
-    return np.array_equal(np.einsum("ij,ij->i", single, single), squares)
+    sums = np.einsum("ij,ij->i", single, single)
+    return sums if sums.max(initial=0.0) < 2**24 else squared_norms(counts)
 
 
 def _read_exact(file: BinaryIO, size: int, path: str | Path) -> bytearray:
@@ -557,5 +541,13 @@ def _read_into(file: BinaryIO, buffer, path: str | Path) -> None:
         filled += got
 
 
-def _is_list_of(value, types: set, count: int | None = None) -> bool:
-    return isinstance(value, list) and count in (None, len(value)) and set(map(type, value)) <= types
+def _narrowest(types: dict[bytes, np.dtype], largest: int) -> bytes:
+    """The code of the first integer type of types that holds largest."""
+    return next(code for code, dtype in types.items() if dtype.kind in "iu" and largest <= np.iinfo(dtype).max)
+
+
+def _column(values: Sequence[int] | np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Non-negative integers as a column of the narrowest type that holds the largest, with its code."""
+    values = np.asarray(values, dtype=np.uint64)
+    code = _narrowest(_COLUMN_TYPES, int(values.max(initial=0)))
+    return code, values.astype(_COLUMN_TYPES[code])

@@ -30,7 +30,9 @@ def _columns(rows, dim):
             doc_pos[row.doc_id] = len(note_types)
             note_types.append(row.note_type)
         assert note_types[doc_pos[row.doc_id]] == row.note_type, "a document has one note type"
-    manifest = CorpusManifest("0" * 64, segmentation_digest(), list(doc_pos), note_types, list(range(len(doc_pos))))
+    names = sorted(set(note_types))
+    codes = np.array([names.index(note_type) for note_type in note_types], dtype=np.intp)
+    manifest = CorpusManifest("0" * 64, segmentation_digest(), list(doc_pos), names, codes, list(range(len(doc_pos))))
     located = sorted(
         ((doc_pos[row.doc_id], int(row.para_id.rpartition("#")[2]), row.vector) for row in rows),
         key=lambda entry: entry[:2],

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from index_file import IndexFile
 from index_rows import Row, build_index, exact_hits
 from oracles import embed_oracle
 import qasum.cli
@@ -20,7 +21,7 @@ from qasum import answer_engine as ae
 from qasum.cli import load_config, main
 from qasum.corpus import SegmentedCorpus, read_corpus, segment_paragraphs
 from qasum.embedding import reference_counts, reference_embedding, unit_rows
-from qasum.errors import ValidationError
+from qasum.errors import CorruptIndexError, ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, canonical_body
 from qasum.question_bank import effective_params, load_question_bank
 from qasum.vector_index import VectorIndex
@@ -221,11 +222,12 @@ def test_cmd_index_is_byte_deterministic(pipeline_config, tmp_path):
     assert (tmp_path / "out" / "index.qidx").read_bytes() == first
 
 
-# SHA-256 of the fixture corpus's v4 index (squared norms and int8 counts) from JSONL and from text-dir.
-# Each loads into the matrix and row norms, bit for bit, of the v3 file the whole-corpus build wrote.
+# SHA-256 of the fixture corpus's v5 index (binary columns and int8 counts) from JSONL and from text-dir.
+# Each loads into the counts, squared norms, rows, manifest and search hits, bit for bit, of the v4 file
+# that stored the manifest columns as JSON and the squared norms as a block.
 PINNED_INDEX_SHA256 = {
-    "jsonl": "529c1ec7b4eb7f1cc9a2f152ae6599ad044bb59260a4bfc521db8afa10417332",
-    "text-dir": "c07d5da9a873fa51a808f6ad150a2c098e1d6db209b1cd4a97771c8ee0645db9",
+    "jsonl": "3b9a84ca78b256c23a99c2d85b45e98768fe56ff983f8e3d9ed20f1df6e0b5b2",
+    "text-dir": "498accfe89ea5e4d49080cfe6057130bd0c3ac5ef720ca8418934473f706c07b",
 }
 
 
@@ -295,7 +297,7 @@ def test_cmd_index_rows_are_those_of_per_document_segmentation(pipeline_config, 
 
 
 def _vector_type(path):
-    return qasum.vector_index._HEADER.unpack_from(path.read_bytes())[-1]
+    return IndexFile.parse(path.read_bytes()).header["vector"]
 
 
 @pytest.mark.parametrize(
@@ -689,20 +691,11 @@ def test_changed_paragraph_cap_is_refused(pipeline_config, tmp_path, capsys, mon
     _must_refuse(pipeline_config, capsys, r"other segmentation rules \(abbreviation list or paragraph token cap\)")
 
 
-def _rewrite_index_table(path, change):
-    """Apply change to the index file's string table, keeping its header and checksum consistent."""
-    import struct
-    import zlib
-
-    from qasum.vector_index import _HEADER as header
-
-    blob = path.read_bytes()
-    magic, version, dim, count, table_bytes, vector_type = header.unpack_from(blob)
-    table = json.loads(blob[header.size : header.size + table_bytes])
-    change(table)
-    table = json.dumps(table, separators=(",", ":")).encode()
-    body = header.pack(magic, version, dim, count, len(table), vector_type) + table + blob[header.size + table_bytes : -4]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+def _rewrite_locators(path, change):
+    """Apply change to the index file's locator column, keeping its header and checksum consistent."""
+    parts = IndexFile.parse(path.read_bytes())
+    parts.columns["locators"] = change(parts.columns["locators"].astype("<u8"))
+    path.write_bytes(parts.bytes())
 
 
 @pytest.mark.parametrize("shift", [1, 10**9])
@@ -710,11 +703,34 @@ def test_malformed_locator_table_is_refused_before_any_search(pipeline_config, t
     from qasum.vector_index import VectorIndex
 
     assert run(["index", "--config", str(pipeline_config)]) == 0
-    _rewrite_index_table(tmp_path / "out" / "index.qidx", lambda table: table["locators"].__setitem__(
-        1, table["locators"][1] + shift))
+    def shifted(locators):
+        locators[1] += shift
+        return locators
+
+    _rewrite_locators(tmp_path / "out" / "index.qidx", shifted)
     monkeypatch.setattr(VectorIndex, "search", lambda *a, **k: pytest.fail("searched a refused index"))
     capsys.readouterr()
     _must_refuse(pipeline_config, capsys, r"locators into corpus \S+ (are not all line starts|reach outside it)")
+
+
+def test_locator_of_another_record_is_named_as_a_byte_offset(pipeline_config, tmp_path, capsys):
+    """Locators leave the binary column as Python ints, so messages name the offset as a plain number."""
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    path = tmp_path / "out" / "index.qidx"
+    locators = IndexFile.parse(path.read_bytes()).columns["locators"].tolist()
+    _rewrite_locators(path, lambda column: np.roll(column, -1))  # each document located at the next one's record
+    index, corpus, _ = qasum.cli._load_pinned(load_config(pipeline_config))
+    first = index.corpus.doc_ids[0]
+    with pytest.raises(CorruptIndexError) as refused:
+        corpus.paragraph(f"{first}#0")
+    assert str(refused.value) == (
+        f"the index locates document {first!r} at {locators[1]} in corpus {FIXTURES / 'corpus.jsonl'}, "
+        "which holds no such record there; rebuild it with `qasum index`"
+    )
+    capsys.readouterr()
+    assert run(["ask", "--config", str(pipeline_config), "What medications were prescribed at discharge?"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the index locates document '[^']+' at \d+ in corpus .*qasum index`\n", err), err
 
 
 def _summary_bytes(pipeline_config, tmp_path):

@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -115,7 +116,7 @@ def test_lone_surrogate_is_a_format_error_on_both_paths(tmp_path, field):
     doc_id = "Pain \ud800 noted." if field == "doc_id" else "b"
     sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = CorpusManifest(sha256=sha256, segmentation=segmentation_digest(), doc_ids=["a", doc_id],
-                              note_types=["other", "other"], locators=[0, offset])
+                              type_names=["other"], type_codes=np.zeros(2, dtype=np.intp), locators=[0, offset])
     pinned = source.pinned(manifest)
     assert pinned["a"].text == "some text"
     with pytest.raises(FormatError, match=rf"c\.jsonl@{offset}: field '{field}' is not valid Unicode"):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_file import COLUMNS, FIELDS, HEADER, IndexFile, signed
 from index_rows import Row, build_index, exact_hits, write_index
 from oracles.knn_oracle import brute_force_search
 from qasum.cli import load_config, main
@@ -305,20 +306,30 @@ def test_load_bad_checksum(saved_index):
 
 def with_checksum(path, payload):
     """Write payload plus its CRC32, so load gets past the checksum to the check under test."""
-    payload = bytes(payload)
-    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    path.write_bytes(signed(payload))
 
 
-def index_file(path, table, count, dim=2, version=FORMAT_VERSION):
-    """An index file around the given string table (bytes) and count x dim float32 zero vectors."""
-    header = vector_index._HEADER.pack(MAGIC, version, dim, count, len(table), b"f4")
-    with_checksum(path, header + table + bytes(4 * dim * count))
+def index_file(path, table, count, dim=2, version=FORMAT_VERSION, **columns):
+    """An index file around the given string table (bytes), u8 columns and count x dim float32 zero vectors.
+
+    The columns are those of one document whose rows are its paragraphs 0..count-1, with the given ones
+    replaced; locators=None keeps the locators in the table.
+    """
+    values = {"doc_rows": [count], "type_codes": [0], "locators": [0], "ordinals": list(range(count))}
+    values.update(columns)
+    parts = IndexFile(
+        dict(zip(FIELDS, (MAGIC, version, dim, count, len(values["doc_rows"]), 0, b"f4") + (b"",) * 4)),
+        table,
+        {name: None if column is None else np.array(column, dtype="<u8") for name, column in values.items()},
+        bytes(4 * dim * count),
+    )
+    path.write_bytes(parts.bytes())
 
 
-def v3_table(**changes):
-    """A valid string table for one row of document "a", with the given fields replaced or (None) removed."""
-    table = {"embedder": "hashed-reference", "corpus_sha256": "0" * 64, "segmentation": "s",
-             "doc_ids": ["a"], "note_types": ["other"], "locators": [0], "doc_rows": [1], "ordinals": [0]}
+def v5_table(**changes):
+    """A valid string table for document "a", with the given fields replaced or (None) removed."""
+    table = {"embedder": "hashed-reference", "corpus_sha256": "0" * 64, "segmentation": "s", "doc_ids": ["a"],
+             "note_types": ["other"]}
     table.update(changes)
     return json.dumps({key: value for key, value in table.items() if value is not None}).encode()
 
@@ -363,47 +374,66 @@ def test_load_trailing_bytes(saved_index):
 
 
 @pytest.mark.parametrize(
-    "table",
+    "table, columns",
     [
-        b"not json",
-        b'["a#0"]',
-        v3_table(embedder=None),
-        v3_table(ordinals=[0, 1]),
-        v3_table(doc_ids=[1]),
-        v3_table(note_types=[None]),
-        v3_table(corpus_sha256=None),
-        v3_table(segmentation=7),
-        v3_table(locators=[0, 5]),
-        v3_table(locators=[0.5]),
-        v3_table(locators=[None]),
-        v3_table(doc_rows=[2]),
-        v3_table(doc_rows=[-1]),
-        v3_table(ordinals=[-1]),
-        v3_table(ordinals=[2**70]),
-        v3_table(doc_ids=["a", "a"], note_types=["other"] * 2, locators=[0, 1], doc_rows=[1, 0]),
+        (b"not json", {}),
+        (b'["a#0"]', {}),
+        (v5_table(embedder=None), {}),
+        (v5_table(doc_ids=["a", "b"]), {}),
+        (v5_table(doc_ids=[1]), {}),
+        (v5_table(note_types=[None]), {}),
+        (v5_table(corpus_sha256=None), {}),
+        (v5_table(segmentation=7), {}),
+        (v5_table(locators=["a.txt", "b.txt"]), {"locators": None}),
+        (v5_table(locators=[0.5]), {"locators": None}),
+        (v5_table(locators=[None]), {"locators": None}),
+        (v5_table(), {"locators": None}),
+        (v5_table(), {"doc_rows": [2]}),
+        (v5_table(), {"doc_rows": [2**64 - 1]}),
+        (v5_table(), {"doc_rows": [2**40]}),
+        (v5_table(), {"ordinals": [2**64 - 1]}),
+        (v5_table(), {"ordinals": [2**63]}),
+        (v5_table(doc_ids=["a", "a"]), {"doc_rows": [1, 0], "type_codes": [0, 0], "locators": [0, 1]}),
+        (v5_table(), {"type_codes": [1]}),
+        (v5_table(note_types=["other", "lab"]), {}),
+        (v5_table(note_types=["other", "other"]), {}),
     ],
+    # Cases that were JSON list entries in format v4 keep their names as columns: negative_rows and
+    # negative_ordinal hold -1's bit pattern in a u8 column, and the locator cases are text-dir file names.
     ids=["not_json", "not_object", "no_embedder", "wrong_length", "int_doc_id", "null_note_type",
-         "no_corpus_digest", "int_segmentation", "locator_count", "float_locator", "null_locator",
-         "rows_past_count", "negative_rows", "negative_ordinal", "huge_ordinal", "repeated_doc_id"],
+         "no_corpus_digest", "int_segmentation", "locator_count", "float_locator", "null_locator", "no_file_names",
+         "rows_past_count", "negative_rows", "rows_past_memory", "negative_ordinal", "huge_ordinal",
+         "repeated_doc_id", "code_past_names", "unsorted_names", "repeated_name"],
 )
-def test_load_malformed_string_table(tmp_path, table):
+def test_load_malformed_string_table(tmp_path, table, columns):
     path = tmp_path / "index.qidx"
-    index_file(path, table, count=1)
+    index_file(path, table, count=1, **columns)
     with pytest.raises(CorruptIndexError, match="string table"):
         VectorIndex.load(path)
 
 
 def test_load_rows_out_of_document_order(tmp_path):
     path = tmp_path / "index.qidx"
-    table = v3_table(doc_ids=["a", "b"], note_types=["other"] * 2, locators=[0, 9], doc_rows=[2, 0],
-                     ordinals=[1, 0])
-    index_file(path, table, count=2)
+    two_documents = {"doc_rows": [2, 0], "type_codes": [0, 0], "locators": [0, 9]}
+    index_file(path, v5_table(doc_ids=["a", "b"]), count=2, ordinals=[1, 0], **two_documents)
     with pytest.raises(CorruptIndexError, match="document order"):
         VectorIndex.load(path)
-    index_file(path, v3_table(), count=1)
+    index_file(path, v5_table(), count=1)
     loaded = VectorIndex.load(path)
     assert [hit.para_id for hit in loaded.search(np.ones(2), k=1)] == ["a#0"]
     assert loaded.corpus.locators == [0]
+
+
+@pytest.mark.parametrize(
+    "column, code",
+    [(column, code) for column in COLUMNS for code in (b"u3", b"i1", b"--") if (column, code) != ("locators", b"--")],
+)
+def test_load_unknown_column_type(saved_index, column, code):
+    blob = bytearray(saved_index.read_bytes()[:-4])
+    HEADER.pack_into(blob, 0, *dict(zip(FIELDS, HEADER.unpack_from(blob)), **{column: code}).values())
+    with_checksum(saved_index, blob)
+    with pytest.raises(CorruptIndexError, match="column type"):
+        VectorIndex.load(saved_index)
 
 
 def test_empty_index_saves_and_loads(tmp_path):
@@ -444,16 +474,37 @@ def test_concurrent_searches_are_consistent(fixture_index, monkeypatch):
 # -- streaming the float32 block ---------------------------------------------
 
 
-ONE_DOCUMENT = CorpusManifest("0" * 64, "s", ["d"], ["other"], [0])
+ONE_DOCUMENT = CorpusManifest("0" * 64, "s", ["d"], ["other"], np.zeros(1, dtype=np.intp), [0])
 
 
-def one_document_table(count):
-    """The string table bytes of an index over ONE_DOCUMENT whose rows are its paragraphs 0..count-1."""
+def one_document_table():
+    """The string table bytes of an index over ONE_DOCUMENT."""
     return json.dumps(
         {"embedder": "hashed-reference", "corpus_sha256": "0" * 64, "segmentation": "s", "doc_ids": ["d"],
-         "note_types": ["other"], "locators": [0], "doc_rows": [count], "ordinals": list(range(count))},
+         "note_types": ["other"]},
         separators=(",", ":"),
     ).encode()
+
+
+def narrowest(largest):
+    """The code of the narrowest column type that holds largest."""
+    return next(code for code in (b"u1", b"u2", b"u4", b"u8") if largest < 256 ** int(code[1:]))
+
+
+def one_document_columns(count):
+    """The column codes and bytes of an index over ONE_DOCUMENT whose rows are its paragraphs 0..count-1.
+
+    The columns are its row count, its note-type code 0, its locator 0 and the ordinals.
+    """
+    columns = [[count], [0], [0], list(range(count))]
+    codes = [narrowest(max(column, default=0)) for column in columns]
+    blocks = [np.array(column, dtype=f"<{code.decode()}").tobytes() for code, column in zip(codes, columns)]
+    return codes, b"".join(blocks)
+
+
+def one_document_manifest(count):
+    """The bytes that describe ONE_DOCUMENT's rows: the string table and the columns."""
+    return one_document_table() + one_document_columns(count)[1]
 
 
 def one_document_writer(path, matrix, batch_rows=None):
@@ -471,13 +522,12 @@ def write_one_document(path, matrix, batch_rows=None):
         writer.write(ONE_DOCUMENT)
 
 
-def one_shot_file(table, vectors, vector_type=b"f4"):
-    """The v4 file written in one piece: header, table, the squared norms of counts, the whole vector block, CRC32."""
-    payload = vector_index._HEADER.pack(MAGIC, FORMAT_VERSION, vectors.shape[1], len(vectors), len(table), vector_type)
-    payload += table
-    if vector_type != b"f4":
-        payload += np.square(vectors.astype(np.float64)).sum(axis=1).astype("<f8").tobytes()
-    payload += vectors.astype(vector_index._VECTOR_TYPES[vector_type]).tobytes()
+def one_shot_file(vectors, vector_type=b"f4"):
+    """The v5 file over ONE_DOCUMENT written in one piece: header, table, columns, the whole vector block, CRC32."""
+    codes, columns = one_document_columns(len(vectors))
+    table = one_document_table()
+    payload = HEADER.pack(MAGIC, FORMAT_VERSION, vectors.shape[1], len(vectors), 1, len(table), vector_type, *codes)
+    payload += table + columns + vectors.astype(vector_index._VECTOR_TYPES[vector_type]).tobytes()
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
@@ -492,7 +542,7 @@ def test_save_and_load_stream_blocks_bit_for_bit(tmp_path, monkeypatch, count):
     # Batches of BLOCK - 1 rows, so the spooled batches straddle the blocks the file is written in.
     write_one_document(path, matrix, batch_rows=BLOCK - 1)
     vectors = matrix.astype("<f4")
-    assert path.read_bytes() == one_shot_file(one_document_table(count), vectors)
+    assert path.read_bytes() == one_shot_file(vectors)
     loaded = VectorIndex.load(path)
     promoted = vectors.astype(np.float64)
     assert loaded._matrix.tobytes() == promoted.tobytes()
@@ -523,8 +573,7 @@ def test_load_fails_in_mid_block(tmp_path, monkeypatch, error, expected, message
     count = 2 * BLOCK + 1
     path = tmp_path / "index.qidx"
     write_one_document(path, np.ones((count, 3)))
-    table = one_document_table(count)
-    mid_second_block = vector_index._HEADER.size + len(table) + 4 * 3 * (BLOCK + BLOCK // 2) + 2
+    mid_second_block = HEADER.size + len(one_document_manifest(count)) + 4 * 3 * (BLOCK + BLOCK // 2) + 2
     # The file is sized whole when opened, then ends or fails while the second block is read.
     monkeypatch.setattr(vector_index, "open", lambda p, mode: FailingFile(p, mid_second_block, error), raising=False)
     with pytest.raises(expected, match=message or re.escape(str(path))):
@@ -554,9 +603,9 @@ def test_load_memory_is_the_matrix_plus_two_blocks(four_block_matrix, tmp_path):
     rows, dim = four_block_matrix.shape
     path = tmp_path / "index.qidx"
     write_one_document(path, four_block_matrix)
-    # A loaded index holds the matrix, its norms and the table; two float64 blocks bound the
-    # transient rest (one row-norm step's temporary, the read buffer, the parsed row columns).
-    table = one_document_table(rows)
+    # A loaded index holds the matrix, its norms, the table and the columns; two float64 blocks bound
+    # the transient rest (one row-norm step's temporary, the read buffer, the row columns).
+    table = one_document_manifest(rows)
     bound = 8 * rows * dim + 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
     assert traced_peak(lambda: VectorIndex.load(path)) <= bound
 
@@ -564,7 +613,7 @@ def test_load_memory_is_the_matrix_plus_two_blocks(four_block_matrix, tmp_path):
 def test_write_memory_is_the_table_plus_one_block(four_block_matrix, tmp_path):
     rows, dim = four_block_matrix.shape
     # The spooled rows are read back through one float32 block.
-    bound = len(one_document_table(rows)) + 4 * vector_index._BLOCK_ROWS * dim + SLACK
+    bound = len(one_document_manifest(rows)) + 4 * vector_index._BLOCK_ROWS * dim + SLACK
     with one_document_writer(tmp_path / "index.qidx", four_block_matrix) as writer:
         assert traced_peak(lambda: writer.write(ONE_DOCUMENT)) <= bound
 
@@ -573,8 +622,8 @@ def test_write_memory_is_the_table_plus_one_block(four_block_matrix, tmp_path):
 
 
 def vector_type_of(path):
-    """The vector type code a v4 file's header names."""
-    return vector_index._HEADER.unpack_from(path.read_bytes())[-1]
+    """The vector type code a v5 file's header names."""
+    return IndexFile.parse(path.read_bytes()).header["vector"]
 
 
 PLANTED = (127, -127, 128, -128, 32767, -32767, 32768, -32768)
@@ -609,11 +658,10 @@ def test_count_block_loads_as_stored_bit_for_bit(counts, batch_rows):
         largest = int(np.abs(counts).max(initial=0))
         code = b"i1" if largest <= 127 else b"i2" if largest <= 32767 else b"i4"
         assert vector_type_of(path) == code
-        # The block is the counts in that type, after the header, the table and the squared norms.
-        table = one_document_table(len(counts))
-        assert path.read_bytes() == one_shot_file(table, counts, code)
+        # The block is the counts in that type, after the header, the table and the columns.
+        assert path.read_bytes() == one_shot_file(counts, code)
         loaded = VectorIndex.load(path)
-        # load keeps the block as the file stores it, with the stored squared norms, and no float copy.
+        # load keeps the block as the file stores it, with the squared norms it computes, and no float copy.
         assert loaded._counts.dtype == vector_index._VECTOR_TYPES[code]
         assert loaded._counts.tobytes() == counts.astype(vector_index._VECTOR_TYPES[code]).tobytes()
         assert loaded._squares.tobytes() == squared_norms(counts).tobytes()
@@ -646,46 +694,20 @@ def test_count_and_float_batches_do_not_mix(tmp_path):
 def test_load_refuses_version_3_with_rebuild_hint(tmp_path):
     path = tmp_path / "v3.qidx"
     # The v3 header (magic, version, dim, count, table length), then its table and float32 block.
-    table = v3_table()
+    table = v5_table()
     with_checksum(path, struct.pack("<8sHHQQ", MAGIC, 3, 2, 1, len(table)) + table + bytes(8))
     with pytest.raises(CorruptIndexError, match="version 3.*qasum index"):
         VectorIndex.load(path)
 
 
-@pytest.mark.parametrize("square", [-1.0, np.nan, np.inf])
-def test_load_refuses_a_squared_norm_that_is_negative_or_not_finite(tmp_path, square):
-    path = tmp_path / "index.qidx"
-    write_one_document(path, np.array([[1, 2], [3, 4]]))
-    blob = bytearray(path.read_bytes()[:-4])
-    squares_at = vector_index._HEADER.size + len(one_document_table(2))
-    assert struct.unpack_from("<2d", blob, squares_at) == (5.0, 25.0)
-    struct.pack_into("<d", blob, squares_at + 8, square)
+def test_load_refuses_version_4_with_rebuild_hint(tmp_path):
+    path = tmp_path / "v4.qidx"
+    # The v4 header (magic, version, dim, count, table length, vector type), its table, the squared norm
+    # and the int8 block.
+    table = v5_table(locators=[0], doc_rows=[1], ordinals=[0])
+    blob = struct.pack("<8sHHQQ2s", MAGIC, 4, 2, 1, len(table), b"i1") + table + struct.pack("<d", 2.0) + bytes([1, 1])
     with_checksum(path, blob)
-    with pytest.raises(CorruptIndexError, match="squared norm"):
-        VectorIndex.load(path)
-
-
-@pytest.mark.parametrize(
-    "second_row, row, square",
-    [([3, 4], 1, 0.0), ([3, 4], 1, 1e-300), ([3, 4], 1, 24.0), ([3, 4], 1, 26.0), ([3, 4], 0, 1.0),
-     ([1000, 0], 1, 10**6 + 1)],
-    ids=["zero_for_a_nonzero_row", "tiny", "too_small", "too_large", "positive_for_a_zero_row",
-         "off_by_one_int16"],
-)
-def test_load_refuses_a_squared_norm_that_does_not_match_its_row(tmp_path, second_row, row, square):
-    """Under a valid CRC32, a stored squared norm that disagrees with its row's counts is still refused.
-
-    The int16 row's squared norm, 10**6, stored as 10**6 + 1 would pass a check that the row divided
-    by the square root of its stored squared norm has norm 1 within 1e-6: that norm is 1 - 5e-7.
-    """
-    path = tmp_path / "index.qidx"
-    write_one_document(path, np.array([[0, 0], second_row]))
-    blob = bytearray(path.read_bytes()[:-4])
-    squares_at = vector_index._HEADER.size + len(one_document_table(2))
-    assert struct.unpack_from("<2d", blob, squares_at) == (0.0, float(np.dot(second_row, second_row)))
-    struct.pack_into("<d", blob, squares_at + 8 * row, square)
-    with_checksum(path, blob)
-    with pytest.raises(CorruptIndexError, match="squared norm"):
+    with pytest.raises(CorruptIndexError, match="version 4.*qasum index"):
         VectorIndex.load(path)
 
 
@@ -717,13 +739,14 @@ def test_count_decode_is_the_division_on_both_paths(tmp_path, large_share):
 
 @pytest.mark.parametrize("code", [b"i1", b"i2", b"i4"])
 def test_count_type_minimum_loads_bit_for_bit(tmp_path, code):
-    """A count at its type's minimum, which np.abs leaves negative, loads as stored and passes the norm check."""
+    """A count at its type's minimum, which np.abs leaves negative, loads as stored with its exact squared norm."""
     low = int(np.iinfo(vector_index._VECTOR_TYPES[code]).min)
     counts = np.array([[low, 1, 3], [low, 0, 0], [2, -2, 5]])
     path = tmp_path / "index.qidx"
-    path.write_bytes(one_shot_file(one_document_table(len(counts)), counts, code))
+    path.write_bytes(one_shot_file(counts, code))
     loaded = VectorIndex.load(path)
     assert loaded._counts.tobytes() == counts.astype(vector_index._VECTOR_TYPES[code]).tobytes()
+    assert loaded._squares.tobytes() == squared_norms(counts).tobytes()
     query = np.array([0, 1, 1])
     hits = loaded.search(query, k=3)
     expected = exact_hits(counts, para_ids_of(3), query, 3)
@@ -733,7 +756,7 @@ def test_count_type_minimum_loads_bit_for_bit(tmp_path, code):
 
 
 def test_count_block_damage_fails_the_checksum(tmp_path):
-    """A damaged count block is reported as a checksum failure, not as the squared-norm mismatch it also makes."""
+    """A damaged count block is reported as a checksum failure."""
     path = tmp_path / "index.qidx"
     write_one_document(path, np.array([[1, 2], [3, 4]]))
     blob = bytearray(path.read_bytes())
@@ -744,9 +767,9 @@ def test_count_block_damage_fails_the_checksum(tmp_path):
 
 
 def test_load_unknown_vector_type(saved_index):
-    blob = bytearray(saved_index.read_bytes()[:-4])
-    blob[vector_index._HEADER.size - 2 : vector_index._HEADER.size] = b"i8"
-    with_checksum(saved_index, blob)
+    parts = IndexFile.parse(saved_index.read_bytes())
+    parts.header["vector"] = b"i8"
+    saved_index.write_bytes(parts.bytes())
     with pytest.raises(CorruptIndexError, match="vector type"):
         VectorIndex.load(saved_index)
 
@@ -762,19 +785,18 @@ def test_count_load_memory_is_the_matrix_plus_two_blocks(four_block_counts, tmp_
     path = tmp_path / "index.qidx"
     write_one_document(path, four_block_counts)
     assert vector_type_of(path) == b"i2"
-    # Beside the matrix, its norms and the table: the rows' squared norms (with their square roots and
-    # reciprocals) and the decode buffers (the int16 read block, a float32 and a boolean block), which
-    # fit in two float64 blocks.
-    table = one_document_table(rows)
+    # Beside the matrix, its norms, the table and the columns: the rows' squared norms (with their square
+    # roots and reciprocals) and the decode buffers (the int16 read block, a float32 and a boolean block),
+    # which fit in two float64 blocks.
+    table = one_document_manifest(rows)
     bound = 8 * rows * dim + 2 * 8 * rows + len(table) + 2 * 8 * vector_index._BLOCK_ROWS * dim + SLACK
     assert traced_peak(lambda: VectorIndex.load(path)) <= bound
 
 
 def test_count_write_memory_is_the_table_plus_two_blocks(four_block_counts, tmp_path):
     rows, dim = four_block_counts.shape
-    # The spooled int32 counts are read back through one block and narrowed a block at a time; the
-    # squared norms are kept per batch and joined once.
-    bound = len(one_document_table(rows)) + 2 * 8 * rows + (4 + 2) * vector_index._BLOCK_ROWS * dim + SLACK
+    # The spooled int32 counts are read back through one block and narrowed a block at a time.
+    bound = len(one_document_manifest(rows)) + 2 * 8 * rows + (4 + 2) * vector_index._BLOCK_ROWS * dim + SLACK
     with one_document_writer(tmp_path / "index.qidx", four_block_counts) as writer:
         assert traced_peak(lambda: writer.write(ONE_DOCUMENT)) <= bound
 
@@ -784,9 +806,9 @@ def test_count_load_memory_is_the_count_block_plus_one_block(four_block_counts, 
     path = tmp_path / "index.qidx"
     write_one_document(path, four_block_counts)
     assert vector_type_of(path) == b"i2"
-    # load keeps the int16 block and the squared norms, beside the table; the one float32 block
-    # (through which each block's squared norms are checked) bounds the transient rest.
-    table = one_document_table(rows)
+    # load keeps the int16 block and the squared norms, beside the table and the columns; the one float32
+    # block (through which each block's squared norms are summed) bounds the transient rest.
+    table = one_document_manifest(rows)
     bound = 2 * rows * dim + 8 * rows + len(table) + 4 * vector_index._BLOCK_ROWS * dim + SLACK
     assert traced_peak(lambda: VectorIndex.load(path)) <= bound
 

@@ -54,7 +54,7 @@ class IndexFile:
         blob += b"".join(column.tobytes() for column in self.columns.values() if column is not None)
         return blob + self.vectors
 
-    def bytes(self) -> bytes:
+    def file_bytes(self) -> bytes:
         return signed(self.payload())
 
 

@@ -695,7 +695,7 @@ def _rewrite_locators(path, change):
     """Apply change to the index file's locator column, keeping its header and checksum consistent."""
     parts = IndexFile.parse(path.read_bytes())
     parts.columns["locators"] = change(parts.columns["locators"].astype("<u8"))
-    path.write_bytes(parts.bytes())
+    path.write_bytes(parts.file_bytes())
 
 
 @pytest.mark.parametrize("shift", [1, 10**9])

@@ -323,7 +323,7 @@ def index_file(path, table, count, dim=2, version=FORMAT_VERSION, **columns):
         {name: None if column is None else np.array(column, dtype="<u8") for name, column in values.items()},
         bytes(4 * dim * count),
     )
-    path.write_bytes(parts.bytes())
+    path.write_bytes(parts.file_bytes())
 
 
 def v5_table(**changes):
@@ -769,7 +769,7 @@ def test_count_block_damage_fails_the_checksum(tmp_path):
 def test_load_unknown_vector_type(saved_index):
     parts = IndexFile.parse(saved_index.read_bytes())
     parts.header["vector"] = b"i8"
-    saved_index.write_bytes(parts.bytes())
+    saved_index.write_bytes(parts.file_bytes())
     with pytest.raises(CorruptIndexError, match="vector type"):
         VectorIndex.load(saved_index)
 

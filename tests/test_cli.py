@@ -615,6 +615,9 @@ def _write_variant_corpus(fixtures_dir, path, rewrite):
 
 @pytest.mark.parametrize("stale", ["unknown_doc", "ordinal_past_end"])
 def test_stale_index_is_a_clear_error(pipeline_config, tmp_path, fixtures_dir, capsys, stale):
+    # Either way the queried corpus has other bytes than the indexed one, so both cases stop at the
+    # corpus pin's SHA-256 check, before any search; test_hand_edited_ordinal_past_a_document_end_is_a_clear_error
+    # reaches the check of a hit's paragraph.
     data = json.loads(pipeline_config.read_text("utf-8"))
     fixture_corpus = data["corpus"]["path"]
     if stale == "unknown_doc":
@@ -640,6 +643,28 @@ def test_stale_index_is_a_clear_error(pipeline_config, tmp_path, fixtures_dir, c
         err = capsys.readouterr().err
         assert re.search(r"corpus \S+ is not the corpus the index was built from \(SHA-256", err), err
         assert "qasum index" in err
+
+
+def test_hand_edited_ordinal_past_a_document_end_is_a_clear_error(pipeline_config, tmp_path, capsys):
+    """An index naming a paragraph the pinned corpus does not have fails with exit 1 and a rebuild hint."""
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    path = tmp_path / "out" / "index.qidx"
+    parts = IndexFile.parse(path.read_bytes())
+    # The follow-up question's top hit is this document's last paragraph, both in the bank and asked.
+    doc = parts.fields["doc_ids"].index("p001-discharge")
+    doc_rows = parts.columns["doc_rows"].tolist()
+    last = sum(doc_rows[: doc + 1]) - 1
+    assert parts.columns["ordinals"][last] == doc_rows[doc] - 1
+    parts.columns["ordinals"][last] = doc_rows[doc]  # one past the end; rows stay in document order
+    path.write_bytes(parts.file_bytes())
+    capsys.readouterr()
+    for argv in (summarize_args(pipeline_config),
+                 ["ask", "--config", str(pipeline_config), "What follow up appointments were scheduled?"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"'p001-discharge#{doc_rows[doc]}'" in err and "qasum index" in err, err
+        assert "internal error" not in err, err
 
 
 def _copy_corpus(fixtures_dir, tmp_path, edit):

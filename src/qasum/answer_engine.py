@@ -12,6 +12,13 @@ the texts embedded together never depend on the number of workers.
 Two extractors implement the same contract: MockExtractor (deterministic
 lexical overlap, for offline runs and CI) and RemoteExtractor (gateway
 chat call with strict reply schema).
+
+Paragraphs and sentences are found by position, never by id: each search
+hit carries its document's position in the pinned corpus and its paragraph
+ordinal, and an extractor returns the chosen Sentence with its order key
+(document position, paragraph ordinal, sentence ordinal), taken from the
+hit, which dedupe and assembly sort by. Ids are only written out: in the
+prompt context, the ``ask`` output and ``summary.json``.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Paragraph, SegmentedCorpus, Sentence
+from .corpus import Paragraph, PinnedCorpus, Sentence
 from .embedding import Embedder, cosine_norms, normed_cosine, tokenize, unit_rows
 from .errors import (
-    CorruptIndexError,
     EmptyRetrievalError,
     EmptyTextError,
     NoAnswerError,
@@ -49,8 +55,11 @@ class RetrievedContext:
 
 @dataclass(frozen=True)
 class RawAnswer:
+    """An extractor's answer: its text, the context sentence it came from with that sentence's order key, and a confidence."""
+
     answer_text: str
-    source_sent_id: str
+    sentence: Sentence
+    order_key: tuple[int, int, int]  # (document position, paragraph ordinal, sentence ordinal)
     confidence: float
 
 
@@ -58,6 +67,7 @@ class RawAnswer:
 class ScoredAnswer:
     q_id: str
     sentence: Sentence
+    order_key: tuple[int, int, int]
     confidence: float
     np_score: float
     score: float
@@ -107,14 +117,14 @@ def retrieve_context(
     question: Question,
     index: VectorIndex,
     row: np.ndarray,
-    corpus: SegmentedCorpus,
+    corpus: PinnedCorpus,
     k: int,
 ) -> RetrievedContext:
     """Top-k paragraphs for the question, whose embed_many row is row, concatenated in rank order.
 
     Raises EmptyRetrievalError when the question's note-type filter leaves
-    no hits, and CorruptIndexError when a hit names a paragraph the corpus
-    does not have (an index built from another corpus).
+    no hits, and the corpus raises CorruptIndexError when a hit names a
+    paragraph it does not have (a hand-edited index).
     """
     hits = index.search(row, k, question.note_type_filter)
     if not hits:
@@ -122,13 +132,7 @@ def retrieve_context(
             f"question {question.q_id!r}: note-type filter "
             f"{sorted(question.note_type_filter or ())} matched no index entries"
         )
-    try:
-        paragraphs = tuple(corpus.paragraph(hit.para_id) for hit in hits)
-    except KeyError as exc:
-        raise CorruptIndexError(
-            f"index entry {exc.args[0]!r} is not a paragraph of the corpus; the index is stale, "
-            f"rebuild it with `qasum index`"
-        ) from None
+    paragraphs = tuple(corpus.paragraph(hit.doc, hit.ordinal) for hit in hits)
     context_text = "\n\n".join(f"[{p.para_id}] {p.text}" for p in paragraphs)
     return RetrievedContext(
         question=question, hits=tuple(hits), paragraphs=paragraphs, context_text=context_text
@@ -152,7 +156,7 @@ class MockExtractor:
     NoAnswerError when nothing overlaps.
     """
 
-    def __init__(self, corpus: SegmentedCorpus):
+    def __init__(self, corpus: PinnedCorpus):
         self._corpus = corpus
 
     def extract(self, prompt: str, ctx: RetrievedContext) -> RawAnswer:
@@ -162,22 +166,21 @@ class MockExtractor:
                 f"question {ctx.question.q_id!r} has no content tokens to match"
             )
         best: tuple[int, tuple[int, int, int], Sentence] | None = None
-        for para in ctx.paragraphs:
-            for sent in self._corpus.sentences(para.para_id):
-                overlap = len(question_tokens & content_tokens(sent.text))
-                if overlap == 0:
-                    continue
-                key = self._corpus.order_key(sent.sent_id)
-                if best is None or overlap > best[0] or (overlap == best[0] and key < best[1]):
-                    best = (overlap, key, sent)
+        for sent, key in _context_sentences(self._corpus, ctx):
+            overlap = len(question_tokens & content_tokens(sent.text))
+            if overlap == 0:
+                continue
+            if best is None or overlap > best[0] or (overlap == best[0] and key < best[1]):
+                best = (overlap, key, sent)
         if best is None:
             raise NoAnswerError(
                 f"no context sentence shares content tokens with question {ctx.question.q_id!r}"
             )
-        overlap, _, sentence = best
+        overlap, key, sentence = best
         return RawAnswer(
             answer_text=sentence.text,
-            source_sent_id=sentence.sent_id,
+            sentence=sentence,
+            order_key=key,
             confidence=overlap / len(question_tokens),
         )
 
@@ -185,7 +188,7 @@ class MockExtractor:
 class RemoteExtractor:
     """Gateway-backed extractor; locates the model's source sentence in the context."""
 
-    def __init__(self, gateway, corpus: SegmentedCorpus):
+    def __init__(self, gateway, corpus: PinnedCorpus):
         self._gateway = gateway
         self._corpus = corpus
 
@@ -193,28 +196,36 @@ class RemoteExtractor:
         reply = self._gateway.chat_answer(prompt)
         if reply.no_answer:
             raise NoAnswerError(f"model declared no answer for question {ctx.question.q_id!r}")
-        sentence = self._locate(reply.source_sentence, ctx)
+        sentence, key = self._locate(reply.source_sentence, ctx)
         answer_text = reply.answer if reply.answer in sentence.text else sentence.text
         return RawAnswer(
             answer_text=answer_text,
-            source_sent_id=sentence.sent_id,
+            sentence=sentence,
+            order_key=key,
             confidence=reply.confidence,
         )
 
-    def _locate(self, source_sentence: str, ctx: RetrievedContext) -> Sentence:
-        candidates = [
-            sent for para in ctx.paragraphs for sent in self._corpus.sentences(para.para_id)
-        ]
-        for sent in candidates:
+    def _locate(self, source_sentence: str, ctx: RetrievedContext) -> tuple[Sentence, tuple[int, int, int]]:
+        candidates = _context_sentences(self._corpus, ctx)
+        for sent, key in candidates:
             if sent.text == source_sentence:
-                return sent
+                return sent, key
         normalized = " ".join(source_sentence.split())
-        for sent in candidates:
+        for sent, key in candidates:
             if " ".join(sent.text.split()) == normalized:
-                return sent
+                return sent, key
         raise UnlocatableSourceError(
             f"source sentence not found in retrieved context: {source_sentence[:80]!r}"
         )
+
+
+def _context_sentences(corpus: PinnedCorpus, ctx: RetrievedContext) -> list[tuple[Sentence, tuple[int, int, int]]]:
+    """Each sentence of the context's paragraphs, in rank order, with its order key from its hit."""
+    return [
+        (sent, (hit.doc, hit.ordinal, sent.ordinal))
+        for hit in ctx.hits
+        for sent in corpus.sentences(hit.doc, hit.ordinal)
+    ]
 
 
 def extract_noun_phrases(text: str) -> list[str]:
@@ -250,19 +261,14 @@ def np_match_score(q_vectors: np.ndarray, a_vectors: np.ndarray) -> float:
     return total / len(q_vectors)
 
 
-def fuse_and_threshold(
-    raw: RawAnswer,
-    np_score: float,
-    params: RetrievalParams,
-    q_id: str,
-    sentence: Sentence,
-) -> ScoredAnswer:
+def fuse_and_threshold(raw: RawAnswer, np_score: float, params: RetrievalParams, q_id: str) -> ScoredAnswer:
     """Weighted average of extractor confidence and NP score, gated at the threshold."""
     w = params.fusion_weight
     score = w * raw.confidence + (1.0 - w) * np_score
     return ScoredAnswer(
         q_id=q_id,
-        sentence=sentence,
+        sentence=raw.sentence,
+        order_key=raw.order_key,
         confidence=raw.confidence,
         np_score=np_score,
         score=score,
@@ -275,7 +281,7 @@ def answer_questions(
     questions: Sequence[Question],
     index: VectorIndex,
     embedder: Embedder,
-    corpus: SegmentedCorpus,
+    corpus: PinnedCorpus,
     extractor: AnswerExtractor,
     params: RetrievalParams,
     max_workers: int = 1,
@@ -337,7 +343,6 @@ def answer_questions(
             results.append(QuestionResult(question, hits, None, reason))
             continue
         m = np_match_score(phrase_vectors[start:mid], phrase_vectors[mid:end])
-        sentence = corpus.sentence(raw.source_sent_id)
         eff = effective_params(question, params)
-        results.append(QuestionResult(question, hits, fuse_and_threshold(raw, m, eff, question.q_id, sentence)))
+        results.append(QuestionResult(question, hits, fuse_and_threshold(raw, m, eff, question.q_id)))
     return results

@@ -14,11 +14,12 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import compress, islice
 from pathlib import Path
 
 from . import answer_engine, evaluation, summarizer
-from .corpus import SegmentedCorpus, paragraph_columns, read_corpus
+from .corpus import paragraph_columns, read_corpus
 from .embedding import Embedder, EmbedderSpec, build_embedder
 from .errors import (
     CorruptIndexError,
@@ -175,7 +176,7 @@ def _build_gateway(cfg: PipelineConfig, extracts: bool) -> Gateway | None:
     return None
 
 
-def _build_extractor(cfg: PipelineConfig, corpus: SegmentedCorpus, gateway: Gateway | None):
+def _build_extractor(cfg: PipelineConfig, corpus, gateway: Gateway | None):
     if cfg.extractor == "remote":
         return answer_engine.RemoteExtractor(gateway, corpus)
     return answer_engine.MockExtractor(corpus)
@@ -188,13 +189,13 @@ def _embedder_identity(cfg: PipelineConfig) -> str:
     return cfg.embedder.kind
 
 
-def _load_pinned(cfg: PipelineConfig) -> tuple[VectorIndex, SegmentedCorpus, str]:
-    """The configured index, the corpus it indexes, and the SHA-256 of that corpus's bytes.
+def _load_pinned(cfg: PipelineConfig):
+    """The configured index, the corpus it indexes pinned to it (``CorpusFile.pinned``), and that corpus's SHA-256.
 
     Refuses an index that another embedder built, or that was built from
     other corpus bytes or segmentation rules than the configured ones. The
-    corpus is read and hashed once; documents are parsed from those bytes
-    when a lookup first needs them.
+    corpus is read and hashed once; documents are parsed and segmented from
+    those bytes when a hit first needs them.
     """
     index = VectorIndex.load(cfg.index_path)
     expected = _embedder_identity(cfg)
@@ -204,7 +205,7 @@ def _load_pinned(cfg: PipelineConfig) -> tuple[VectorIndex, SegmentedCorpus, str
             f"uses {expected!r}; rebuild it with `qasum index`"
         )
     source = read_corpus(cfg.corpus_path, cfg.corpus_format)
-    return index, SegmentedCorpus(source.pinned(index.corpus)), source.sha256
+    return index, source.pinned(index.corpus), source.sha256
 
 
 def _timestamp(cfg: PipelineConfig) -> str:
@@ -298,7 +299,6 @@ def cmd_summarize(cfg: PipelineConfig) -> int:
     summary = summarizer.assemble(
         [r.answer for r in results if r.passed],
         bank,
-        corpus,
         embedder,
         params,
         corpus_id=corpus_sha256[:12],
@@ -382,9 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing keeps no state in it, and building one takes about 3 ms."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config, _flag_overrides(args))
         if args.output_dir:
             # Relative to the working directory, unlike the config's output_dir.

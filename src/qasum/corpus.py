@@ -10,9 +10,10 @@ tight: slicing the encoded parent at the span reproduces the chunk text
 exactly (so trimming the slice is a no-op).
 
 ``read_corpus`` opens a corpus. ``qasum index`` streams it a document at
-a time and records a manifest of its bytes; the query path reads the bytes
-once, checks them against the manifest and then parses only the documents
-it looks up.
+a time and records a manifest of its bytes. The query path pins it: it
+reads the bytes once and checks them against the manifest, and the
+``PinnedCorpus`` it gets looks documents up by their position in the
+manifest, parsing and segmenting only the documents it is asked for.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ class CorpusManifest:
     sorted. doc_ids, type_codes and locators hold one entry per document, in
     document order: a document's note type is ``type_names[type_codes[i]]``.
     A JSONL document's locator is the byte offset of its line (the line ends
-    at the next ``\\n``); a text-dir document's locator is its file name.
+    at the next ``\\n``), and its locators an integer column (``load`` gives
+    the index file's unsigned column as it is); a text-dir document's
+    locator is its file name.
     """
 
     sha256: str
@@ -110,7 +113,7 @@ class CorpusManifest:
     doc_ids: Sequence[str]
     type_names: Sequence[str]
     type_codes: np.ndarray
-    locators: Sequence[int | str]
+    locators: Sequence[int | str] | np.ndarray
 
     def __post_init__(self):
         if not len(self.doc_ids) == len(self.type_codes) == len(self.locators):
@@ -199,8 +202,8 @@ class CorpusFile:
         codes = np.searchsorted(names, note_types)
         return CorpusManifest(self.sha256, segmentation_digest(), doc_ids, names, codes, locators)
 
-    def pinned(self, manifest: CorpusManifest) -> Mapping[str, Document]:
-        """The manifest's documents, in its order, each parsed on first lookup from the bytes read now.
+    def pinned(self, manifest: CorpusManifest) -> PinnedCorpus:
+        """The manifest's documents by position, each parsed and segmented on first lookup from the bytes read now.
 
         Raises CorruptIndexError, with a rebuild hint, when these bytes or the
         segmentation rules differ from those the manifest records, or when
@@ -217,13 +220,14 @@ class CorpusFile:
                 "the index was built with other segmentation rules (abbreviation list or paragraph "
                 "token cap); rebuild it with `qasum index`"
             )
-        return _PinnedDocuments(self, data, manifest)
+        self._check_locators(data, manifest.locators)
+        return PinnedCorpus(self, data, manifest)
 
     def _read_whole(self) -> tuple[str, object]:
         """The SHA-256 of the corpus bytes, and those bytes in the form _document_at reads."""
         raise NotImplementedError
 
-    def _check_locators(self, data, locators: Sequence[int | str]) -> None:
+    def _check_locators(self, data, locators: Sequence[int | str] | np.ndarray) -> None:
         """Raise CorruptIndexError unless every locator can name a document of data."""
         raise NotImplementedError
 
@@ -232,40 +236,61 @@ class CorpusFile:
         raise NotImplementedError
 
 
-class _PinnedDocuments(Mapping):
-    """doc_id -> Document over a verified manifest; a document is parsed on every lookup.
+class PinnedCorpus:
+    """The documents of an index's manifest, looked up by position in it, over corpus bytes checked against it.
 
-    A lookup raises FormatError, naming the locator, when the record there is
-    not a valid document, and CorruptIndexError when it is another document.
+    A document is parsed from those bytes, segmented into paragraphs and
+    split into sentences on its first lookup, and cached, so a query pays
+    only for the documents its hits come from. The cache is filled under a
+    lock, so concurrent readers (``--workers``) see each document segmented
+    exactly once.
 
-    SegmentedCorpus caches what it derives from a document, so each is
-    looked up once.
+    A lookup raises FormatError, naming the locator, when the record there
+    is not a valid document, and CorruptIndexError, with a rebuild hint,
+    when it is another document or has no paragraph of that ordinal.
     """
 
     def __init__(self, source: CorpusFile, data, manifest: CorpusManifest):
-        source._check_locators(data, manifest.locators)
         self._source = source
         self._data = data
-        self._locators = dict(zip(manifest.doc_ids, manifest.locators))
+        self._manifest = manifest
+        self._segmented: dict[int, tuple[list[Paragraph], list[list[Sentence]]]] = {}
+        self._lock = threading.Lock()
 
-    def __getitem__(self, doc_id: str) -> Document:
-        locator = self._locators[doc_id]
-        doc = self._source._document_at(self._data, locator)
-        if doc.doc_id != doc_id:
+    def paragraph(self, doc: int, ordinal: int) -> Paragraph:
+        """Paragraph ordinal of the document at position doc of the manifest."""
+        return self._located(doc, ordinal)[0][ordinal]
+
+    def sentences(self, doc: int, ordinal: int) -> list[Sentence]:
+        """The sentences of paragraph ordinal of the document at position doc."""
+        return self._located(doc, ordinal)[1][ordinal]
+
+    def _located(self, doc: int, ordinal: int) -> tuple[list[Paragraph], list[list[Sentence]]]:
+        segmented = self._segmented.get(doc)
+        if segmented is None:
+            with self._lock:
+                segmented = self._segmented.get(doc)
+                if segmented is None:
+                    segmented = self._segmented[doc] = self._segment(doc)
+        if not 0 <= ordinal < len(segmented[0]):
+            raise CorruptIndexError(
+                f"index entry {paragraph_id(self._manifest.doc_ids[doc], ordinal)!r} is not a paragraph of the "
+                "corpus; the index is stale, rebuild it with `qasum index`"
+            )
+        return segmented
+
+    def _segment(self, doc: int) -> tuple[list[Paragraph], list[list[Sentence]]]:
+        doc_id, locator = self._manifest.doc_ids[doc], self._manifest.locators[doc]
+        if isinstance(locator, np.integer):
+            locator = int(locator)  # a byte offset, named as a plain number
+        document = self._source._document_at(self._data, locator)
+        if document.doc_id != doc_id:
             raise CorruptIndexError(
                 f"the index locates document {doc_id!r} at {locator!r} in corpus {self._source.path}, "
                 "which holds no such record there; rebuild it with `qasum index`"
             )
-        return doc
-
-    def __contains__(self, doc_id: object) -> bool:
-        return doc_id in self._locators
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._locators)
-
-    def __len__(self) -> int:
-        return len(self._locators)
+        paragraphs = segment_paragraphs(document)
+        return paragraphs, [split_sentences(para) for para in paragraphs]
 
 
 class _JsonlCorpus(CorpusFile):
@@ -329,16 +354,17 @@ class _JsonlCorpus(CorpusFile):
         self._sha256 = hashlib.sha256(data).hexdigest()
         return self._sha256, data
 
-    def _check_locators(self, data: bytes, locators: Sequence[int | str]) -> None:
-        if not set(map(type, locators)) <= {int}:
+    def _check_locators(self, data: bytes, locators: Sequence[int | str] | np.ndarray) -> None:
+        offsets = np.asarray(locators)
+        if not len(offsets):
+            return
+        if offsets.dtype.kind not in "ui":
             problem = "are not all byte offsets"
-        elif locators and not 0 <= min(locators) <= max(locators) < len(data):
+        elif not 0 <= offsets.min() <= offsets.max() < len(data):
             problem = "reach outside it"
+        elif (np.frombuffer(data, dtype=np.uint8)[offsets[offsets > 0] - 1] == ord("\n")).all():
+            return
         else:
-            offsets = np.array(locators, dtype=np.int64)
-            before = np.frombuffer(data, dtype=np.uint8)[offsets[offsets > 0] - 1]
-            if (before == ord("\n")).all():
-                return
             problem = "are not all line starts"
         raise CorruptIndexError(
             f"the index's locators into corpus {self.path} {problem}; rebuild it with `qasum index`"
@@ -378,7 +404,7 @@ class _TextDirCorpus(CorpusFile):
     def _read_whole(self) -> tuple[str, dict[str, bytes]]:
         return self.sha256, self._files
 
-    def _check_locators(self, files: dict[str, bytes], locators: Sequence[int | str]) -> None:
+    def _check_locators(self, files: dict[str, bytes], locators: Sequence[int | str] | np.ndarray) -> None:
         missing = [loc for loc in locators if not (isinstance(loc, str) and loc in files)]
         if missing:
             raise CorruptIndexError(
@@ -661,98 +687,3 @@ def split_sentences(para: Paragraph) -> list[Sentence]:
             )
         )
     return sentences
-
-
-class SegmentedCorpus:
-    """Lazy paragraph and sentence view over a corpus's documents.
-
-    documents is a list of documents or an ordered doc_id -> Document
-    mapping (such as ``CorpusFile.pinned``, which parses a document when it
-    is looked up). Construction only indexes the doc_ids. A document is
-    looked up and segmented into paragraphs on the first lookup that touches
-    it, and its sentences are split on the first sentence lookup; both are
-    cached per document, so a query pays only for the documents its hits
-    come from. Ids carry their document: a para_id is ``<doc_id>#<ordinal>``
-    and a sent_id is ``<para_id>:<ordinal>``. Lookups of ids the corpus does
-    not produce raise KeyError with the id. The cache is filled under a lock,
-    so concurrent readers (``--workers``) see each document looked up and
-    segmented exactly once.
-
-    ``order_key`` is a global document-order key (doc position, paragraph
-    ordinal, sentence ordinal) used for deterministic tie-breaking downstream.
-    """
-
-    def __init__(self, documents: Iterable[Document] | Mapping[str, Document]):
-        if not isinstance(documents, Mapping):
-            documents = {doc.doc_id: doc for doc in documents}
-        self._documents = documents
-        self._doc_pos = {doc_id: i for i, doc_id in enumerate(documents)}
-        self._paras_by_doc: dict[str, list[Paragraph]] = {}
-        self._sents_by_doc: dict[str, list[list[Sentence]]] = {}
-        self._all_paragraphs: list[Paragraph] | None = None
-        self._lock = threading.RLock()
-
-    def _cached(self, cache: dict, doc_id: str, compute):
-        value = cache.get(doc_id)
-        if value is None:
-            with self._lock:
-                value = cache.get(doc_id)
-                if value is None:
-                    value = cache[doc_id] = compute(doc_id)
-        return value
-
-    def _doc_paragraphs(self, doc_id: str) -> list[Paragraph]:
-        return self._cached(self._paras_by_doc, doc_id, lambda d: segment_paragraphs(self._documents[d]))
-
-    def _doc_sentences(self, doc_id: str) -> list[list[Sentence]]:
-        return self._cached(
-            self._sents_by_doc,
-            doc_id,
-            lambda d: [split_sentences(para) for para in self._doc_paragraphs(d)],
-        )
-
-    def _locate(self, para_id: str) -> tuple[str, int]:
-        """(doc_id, paragraph ordinal) of a para_id the corpus produces, else KeyError."""
-        doc_id, i = _split_id(para_id, "#")
-        if doc_id in self._doc_pos:
-            paras = self._doc_paragraphs(doc_id)
-            if 0 <= i < len(paras) and paras[i].para_id == para_id:
-                return doc_id, i
-        raise KeyError(para_id)
-
-    @property
-    def paragraphs(self) -> list[Paragraph]:
-        """Every paragraph in document order (segments the whole corpus once)."""
-        if self._all_paragraphs is None:
-            with self._lock:
-                if self._all_paragraphs is None:
-                    self._all_paragraphs = [
-                        para for doc_id in self._doc_pos for para in self._doc_paragraphs(doc_id)
-                    ]
-        return self._all_paragraphs
-
-    def paragraph(self, para_id: str) -> Paragraph:
-        doc_id, i = self._locate(para_id)
-        return self._doc_paragraphs(doc_id)[i]
-
-    def sentences(self, para_id: str) -> list[Sentence]:
-        doc_id, i = self._locate(para_id)
-        return self._doc_sentences(doc_id)[i]
-
-    def sentence(self, sent_id: str) -> Sentence:
-        para_id, i = _split_id(sent_id, ":")
-        sents = self.sentences(para_id)
-        if 0 <= i < len(sents) and sents[i].sent_id == sent_id:
-            return sents[i]
-        raise KeyError(sent_id)
-
-    def order_key(self, sent_id: str) -> tuple[int, int, int]:
-        sent = self.sentence(sent_id)
-        doc_id, para_ordinal = _split_id(sent.para_id, "#")
-        return (self._doc_pos[doc_id], para_ordinal, sent.ordinal)
-
-
-def _split_id(id_: str, sep: str) -> tuple[str, int]:
-    """Split ``<parent><sep><ordinal>``; the ordinal is -1 unless it is plain decimal."""
-    parent, _, ordinal = id_.rpartition(sep)
-    return parent, int(ordinal) if ordinal.isascii() and ordinal.isdigit() else -1

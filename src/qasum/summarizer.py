@@ -3,7 +3,8 @@
 Candidates that passed their thresholds are pooled across questions,
 deduplicated exactly (same sentence id) and by embedding near-match, ordered
 by (question order, document order), and have their acronyms expanded
-before emission.
+before emission. Document order is each answer's order key, which the
+extractor took from its search hit, so assembly needs no corpus.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
 from .answer_engine import ScoredAnswer
-from .corpus import SegmentedCorpus
 from .embedding import Embedder, cosine_norms, normed_cosine, unit_rows
 from .fileio import write_atomic
 from .question_bank import QuestionBank, RetrievalParams
@@ -70,26 +68,18 @@ def dedupe(
     candidates: list[ScoredAnswer],
     params: RetrievalParams,
     embedder: Embedder,
-    order_key: Callable[[str], tuple],
-    question_order: dict[str, int] | None = None,
+    question_order: dict[str, int],
 ) -> list[ScoredAnswer]:
     """Drop exact and near-duplicate sentences, keeping the higher-scored instance.
 
     Candidates must already have passed their thresholds. Exact duplicates
     share a sent_id; near-duplicates have embedding cosine >= dedup_cosine.
     Collapse is greedy in descending-score order, ties broken by earlier
-    document order (then question order). A sentence whose text cannot be
-    embedded is kept and never treated as a near-duplicate.
+    document order (then question order, which question_order gives by
+    q_id). A sentence whose text cannot be embedded is kept and never
+    treated as a near-duplicate.
     """
-    question_order = question_order or {}
-    ranked = sorted(
-        candidates,
-        key=lambda a: (
-            -a.score,
-            order_key(a.sentence.sent_id),
-            question_order.get(a.q_id, 0),
-        ),
-    )
+    ranked = sorted(candidates, key=lambda a: (-a.score, a.order_key, question_order[a.q_id]))
     rows, embedded = embedder.embed_many([a.sentence.text for a in ranked])
     vectors = unit_rows(rows)
     survivors: list[ScoredAnswer] = []
@@ -112,7 +102,6 @@ def dedupe(
 def assemble(
     passed: list[ScoredAnswer],
     bank: QuestionBank,
-    corpus: SegmentedCorpus,
     embedder: Embedder,
     params: RetrievalParams,
     corpus_id: str,
@@ -124,8 +113,8 @@ def assemble(
     question, in any order.
     """
     question_order = {q.q_id: q.order for q in bank.questions}
-    survivors = dedupe(passed, params, embedder, corpus.order_key, question_order)
-    survivors.sort(key=lambda a: (question_order[a.q_id], corpus.order_key(a.sentence.sent_id)))
+    survivors = dedupe(passed, params, embedder, question_order)
+    survivors.sort(key=lambda a: (question_order[a.q_id], a.order_key))
 
     table = load_acronym_table()
     items = tuple(

@@ -107,9 +107,13 @@ _EXACT_DOTS = ((2**48, np.dtype(np.float32)), (2**106, np.dtype(np.float64)))
 
 @dataclass(frozen=True)
 class SearchHit:
+    """A hit: paragraph ordinal of the document at position doc of the index's corpus manifest, named para_id."""
+
     para_id: str
     score: float
     rank: int
+    doc: int
+    ordinal: int
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -235,14 +239,12 @@ class VectorIndex:
             at_least_kth = candidates >= kth
             rows, candidates = rows[at_least_kth], candidates[at_least_kth]
         doc_ids = self._corpus.doc_ids
-        para_ids = [
-            paragraph_id(doc_ids[d], ordinal)
-            for d, ordinal in zip(self._row_docs[rows].tolist(), self._ordinals[rows].tolist())
-        ]
-        scored = sorted(zip(candidates.tolist(), para_ids), key=lambda hit: (-hit[0], hit[1]))
+        docs, ordinals = self._row_docs[rows].tolist(), self._ordinals[rows].tolist()
+        para_ids = [paragraph_id(doc_ids[d], ordinal) for d, ordinal in zip(docs, ordinals)]
+        scored = sorted(zip(candidates.tolist(), para_ids, docs, ordinals), key=lambda hit: (-hit[0], hit[1]))
         return [
-            SearchHit(para_id=pid, score=score, rank=rank)
-            for rank, (score, pid) in enumerate(scored[:k], start=1)
+            SearchHit(para_id=pid, score=score, rank=rank, doc=doc, ordinal=ordinal)
+            for rank, (score, pid, doc, ordinal) in enumerate(scored[:k], start=1)
         ]
 
     def _count_scores(self, query: np.ndarray) -> np.ndarray:
@@ -294,13 +296,13 @@ class VectorIndex:
         embedder, sha256, segmentation, doc_ids, type_names = (
             fields.get(key) for key in ("embedder", "corpus_sha256", "segmentation", "doc_ids", "note_types")
         )
-        # A text-dir corpus's file names, or byte offsets as the Python ints that messages show.
-        locators = fields.get("locators") if locators is None else locators.tolist()
+        if locators is None:  # a text-dir corpus's file names; a JSONL corpus keeps its unsigned column
+            locators = fields.get("locators")
         well_typed = (
             all(isinstance(value, str) for value in (embedder, sha256, segmentation))
-            and all(isinstance(value, list) for value in (doc_ids, type_names, locators))
+            and all(isinstance(value, list) for value in (doc_ids, type_names))
             and set(map(type, doc_ids)) | set(map(type, type_names)) <= {str}
-            and set(map(type, locators)) <= {int, str}
+            and (isinstance(locators, np.ndarray) or isinstance(locators, list) and set(map(type, locators)) <= {str})
             and sum(doc_rows.tolist()) == count
         )
         if not well_typed:

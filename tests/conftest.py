@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from index_rows import Row, build_index
-from qasum.corpus import SegmentedCorpus, read_corpus
+from qasum.corpus import read_corpus, segment_paragraphs
 from qasum.embedding import EmbedderSpec, build_embedder, reference_embedding
 from qasum.question_bank import load_question_bank
 from qasum.vector_index import VectorIndex
@@ -39,8 +40,39 @@ def corpus_docs():
 
 
 @pytest.fixture(scope="session")
-def segmented(corpus_docs) -> SegmentedCorpus:
-    return SegmentedCorpus(corpus_docs)
+def fixture_paragraphs(corpus_docs):
+    """Every paragraph of the fixture corpus, in document order."""
+    return [para for doc in corpus_docs for para in segment_paragraphs(doc)]
+
+
+@pytest.fixture(scope="session")
+def pin_documents(tmp_path_factory):
+    """The one way tests make a pinned corpus: pin_documents(docs) pins them as ``ask`` and ``summarize`` do.
+
+    The documents are written to a JSONL corpus in a fresh directory, read
+    back through ``entries`` to build the manifest ``qasum index`` records,
+    and pinned to it; so document i is at position i. An index built from
+    the same documents' paragraphs (``index_rows.build_index``) has the same
+    document positions when every document has a paragraph.
+    """
+
+    def pin(docs):
+        path = tmp_path_factory.mktemp("pinned") / "corpus.jsonl"
+        path.write_text("".join(json.dumps(asdict(doc)) + "\n" for doc in docs), "utf-8")
+        source = read_corpus(path)
+        entries = list(source.entries())
+        manifest = source.manifest(
+            [doc.doc_id for doc, _ in entries], [doc.note_type for doc, _ in entries], [at for _, at in entries]
+        )
+        return source.pinned(manifest)
+
+    return pin
+
+
+@pytest.fixture(scope="session")
+def pinned(pin_documents, corpus_docs):
+    """The fixture corpus, pinned."""
+    return pin_documents(corpus_docs)
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +82,7 @@ def ref_embedder():
 
 
 @pytest.fixture(scope="session")
-def fixture_entries(corpus_docs, segmented):
+def fixture_entries(corpus_docs, fixture_paragraphs):
     doc_type = {doc.doc_id: doc.note_type for doc in corpus_docs}
     return [
         Row(
@@ -59,7 +91,7 @@ def fixture_entries(corpus_docs, segmented):
             doc_id=para.doc_id,
             note_type=doc_type[para.doc_id],
         )
-        for para in segmented.paragraphs
+        for para in fixture_paragraphs
     ]
 
 

@@ -125,7 +125,7 @@ def _stopwords():
     return frozenset(l.strip() for l in raw.splitlines() if l.strip() and not l.startswith("#"))
 
 
-def _oracle_expected_items(corpus_docs, segmented, bank):
+def _oracle_expected_items(corpus_docs, fixture_paragraphs, bank):
     """Recompute every expected summary item from the stage oracles."""
     stop = _stopwords()
     tok = lambda t: re.findall(r"[a-z0-9]+", t.lower())
@@ -148,7 +148,7 @@ def _oracle_expected_items(corpus_docs, segmented, bank):
     doc_pos = {d.doc_id: i for i, d in enumerate(corpus_docs)}
     entries = [
         (p.para_id, embed_oracle.hashed_embedding(p.text), p.doc_id, doc_type[p.doc_id])
-        for p in segmented.paragraphs
+        for p in fixture_paragraphs
     ]
     expected = {}
     for question in bank.questions:
@@ -160,8 +160,8 @@ def _oracle_expected_items(corpus_docs, segmented, bank):
         q_content = content(question.text)
         best = None
         for para_id, _ in hits:
-            para = segmented.paragraph(para_id)
-            for sent in segmented.sentences(para_id):
+            para = next(p for p in fixture_paragraphs if p.para_id == para_id)
+            for sent in split_sentences(para):
                 overlap = len(q_content & content(sent.text))
                 if overlap == 0:
                     continue
@@ -190,7 +190,7 @@ def _oracle_expected_items(corpus_docs, segmented, bank):
 
 
 @criterion(3, "end-to-end-golden-run")
-def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs, segmented, bank):
+def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs, fixture_paragraphs, bank):
     config = _write_config(tmp_path, fixtures_dir)
     golden_json = (golden_dir / "summary.json").read_bytes()
     golden_text = (golden_dir / "summary.txt").read_bytes()
@@ -207,7 +207,7 @@ def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs,
     assert elapsed < 10.0, f"golden runs took {elapsed:.3f}s"
 
     # The frozen golden must itself agree with the stage oracles.
-    expected = _oracle_expected_items(corpus_docs, segmented, bank)
+    expected = _oracle_expected_items(corpus_docs, fixture_paragraphs, bank)
     summary = json.loads(golden_json)
     got = {item["q_id"]: (item["sent_id"], item["score"]) for item in summary["items"]}
     assert set(got) == set(expected)
@@ -216,16 +216,16 @@ def test_criterion_3_golden_run(tmp_path, fixtures_dir, golden_dir, corpus_docs,
         assert abs(got[q_id][1] - score) <= 1e-9
 
 
-def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds, ref_embedder):
-    extractor = ae.MockExtractor(segmented)
-    results = ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults)
+def _summaries_for_thresholds(bank, fixture_index, pinned, thresholds, ref_embedder):
+    extractor = ae.MockExtractor(pinned)
+    results = ae.answer_questions(bank.questions, fixture_index, ref_embedder, pinned, extractor, bank.defaults)
     answers = [r.answer for r in results if r.answer is not None]
     summaries = []
     for tau in thresholds:
         passed = [a for a in answers if a.score >= tau]
         summaries.append(
             summarizer.assemble(
-                passed, bank, segmented, ref_embedder, bank.defaults,
+                passed, bank, ref_embedder, bank.defaults,
                 corpus_id="fixture", timestamp="2026-01-15T00:00:00Z",
             )
         )
@@ -233,10 +233,10 @@ def _summaries_for_thresholds(bank, fixture_index, segmented, thresholds, ref_em
 
 
 @criterion(4, "summary-diversity")
-def test_criterion_4_diversity(bank, fixture_index, segmented, golden_dir, ref_embedder):
+def test_criterion_4_diversity(bank, fixture_index, pinned, golden_dir, ref_embedder):
     golden = json.loads((golden_dir / "summary.json").read_text("utf-8"))
     _, summaries = _summaries_for_thresholds(
-        bank, fixture_index, segmented, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], ref_embedder
+        bank, fixture_index, pinned, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], ref_embedder
     )
     checked = [[(i["sent_id"], i["sentence_text"]) for i in golden["items"]]]
     checked += [[(i.sent_id, i.sentence_text) for i in s.items] for s in summaries]
@@ -250,7 +250,7 @@ def test_criterion_4_diversity(bank, fixture_index, segmented, golden_dir, ref_e
 
 
 @criterion(5, "score-fusion-properties")
-def test_criterion_5_fusion(bank, fixture_index, segmented, ref_embedder):
+def test_criterion_5_fusion(bank, fixture_index, pinned, ref_embedder):
     rng = random.Random(5150)
     params_pool = []
     for _ in range(1000):
@@ -259,14 +259,12 @@ def test_criterion_5_fusion(bank, fixture_index, segmented, ref_embedder):
     from qasum.question_bank import RetrievalParams
 
     for c, m, w in params_pool:
-        raw = ae.RawAnswer(answer_text="t", source_sent_id="s", confidence=c)
-        answer = ae.fuse_and_threshold(
-            raw, m, RetrievalParams(fusion_weight=w, score_threshold=0.5), "q", None
-        )
+        raw = ae.RawAnswer(answer_text="t", sentence=None, order_key=(0, 0, 0), confidence=c)
+        answer = ae.fuse_and_threshold(raw, m, RetrievalParams(fusion_weight=w, score_threshold=0.5), "q")
         assert abs(answer.score - (w * c + (1.0 - w) * m)) <= 1e-12
         assert min(c, m) - 1e-12 <= answer.score <= max(c, m) + 1e-12
 
-    answers, _ = _summaries_for_thresholds(bank, fixture_index, segmented, [], ref_embedder)
+    answers, _ = _summaries_for_thresholds(bank, fixture_index, pinned, [], ref_embedder)
     previous = None
     for tau in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
         passed = {(a.q_id, a.sentence.sent_id) for a in answers if a.score >= tau}

@@ -4,7 +4,7 @@ import pytest
 from index_rows import Row, build_index
 from oracles import embed_oracle, knn_oracle
 from qasum import answer_engine as ae
-from qasum.corpus import Document, SegmentedCorpus
+from qasum.corpus import Document, segment_paragraphs
 from qasum.embedding import reference_counts, reference_embedding, unit_rows
 from qasum.errors import (
     EmptyRetrievalError,
@@ -16,16 +16,21 @@ from qasum.llm_gateway import AnswerReply
 from qasum.question_bank import Question, RetrievalParams, effective_params
 
 
-def mini_corpus(texts, note_type="progress"):
-    docs = [
-        Document(doc_id=f"d{i}", patient_id="p", note_type=note_type, timestamp=None, text=text)
-        for i, text in enumerate(texts)
-    ]
-    corpus = SegmentedCorpus(docs)
-    index = build_index(
-        [Row(para.para_id, reference_embedding(para.text), para.doc_id, note_type) for para in corpus.paragraphs]
-    )
-    return corpus, index
+@pytest.fixture
+def mini_corpus(pin_documents):
+    """mini_corpus(texts): documents d0, d1, ... of the texts, pinned, and an index of their paragraphs."""
+
+    def build(texts, note_type="progress"):
+        docs = [
+            Document(doc_id=f"d{i}", patient_id="p", note_type=note_type, timestamp=None, text=text)
+            for i, text in enumerate(texts)
+        ]
+        paragraphs = [para for doc in docs for para in segment_paragraphs(doc)]
+        index = build_index([Row(para.para_id, reference_embedding(para.text), para.doc_id, note_type)
+                             for para in paragraphs])
+        return pin_documents(docs), index
+
+    return build
 
 
 def question(text, **kwargs):
@@ -35,10 +40,10 @@ def question(text, **kwargs):
 # -- retrieve_context -------------------------------------------------------
 
 
-def test_retrieve_context_matches_brute_force_oracle(bank, fixture_index, fixture_entries, segmented):
+def test_retrieve_context_matches_brute_force_oracle(bank, fixture_index, fixture_entries, pinned):
     q = next(q for q in bank.questions if q.q_id == "q-discharge-meds")
     eff = effective_params(q, bank.defaults)
-    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, eff.k)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), pinned, eff.k)
     oracle_entries = [(e.para_id, list(e.vector), e.doc_id, e.note_type) for e in fixture_entries]
     expected = knn_oracle.brute_force_search(
         oracle_entries, list(reference_embedding(q.text)), eff.k, note_types=q.note_type_filter
@@ -52,49 +57,49 @@ def test_retrieve_context_matches_brute_force_oracle(bank, fixture_index, fixtur
         assert para.text in ctx.context_text
 
 
-def test_k_override_limits_hits(fixture_index, segmented):
+def test_k_override_limits_hits(fixture_index, pinned):
     q = question("Why was the patient admitted?", k_override=1)
-    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented,
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), pinned,
                               effective_params(q, RetrievalParams()).k)
     assert len(ctx.hits) == 1
 
 
-def test_filter_excluding_everything_raises(fixture_index, segmented):
+def test_filter_excluding_everything_raises(fixture_index, pinned):
     q = question("Anything at all?", note_type_filter=frozenset({"lab"}))
     with pytest.raises(EmptyRetrievalError):
-        ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, 4)
+        ae.retrieve_context(q, fixture_index, reference_embedding(q.text), pinned, 4)
 
 
 # -- build_prompt -----------------------------------------------------------
 
 
-def test_prompt_matches_golden(bank, fixture_index, segmented, golden_dir):
+def test_prompt_matches_golden(bank, fixture_index, pinned, golden_dir):
     q = next(q for q in bank.questions if q.q_id == "q-discharge-meds")
     eff = effective_params(q, bank.defaults)
-    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, eff.k)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), pinned, eff.k)
     prompt = ae.build_prompt(ctx)
     golden = (golden_dir / "prompt_discharge_meds.txt").read_text("utf-8")
     assert prompt == golden
 
 
-def test_prompt_preserves_braces(fixture_index, segmented):
+def test_prompt_preserves_braces(fixture_index, pinned):
     q = question("What about {braces} and {context}?")
-    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, 1)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), pinned, 1)
     prompt = ae.build_prompt(ctx)
     assert "What about {braces} and {context}?" in prompt
     assert "QUESTION:" in prompt and "CONTEXT:" in prompt
 
 
-def test_prompt_is_deterministic(fixture_index, segmented):
+def test_prompt_is_deterministic(fixture_index, pinned):
     q = question("Why was the patient admitted?")
-    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), segmented, 2)
+    ctx = ae.retrieve_context(q, fixture_index, reference_embedding(q.text), pinned, 2)
     assert ae.build_prompt(ctx) == ae.build_prompt(ctx)
 
 
 # -- mock extractor ---------------------------------------------------------
 
 
-def test_mock_extractor_hand_example():
+def test_mock_extractor_hand_example(mini_corpus):
     # Question content tokens {medications, prescribed, discharge}; the
     # sentence shares {discharge, medications} -> c = 2/3.
     corpus, index = mini_corpus(["Discharge medications included lisinopril and metformin."])
@@ -103,10 +108,10 @@ def test_mock_extractor_hand_example():
     raw = ae.MockExtractor(corpus).extract(ae.build_prompt(ctx), ctx)
     assert raw.answer_text == "Discharge medications included lisinopril and metformin."
     assert raw.confidence == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert raw.source_sent_id == "d0#0:0"
+    assert (raw.sentence.sent_id, raw.order_key) == ("d0#0:0", (0, 0, 0))
 
 
-def test_mock_extractor_zero_overlap_is_no_answer():
+def test_mock_extractor_zero_overlap_is_no_answer(mini_corpus):
     corpus, index = mini_corpus(["Ambulating in hallway without assistance."])
     q = question("What medications were prescribed at discharge?")
     ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
@@ -114,7 +119,7 @@ def test_mock_extractor_zero_overlap_is_no_answer():
         ae.MockExtractor(corpus).extract("p", ctx)
 
 
-def test_mock_extractor_question_without_content_tokens():
+def test_mock_extractor_question_without_content_tokens(mini_corpus):
     corpus, index = mini_corpus(["The patient is stable."])
     q = question("Why was the?")
     ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
@@ -122,31 +127,31 @@ def test_mock_extractor_question_without_content_tokens():
         ae.MockExtractor(corpus).extract("p", ctx)
 
 
-def test_mock_extractor_tie_breaks_by_document_order():
+def test_mock_extractor_tie_breaks_by_document_order(mini_corpus):
     corpus, index = mini_corpus(
         ["Fever resolved overnight.", "Fever improving on antibiotics."]
     )
     q = question("Any fever?")
     ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 2)
     raw = ae.MockExtractor(corpus).extract("p", ctx)
-    assert raw.source_sent_id.startswith("d0#")
+    assert raw.sentence.para_id == "d0#0" and raw.order_key == (0, 0, 0)
 
 
-def test_mock_extractor_prefers_higher_overlap():
+def test_mock_extractor_prefers_higher_overlap(mini_corpus):
     corpus, index = mini_corpus(
         ["Fever noted on admission.", "Fever and productive cough noted."]
     )
     q = question("Was there fever or cough?")
     ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 2)
     raw = ae.MockExtractor(corpus).extract("p", ctx)
-    assert raw.source_sent_id.startswith("d1#")
+    assert raw.sentence.para_id == "d1#0" and raw.order_key == (1, 0, 0)
     assert raw.confidence == pytest.approx(1.0)
 
 
-def test_mock_extractor_is_deterministic(bank, fixture_index, segmented, ref_embedder):
-    extractor = ae.MockExtractor(segmented)
+def test_mock_extractor_is_deterministic(bank, fixture_index, pinned, ref_embedder):
+    extractor = ae.MockExtractor(pinned)
     runs = [
-        ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults)
+        ae.answer_questions(bank.questions, fixture_index, ref_embedder, pinned, extractor, bank.defaults)
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -165,33 +170,33 @@ class FakeGateway:
         return self.reply
 
 
-def remote_ctx():
+def remote_ctx(mini_corpus):
     corpus, index = mini_corpus(["The patient was afebrile.  Discharged in stable condition."])
     q = question("Was the patient afebrile?")
     ctx = ae.retrieve_context(q, index, reference_embedding(q.text), corpus, 1)
     return corpus, ctx
 
 
-def test_remote_extractor_exact_match():
-    corpus, ctx = remote_ctx()
+def test_remote_extractor_exact_match(mini_corpus):
+    corpus, ctx = remote_ctx(mini_corpus)
     reply = AnswerReply(answer="afebrile", source_sentence="The patient was afebrile.", confidence=0.9)
     raw = ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
-    assert raw.source_sent_id == "d0#0:0"
+    assert (raw.sentence.sent_id, raw.order_key) == ("d0#0:0", (0, 0, 0))
     assert raw.answer_text == "afebrile"
     assert raw.confidence == 0.9
 
 
-def test_remote_extractor_normalized_match():
-    corpus, ctx = remote_ctx()
+def test_remote_extractor_normalized_match(mini_corpus):
+    corpus, ctx = remote_ctx(mini_corpus)
     reply = AnswerReply(
         answer="stable", source_sentence="Discharged  in   stable condition.", confidence=0.7
     )
     raw = ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
-    assert raw.source_sent_id == "d0#0:1"
+    assert (raw.sentence.sent_id, raw.order_key) == ("d0#0:1", (0, 0, 1))
 
 
-def test_remote_extractor_answer_not_substring_uses_sentence():
-    corpus, ctx = remote_ctx()
+def test_remote_extractor_answer_not_substring_uses_sentence(mini_corpus):
+    corpus, ctx = remote_ctx(mini_corpus)
     reply = AnswerReply(
         answer="the patient had no fever", source_sentence="The patient was afebrile.",
         confidence=0.5,
@@ -200,15 +205,15 @@ def test_remote_extractor_answer_not_substring_uses_sentence():
     assert raw.answer_text == "The patient was afebrile."
 
 
-def test_remote_extractor_unlocatable_source():
-    corpus, ctx = remote_ctx()
+def test_remote_extractor_unlocatable_source(mini_corpus):
+    corpus, ctx = remote_ctx(mini_corpus)
     reply = AnswerReply(answer="x", source_sentence="Sentence not in context.", confidence=0.5)
     with pytest.raises(UnlocatableSourceError):
         ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
 
 
-def test_remote_extractor_no_answer():
-    corpus, ctx = remote_ctx()
+def test_remote_extractor_no_answer(mini_corpus):
+    corpus, ctx = remote_ctx(mini_corpus)
     reply = AnswerReply(answer="", source_sentence="", confidence=0.0, no_answer=True)
     with pytest.raises(NoAnswerError):
         ae.RemoteExtractor(FakeGateway(reply), corpus).extract("p", ctx)
@@ -268,10 +273,9 @@ def test_np_match_fixture_and_asymmetry():
 
 
 def scored(c, m, w, tau, q_id="q"):
-    raw = ae.RawAnswer(answer_text="t", source_sent_id="s", confidence=c)
+    raw = ae.RawAnswer(answer_text="t", sentence=None, order_key=(0, 0, 0), confidence=c)
     params = RetrievalParams(fusion_weight=w, score_threshold=tau)
-    sentence = None
-    return ae.fuse_and_threshold(raw, m, params, q_id, sentence)
+    return ae.fuse_and_threshold(raw, m, params, q_id)
 
 
 def test_fusion_weight_extremes():
@@ -294,9 +298,9 @@ def test_threshold_is_inclusive():
 # -- answer_questions -------------------------------------------------------
 
 
-def test_answer_questions_covers_every_question(bank, fixture_index, segmented, ref_embedder):
+def test_answer_questions_covers_every_question(bank, fixture_index, pinned, ref_embedder):
     results = ae.answer_questions(
-        bank.questions, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), bank.defaults
+        bank.questions, fixture_index, ref_embedder, pinned, ae.MockExtractor(pinned), bank.defaults
     )
     assert [r.question.q_id for r in results] == [q.q_id for q in bank.questions]
     by_id = {r.question.q_id: r for r in results}
@@ -306,27 +310,27 @@ def test_answer_questions_covers_every_question(bank, fixture_index, segmented, 
     assert by_id["q-admit-reason"].passed
 
 
-def test_answer_questions_searches_counts_and_scores_unit_vectors(bank, fixture_index, segmented, ref_embedder,
+def test_answer_questions_searches_counts_and_scores_unit_vectors(bank, fixture_index, pinned, ref_embedder,
                                                                   monkeypatch):
     """embed_many's counts reach search as they are, bit for bit, and the NP score as unit rows."""
     searched, scored = [], []
     search, np_match_score = fixture_index.search, ae.np_match_score
     monkeypatch.setattr(fixture_index, "search", lambda query, *args: searched.append(query) or search(query, *args))
     monkeypatch.setattr(ae, "np_match_score", lambda q, a: scored.extend([q, a]) or np_match_score(q, a))
-    ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), bank.defaults)
+    ae.answer_questions(bank.questions, fixture_index, ref_embedder, pinned, ae.MockExtractor(pinned), bank.defaults)
     assert all(query.dtype == np.int64 for query in searched)
     assert [query.tobytes() for query in searched] == [reference_counts([q.text])[0][0].tobytes() for q in bank.questions]
     rows = np.concatenate(scored)
     assert len(rows) and rows.dtype == np.float64 and np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_answer_questions_parallel_matches_serial(bank, fixture_index, segmented, ref_embedder):
-    extractor = ae.MockExtractor(segmented)
+def test_answer_questions_parallel_matches_serial(bank, fixture_index, pinned, ref_embedder):
+    extractor = ae.MockExtractor(pinned)
     serial = ae.answer_questions(
-        bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults, max_workers=1
+        bank.questions, fixture_index, ref_embedder, pinned, extractor, bank.defaults, max_workers=1
     )
     parallel = ae.answer_questions(
-        bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults, max_workers=4
+        bank.questions, fixture_index, ref_embedder, pinned, extractor, bank.defaults, max_workers=4
     )
     assert serial == parallel
 
@@ -339,7 +343,7 @@ def answer_one(q, index, embedder, corpus, extractor, params):
     return result
 
 
-def test_answer_question_scores_the_extracted_sentence(ref_embedder):
+def test_answer_question_scores_the_extracted_sentence(ref_embedder, mini_corpus):
     corpus, index = mini_corpus(["Discharge medications included lisinopril and metformin."])
     q = question("What medications were prescribed at discharge?")
     result = answer_one(q, index, ref_embedder, corpus, ae.MockExtractor(corpus), RetrievalParams())
@@ -352,7 +356,7 @@ def test_answer_question_scores_the_extracted_sentence(ref_embedder):
     assert result.passed == result.answer.passed_threshold
 
 
-def test_answer_question_unlocatable_source_is_no_answer(ref_embedder):
+def test_answer_question_unlocatable_source_is_no_answer(ref_embedder, mini_corpus):
     corpus, index = mini_corpus(["The patient was afebrile.  Discharged in stable condition."])
     reply = AnswerReply(answer="x", source_sentence="Sentence not in context.", confidence=0.5)
     result = answer_one(question("Was the patient afebrile?"), index, ref_embedder,
@@ -362,15 +366,15 @@ def test_answer_question_unlocatable_source_is_no_answer(ref_embedder):
     assert [h.para_id for h in result.hits] == ["d0#0"]
 
 
-def test_answer_question_empty_retrieval_is_no_answer(fixture_index, segmented, ref_embedder):
+def test_answer_question_empty_retrieval_is_no_answer(fixture_index, pinned, ref_embedder):
     q = question("Anything at all?", note_type_filter=frozenset({"lab"}))
-    result = answer_one(q, fixture_index, ref_embedder, segmented, ae.MockExtractor(segmented), RetrievalParams())
+    result = answer_one(q, fixture_index, ref_embedder, pinned, ae.MockExtractor(pinned), RetrievalParams())
     assert result.hits == ()
     assert result.answer is None
     assert "matched no index entries" in result.reason
 
 
-def test_answer_question_other_errors_propagate(ref_embedder):
+def test_answer_question_other_errors_propagate(ref_embedder, mini_corpus):
     class FailingGateway:
         def chat_answer(self, prompt):
             raise GatewayHttpError(503, "HTTP 503 from endpoint")

@@ -19,7 +19,7 @@ import qasum.embedding
 import qasum.vector_index
 from qasum import answer_engine as ae
 from qasum.cli import load_config, main
-from qasum.corpus import SegmentedCorpus, read_corpus, segment_paragraphs
+from qasum.corpus import read_corpus, segment_paragraphs, split_sentences
 from qasum.embedding import reference_counts, reference_embedding, unit_rows
 from qasum.errors import CorruptIndexError, ValidationError
 from qasum.llm_gateway import JSON_REPLY_INSTRUCTION, AnswerReply, canonical_body
@@ -175,6 +175,25 @@ def test_help_still_exits_0(capsys):
     assert "--threshold" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_command_without_leaking_flags(pipeline_config, capsys, monkeypatch):
+    """main builds its parser once per process; a flag of one command never reaches the next."""
+    built = []
+    build_parser = qasum.cli.build_parser
+    monkeypatch.setattr(qasum.cli, "build_parser", lambda: built.append(1) or build_parser())
+    qasum.cli._parser.cache_clear()
+    config_with(pipeline_config, params={"k": 3, "score_threshold": 0.7})
+    assert run(["index", "--config", str(pipeline_config)]) == 0
+    question = "What medications were prescribed at discharge?"
+    outputs = []
+    for flags in (["--k", "2", "--threshold", "0.9"], []):
+        capsys.readouterr()
+        assert run(["ask", "--config", str(pipeline_config), *flags, question]) == 0
+        out = capsys.readouterr().out
+        outputs.append((len(re.findall(r"^  \d+\. ", out, re.MULTILINE)), re.search(r"threshold=(\S+)", out)[1]))
+    assert outputs == [(2, "0.900000"), (3, "0.700000")]
+    assert built == [1]
+
+
 @pytest.mark.parametrize("key", ["endpoint", "model_name", "dims"])
 def test_unknown_embedder_key_rejected(pipeline_config, key):
     config_with(pipeline_config, embedder={"kind": "hashed-reference", "dim": 256, key: "x"})
@@ -321,12 +340,12 @@ def test_index_stores_counts_in_the_narrowest_type(pipeline_config, tmp_path, te
     assert [(hit.para_id, hit.score) for hit in loaded.search(counts[0], k=1)] == [("d1#0", 1.0)]
 
 
-def test_count_index_searches_as_the_exact_reference(pipeline_config, tmp_path, segmented, bank, ref_embedder):
+def test_count_index_searches_as_the_exact_reference(pipeline_config, tmp_path, fixture_paragraphs, bank, ref_embedder):
     """The v4 index, searched with embed_many's counts, ranks the paragraphs as exact integer arithmetic does."""
     assert run(["index", "--config", str(pipeline_config)]) == 0
     loaded = VectorIndex.load(tmp_path / "out" / "index.qidx")
-    texts = [para.text for para in segmented.paragraphs]
-    para_ids = [para.para_id for para in segmented.paragraphs]
+    texts = [para.text for para in fixture_paragraphs]
+    para_ids = [para.para_id for para in fixture_paragraphs]
     rows, kept = ref_embedder.embed_many(texts)
     assert kept.all() and len(loaded) == len(para_ids)
     counts, kept = ref_embedder.embed_many([question.text for question in bank.questions] + texts)
@@ -454,7 +473,7 @@ def test_cmd_index_leaves_out_unembeddable_paragraphs(pipeline_config, tmp_path,
     assert "12 docs / 35 paragraphs (3 unembeddable skipped)" in capsys.readouterr().out
     index = VectorIndex.load(tmp_path / "out" / "index.qidx")
     docs = (doc for doc, _ in read_corpus(corpus).entries())
-    paragraphs = [p for p in SegmentedCorpus(docs).paragraphs if p.text != "* * *"]
+    paragraphs = [p for doc in docs for p in segment_paragraphs(doc) if p.text != "* * *"]
     assert len(index) == len(paragraphs) == 32
     for para in paragraphs:
         hits = index.search(reference_counts([para.text])[0][0], k=len(index))
@@ -513,7 +532,7 @@ def test_escaped_internal_error_exits_1_with_one_line(pipeline_config, monkeypat
 # -- ask -----------------------------------------------------------------------
 
 
-def test_cmd_ask_composes_stage_oracles(pipeline_config, segmented, capsys):
+def test_cmd_ask_composes_stage_oracles(pipeline_config, fixture_paragraphs, capsys):
     assert run(["index", "--config", str(pipeline_config)]) == 0
     capsys.readouterr()
     assert run(["ask", "--config", str(pipeline_config),
@@ -529,7 +548,7 @@ def test_cmd_ask_composes_stage_oracles(pipeline_config, segmented, capsys):
     assert "The following medications were prescribed at discharge" in out
 
     # cross-check the printed scores against independently recomputed values
-    sentence = segmented.sentence("p001-discharge#2:0")
+    sentence = split_sentences(next(p for p in fixture_paragraphs if p.para_id == "p001-discharge#2"))[0]
     q_text = "What medications were prescribed at discharge?"
     q_phrases = ae.extract_noun_phrases(q_text)
     a_phrases = ae.extract_noun_phrases(sentence.text)
@@ -747,7 +766,7 @@ def test_locator_of_another_record_is_named_as_a_byte_offset(pipeline_config, tm
     index, corpus, _ = qasum.cli._load_pinned(load_config(pipeline_config))
     first = index.corpus.doc_ids[0]
     with pytest.raises(CorruptIndexError) as refused:
-        corpus.paragraph(f"{first}#0")
+        corpus.paragraph(0, 0)
     assert str(refused.value) == (
         f"the index locates document {first!r} at {locators[1]} in corpus {FIXTURES / 'corpus.jsonl'}, "
         "which holds no such record there; rebuild it with `qasum index`"
@@ -777,7 +796,20 @@ def test_lazy_and_full_parsing_give_identical_summaries(
             (text_dir / f"{doc.note_type}_{doc.doc_id}.txt").write_text(doc.text, "utf-8")
         config_with(pipeline_config, corpus={"path": str(text_dir), "format": "text-dir"})
     lazy = _summary_bytes(pipeline_config, tmp_path)
-    monkeypatch.setattr(CorpusFile, "pinned", lambda self, manifest: {d.doc_id: d for d, _ in self.entries()})
+
+    class Eager:
+        """Every document parsed by entries() and segmented up front, looked up by position."""
+
+        def __init__(self, source):
+            self._docs = [[(p, split_sentences(p)) for p in segment_paragraphs(doc)] for doc, _ in source.entries()]
+
+        def paragraph(self, doc, ordinal):
+            return self._docs[doc][ordinal][0]
+
+        def sentences(self, doc, ordinal):
+            return self._docs[doc][ordinal][1]
+
+    monkeypatch.setattr(CorpusFile, "pinned", lambda self, manifest: Eager(self))
     full = _summary_bytes(pipeline_config, tmp_path)
     assert lazy == full
     assert json.loads(lazy[0])["items"]
@@ -853,19 +885,14 @@ def test_question_bank_that_is_not_utf8_exits_1_naming_it(pipeline_config, tmp_p
     assert "internal error" not in err
 
 
-def _replay_contexts(fixtures_dir):
+def _replay_contexts(fixtures_dir, index, corpus):
     """Each bank question's retrieved context, as a summarize over the fixture index sees it."""
-    docs = [doc for doc, _ in read_corpus(fixtures_dir / "corpus.jsonl").entries()]
-    corpus = SegmentedCorpus(docs)
-    doc_type = {d.doc_id: d.note_type for d in docs}
-    index = build_index([Row(para.para_id, reference_embedding(para.text), para.doc_id, doc_type[para.doc_id])
-                         for para in corpus.paragraphs])
     bank = load_question_bank(fixtures_dir / "question_bank.json")
     contexts = {}
     for question in bank.questions:
         eff = effective_params(question, bank.defaults)
         contexts[question.q_id] = ae.retrieve_context(question, index, reference_embedding(question.text), corpus, eff.k)
-    return corpus, contexts
+    return contexts
 
 
 def _write_chat_fixture(fixtures, model, ctx, reply):
@@ -882,7 +909,7 @@ def _write_chat_fixture(fixtures, model, ctx, reply):
 
 
 def _verbatim_reply(corpus, ctx):
-    first_sentence = corpus.sentences(ctx.hits[0].para_id)[0]
+    first_sentence = corpus.sentences(ctx.hits[0].doc, ctx.hits[0].ordinal)[0]
     return {"answer": first_sentence.text, "source_sentence": first_sentence.text, "confidence": 0.9}
 
 
@@ -895,10 +922,11 @@ def _use_replay_extractor(pipeline_config, model, fixtures):
     )
 
 
-def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir):
+def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, fixtures_dir, fixture_index, pinned):
     # Record-style fixtures are synthesized for each question's request body,
     # then the whole run must complete with no network access.
-    corpus, contexts = _replay_contexts(fixtures_dir)
+    corpus = pinned
+    contexts = _replay_contexts(fixtures_dir, fixture_index, corpus)
     fixtures = tmp_path / "replies"
     fixtures.mkdir()
     model = "replay-model"
@@ -914,9 +942,10 @@ def test_cmd_summarize_remote_replay_without_network(pipeline_config, tmp_path, 
 
 
 def test_paraphrased_remote_reply_leaves_only_its_question_unanswered(
-    pipeline_config, tmp_path, fixtures_dir, capsys
+    pipeline_config, tmp_path, fixtures_dir, capsys, fixture_index, pinned
 ):
-    corpus, contexts = _replay_contexts(fixtures_dir)
+    corpus = pinned
+    contexts = _replay_contexts(fixtures_dir, fixture_index, corpus)
     fixtures = tmp_path / "replies"
     fixtures.mkdir()
     model = "replay-model"
@@ -981,7 +1010,11 @@ class RecordingGateway:
     Class attributes log the embed batches and count the chat requests of every instance.
     """
 
-    corpus = SegmentedCorpus(doc for doc, _ in read_corpus(FIXTURES / "corpus.jsonl").entries())
+    paragraphs = {
+        para.para_id: para
+        for doc, _ in read_corpus(FIXTURES / "corpus.jsonl").entries()
+        for para in segment_paragraphs(doc)
+    }
     batches: list[list[str]] = []
     chats = 0
 
@@ -995,7 +1028,7 @@ class RecordingGateway:
     def chat_answer(self, prompt):
         RecordingGateway.chats += 1
         para_id = prompt.partition("CONTEXT:\n[")[2].partition("]")[0]
-        sentence = self.corpus.sentences(para_id)[0].text
+        sentence = split_sentences(self.paragraphs[para_id])[0].text
         return AnswerReply(answer=sentence, source_sentence=sentence, confidence=0.9)
 
 

@@ -21,7 +21,6 @@ from qasum.corpus import (
     CorpusManifest,
     Document,
     Paragraph,
-    SegmentedCorpus,
     load_abbreviations,
     read_corpus,
     segment_paragraphs,
@@ -118,9 +117,9 @@ def test_lone_surrogate_is_a_format_error_on_both_paths(tmp_path, field):
     manifest = CorpusManifest(sha256=sha256, segmentation=segmentation_digest(), doc_ids=["a", doc_id],
                               type_names=["other"], type_codes=np.zeros(2, dtype=np.intp), locators=[0, offset])
     pinned = source.pinned(manifest)
-    assert pinned["a"].text == "some text"
+    assert pinned.paragraph(0, 0).text == "some text"
     with pytest.raises(FormatError, match=rf"c\.jsonl@{offset}: field '{field}' is not valid Unicode"):
-        pinned[doc_id]
+        pinned.paragraph(1, 0)
 
 
 @pytest.mark.parametrize(
@@ -228,14 +227,14 @@ def test_jsonl_digest_is_known_only_after_a_whole_read(tmp_path):
 
 
 def test_pinned_parses_the_bytes_it_hashed(tmp_path):
-    """Bytes that change after pinned() read them are neither hashed nor parsed by its mapping."""
+    """Bytes that change after pinned() read them are neither hashed nor parsed by the pinned corpus."""
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a"), record("b")])
     source = read_corpus(path)
     _, manifest = read_all(source)
     pinned = source.pinned(manifest)
     write_jsonl(path, [record("x"), record("y")])
-    assert [pinned[doc_id].doc_id for doc_id in pinned] == ["a", "b"]
+    assert [pinned.paragraph(doc, 0).doc_id for doc in range(2)] == ["a", "b"]
     assert source.sha256 == manifest.sha256
     with pytest.raises(CorruptIndexError, match="SHA-256.*qasum index"):
         source.pinned(manifest)
@@ -604,64 +603,35 @@ def test_patterns_compile_on_python_3_10():
         assert not opcodes & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
 
 
-# -- SegmentedCorpus --------------------------------------------------------
+# -- pinned corpus ------------------------------------------------------------
 
 
-def test_segmented_corpus_lookups(segmented):
-    para = segmented.paragraphs[0]
-    assert segmented.paragraph(para.para_id) == para
-    sents = segmented.sentences(para.para_id)
-    assert sents
-    first = sents[0]
-    assert segmented.sentence(first.sent_id) == first
-    assert segmented.order_key(first.sent_id) == (0, 0, 0)
+def test_pinned_corpus_lookups(pinned, fixture_paragraphs):
+    para = fixture_paragraphs[0]
+    assert pinned.paragraph(0, 0) == para
+    assert pinned.sentences(0, 0) == split_sentences(para)
 
 
-def test_order_key_follows_document_order(segmented):
-    keys = [
-        segmented.order_key(sent.sent_id)
-        for para in segmented.paragraphs
-        for sent in segmented.sentences(para.para_id)
-    ]
-    assert keys == sorted(keys)
-
-
-def test_lazy_lookups_match_full_segmentation(corpus_docs):
-    corpus = SegmentedCorpus(corpus_docs)
-    doc_pos = {doc.doc_id: i for i, doc in enumerate(corpus_docs)}
-    expected = [para for doc in corpus_docs for para in segment_paragraphs(doc)]
+def test_lazy_lookups_match_full_segmentation(pinned, corpus_docs):
     # Reverse order, so documents are cached in a different order than they are stored.
-    for para in reversed(expected):
-        assert corpus.paragraph(para.para_id) == para
-        sents = split_sentences(para)
-        assert corpus.sentences(para.para_id) == sents
-        for sent in sents:
-            assert corpus.sentence(sent.sent_id) == sent
-            assert corpus.order_key(sent.sent_id) == (doc_pos[para.doc_id], para.ordinal, sent.ordinal)
-    assert corpus.paragraphs == expected
+    for doc in reversed(range(len(corpus_docs))):
+        for para in reversed(segment_paragraphs(corpus_docs[doc])):
+            assert pinned.paragraph(doc, para.ordinal) == para
+            assert pinned.sentences(doc, para.ordinal) == split_sentences(para)
 
 
-@pytest.mark.parametrize(
-    "para_id",
-    ["missing#0", "p001-discharge#99", "p001-discharge#01", "p001-discharge#-1",
-     "p001-discharge#x", "p001-discharge", ""],
-)
-def test_unknown_para_id_raises_key_error(segmented, para_id):
-    with pytest.raises(KeyError):
-        segmented.paragraph(para_id)
-    with pytest.raises(KeyError):
-        segmented.sentences(para_id)
+@pytest.mark.parametrize("ordinal", [4, 99, -1])
+def test_paragraph_past_a_document_end_is_a_corrupt_index(pinned, corpus_docs, ordinal):
+    doc = [d.doc_id for d in corpus_docs].index("p001-discharge")
+    assert len(segment_paragraphs(corpus_docs[doc])) == 4
+    message = rf"index entry 'p001-discharge#{ordinal}' is not a paragraph of the corpus.*rebuild it with `qasum index`"
+    with pytest.raises(CorruptIndexError, match=message):
+        pinned.paragraph(doc, ordinal)
+    with pytest.raises(CorruptIndexError, match=message):
+        pinned.sentences(doc, ordinal)
 
 
-@pytest.mark.parametrize("sent_id", ["p001-discharge#0:99", "p001-discharge#0", "missing#0:0", "p001-discharge#0:00"])
-def test_unknown_sent_id_raises_key_error(segmented, sent_id):
-    with pytest.raises(KeyError):
-        segmented.sentence(sent_id)
-    with pytest.raises(KeyError):
-        segmented.order_key(sent_id)
-
-
-def test_concurrent_lookups_segment_each_document_once(corpus_docs, monkeypatch):
+def test_concurrent_lookups_segment_each_document_once(corpus_docs, pin_documents, monkeypatch):
     import sys
     import time
     from concurrent.futures import ThreadPoolExecutor
@@ -675,17 +645,17 @@ def test_concurrent_lookups_segment_each_document_once(corpus_docs, monkeypatch)
         return original(doc, *args, **kwargs)
 
     monkeypatch.setattr(qasum.corpus, "segment_paragraphs", counting)
-    corpus = SegmentedCorpus(corpus_docs)
-    sent_ids = [f"{doc.doc_id}#0:0" for doc in corpus_docs] * 8
+    corpus = pin_documents(corpus_docs)
+    docs = list(range(len(corpus_docs))) * 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(corpus.order_key, sent_id) for sent_id in sent_ids]
-            keys = [future.result(timeout=30) for future in futures]
+            futures = [pool.submit(corpus.sentences, doc, 0) for doc in docs]
+            firsts = [future.result(timeout=30)[0] for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert keys == [(i % len(corpus_docs), 0, 0) for i in range(len(sent_ids))]
+    assert [sent.sent_id for sent in firsts] == [f"{corpus_docs[doc].doc_id}#0:0" for doc in docs]
     assert calls == Counter({doc.doc_id: 1 for doc in corpus_docs})
 
 
@@ -709,12 +679,12 @@ def test_pinned_documents_parse_only_what_is_looked_up(tmp_path, monkeypatch):
         return original(line, where)
 
     monkeypatch.setattr(qasum.corpus, "_record_document", recording)
-    corpus = SegmentedCorpus(source.pinned(manifest))
+    corpus = source.pinned(manifest)
     assert parsed == []
-    assert corpus.paragraph("b#0").text == "Beta text."
-    assert corpus.order_key("c#0:0") == (2, 0, 0)
-    assert len(parsed) == 2
-    assert corpus.paragraphs == SegmentedCorpus(docs).paragraphs
+    assert corpus.paragraph(1, 0).text == "Beta text."
+    assert corpus.sentences(2, 0)[0].sent_id == "c#0:0"
+    assert corpus.paragraph(1, 0) == segment_paragraphs(docs[1])[0]
+    assert parsed == [f"{source.path}@{manifest.locators[1]}", f"{source.path}@{manifest.locators[2]}"]
 
 
 @pytest.mark.parametrize(
@@ -736,10 +706,10 @@ def test_locator_of_another_record_is_refused_on_lookup(tmp_path):
     source = _jsonl_corpus(tmp_path)
     _, manifest = read_all(source)
     swapped = dataclasses.replace(manifest, locators=[manifest.locators[1], manifest.locators[0], manifest.locators[2]])
-    corpus = SegmentedCorpus(source.pinned(swapped))
+    corpus = source.pinned(swapped)
     with pytest.raises(CorruptIndexError, match="'a'.*qasum index"):
-        corpus.paragraph("a#0")
-    assert corpus.paragraph("c#0").text == "Gamma text."
+        corpus.paragraph(0, 0)
+    assert corpus.paragraph(2, 0).text == "Gamma text."
 
 
 def test_unknown_text_dir_locator_is_refused(tmp_path):

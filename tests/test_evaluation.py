@@ -170,9 +170,9 @@ def test_embedding_similarity_fixture_pair(ref_embedder):
     assert value == pytest.approx(0.5012804118276031, abs=1e-9)
 
 
-def test_embedding_similarity_is_the_cosine_of_the_unit_vectors(ref_embedder, segmented):
+def test_embedding_similarity_is_the_cosine_of_the_unit_vectors(ref_embedder, fixture_paragraphs):
     """embed_many's counts are normalized first: the similarity has the bits of the one-text vectors' cosine."""
-    texts = [para.text for para in segmented.paragraphs]
+    texts = [para.text for para in fixture_paragraphs]
     for a, b in zip(texts, texts[1:]):
         assert embedding_similarity(a, b, ref_embedder) == cosine(reference_embedding(a), reference_embedding(b))
 

@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
 from oracles import embed_oracle
 from qasum import answer_engine as ae
 from qasum.answer_engine import ScoredAnswer
-from qasum.corpus import Document, SegmentedCorpus, Sentence
+from qasum.corpus import Document, Sentence
 from qasum.embedding import reference_embedding
 from qasum.question_bank import RetrievalParams, bank_from_dict
 from qasum.summarizer import (
@@ -30,14 +31,20 @@ def sent(sent_id, text):
                     char_span=(0, len(text.encode())), text=text)
 
 
+def order_key(sent_id):
+    """The order key of sentence d<N>#<para>:<ord>, as an extractor takes it from its hit in these tests."""
+    doc, para, ordinal = re.fullmatch(r"d(\d+)#(\d+):(\d+)", sent_id).groups()
+    return int(doc), int(para), int(ordinal)
+
+
 def answer(q_id, sent_id, text, score):
-    return ScoredAnswer(q_id=q_id, sentence=sent(sent_id, text), confidence=score,
+    return ScoredAnswer(q_id=q_id, sentence=sent(sent_id, text), order_key=order_key(sent_id), confidence=score,
                         np_score=score, score=score, passed_threshold=True, answer_text=text)
 
 
-def simple_order_key(sent_id):
-    # d<N>#<para>:<ord> lexical order is document order in these tests
-    return sent_id
+def same_order(answers):
+    """A question order that ranks every answer's question alike, so only score and document order decide."""
+    return {a.q_id: 0 for a in answers}
 
 
 # -- acronym expansion -------------------------------------------------------
@@ -79,9 +86,9 @@ def test_bundled_table_has_unique_nonempty_entries():
 
 def test_exact_duplicate_keeps_higher_scored_question(ref_embedder):
     shared = sent("d0#0:0", "Principal discharge diagnosis was pneumonia.")
-    low = ScoredAnswer("q-low", shared, 0.7, 0.7, 0.7, True, shared.text)
-    high = ScoredAnswer("q-high", shared, 0.9, 0.9, 0.9, True, shared.text)
-    survivors = dedupe([low, high], RetrievalParams(), ref_embedder, simple_order_key)
+    low = ScoredAnswer("q-low", shared, (0, 0, 0), 0.7, 0.7, 0.7, True, shared.text)
+    high = ScoredAnswer("q-high", shared, (0, 0, 0), 0.9, 0.9, 0.9, True, shared.text)
+    survivors = dedupe([low, high], RetrievalParams(), ref_embedder, same_order([low, high]))
     assert len(survivors) == 1
     assert survivors[0].q_id == "q-high"
 
@@ -95,14 +102,14 @@ def test_near_duplicates_collapse_to_higher_score(ref_embedder):
     assert pair_cos >= 0.95
     keep = answer("q1", "d0#0:0", NEAR_DUP_A, 0.9)
     drop = answer("q2", "d1#0:0", NEAR_DUP_B, 0.8)
-    survivors = dedupe([drop, keep], RetrievalParams(), ref_embedder, simple_order_key)
+    survivors = dedupe([drop, keep], RetrievalParams(), ref_embedder, same_order([drop, keep]))
     assert [a.sentence.sent_id for a in survivors] == ["d0#0:0"]
 
 
 def test_near_duplicate_tie_keeps_earlier_doc_order(ref_embedder):
     a = answer("q1", "d0#0:0", NEAR_DUP_A, 0.8)
     b = answer("q2", "d1#0:0", NEAR_DUP_A, 0.8)
-    survivors = dedupe([b, a], RetrievalParams(), ref_embedder, simple_order_key)
+    survivors = dedupe([b, a], RetrievalParams(), ref_embedder, same_order([a, b]))
     assert [x.sentence.sent_id for x in survivors] == ["d0#0:0"]
 
 
@@ -112,7 +119,7 @@ def test_distinct_candidates_all_survive(ref_embedder):
         answer("q2", "d1#0:0", "Discharged on aspirin therapy.", 0.8),
         answer("q3", "d2#0:0", "Follow up scheduled next week.", 0.7),
     ]
-    survivors = dedupe(answers, RetrievalParams(), ref_embedder, simple_order_key)
+    survivors = dedupe(answers, RetrievalParams(), ref_embedder, same_order(answers))
     assert len(survivors) == 3
 
 
@@ -124,15 +131,15 @@ def test_dedupe_compares_the_unit_vectors(ref_embedder, monkeypatch):
     monkeypatch.setattr(qasum.summarizer, "normed_cosine",
                         lambda a, a_norm, b, b_norm: compared.extend([a, b]) or normed_cosine(a, a_norm, b, b_norm))
     texts = [NEAR_DUP_A, NEAR_DUP_B, "Admitted with chest pain."]
-    dedupe([answer(f"q{i}", f"d{i}#0:0", text, 0.9 - i / 10) for i, text in enumerate(texts)], RetrievalParams(),
-           ref_embedder, simple_order_key)
+    answers = [answer(f"q{i}", f"d{i}#0:0", text, 0.9 - i / 10) for i, text in enumerate(texts)]
+    dedupe(answers, RetrievalParams(), ref_embedder, same_order(answers))
     assert compared and {v.tobytes() for v in compared} <= {reference_embedding(t).tobytes() for t in texts}
 
 
 def test_dedupe_threshold_is_configurable(ref_embedder):
     a = answer("q1", "d0#0:0", NEAR_DUP_A, 0.9)
     b = answer("q2", "d1#0:0", NEAR_DUP_B, 0.8)
-    loose = dedupe([a, b], RetrievalParams(dedup_cosine=0.99), ref_embedder, simple_order_key)
+    loose = dedupe([a, b], RetrievalParams(dedup_cosine=0.99), ref_embedder, same_order([a, b]))
     assert len(loose) == 2
 
 
@@ -151,20 +158,24 @@ def tiny_bank():
     })
 
 
-def tiny_corpus():
-    docs = [
+@pytest.fixture
+def tiny_corpus(pin_documents):
+    return pin_documents([
         Document("d0", "p", "progress", None, "Alpha fact one. Beta fact two."),
         Document("d1", "p", "discharge", None, "Gamma fact three."),
-    ]
-    return SegmentedCorpus(docs)
+    ])
 
 
-def test_assemble_single_answer(ref_embedder):
-    corpus = tiny_corpus()
-    bank = tiny_bank()
-    s0 = corpus.sentences("d0#0")[0]
-    passed = [ScoredAnswer("qa", s0, 0.8, 0.8, 0.8, True, s0.text)]
-    summary = assemble(passed, bank, corpus, ref_embedder, RetrievalParams(),
+def passed_answer(q_id, corpus, key, score):
+    """A passing answer of the corpus sentence at order key (document position, paragraph, sentence ordinal)."""
+    doc, para, ordinal = key
+    sentence = corpus.sentences(doc, para)[ordinal]
+    return ScoredAnswer(q_id, sentence, key, score, score, score, True, sentence.text)
+
+
+def test_assemble_single_answer(ref_embedder, tiny_corpus):
+    passed = [passed_answer("qa", tiny_corpus, (0, 0, 0), 0.8)]
+    summary = assemble(passed, tiny_bank(), ref_embedder, RetrievalParams(),
                        corpus_id="abc123", timestamp="2026-01-15T00:00:00Z")
     assert len(summary.items) == 1
     assert summary.items[0].sent_id == "d0#0:0"
@@ -175,55 +186,44 @@ def test_assemble_single_answer(ref_embedder):
 
 
 def test_assemble_empty_run_keeps_meta(ref_embedder):
-    summary = assemble([], tiny_bank(), tiny_corpus(), ref_embedder,
-                       RetrievalParams(), corpus_id="abc123", timestamp="t")
+    summary = assemble([], tiny_bank(), ref_embedder, RetrievalParams(), corpus_id="abc123", timestamp="t")
     assert summary.items == ()
     assert summary.meta["counts"] == {
         "questions_asked": 2, "questions_answered": 0, "sentences_emitted": 0,
     }
 
 
-def test_assemble_orders_by_question_then_document(ref_embedder):
-    corpus = tiny_corpus()
-    bank = tiny_bank()
-    alpha, beta = corpus.sentences("d0#0")
-    gamma = corpus.sentences("d1#0")[0]
+def test_assemble_orders_by_question_then_document(ref_embedder, tiny_corpus):
     passed = [
-        ScoredAnswer("qb", alpha, 0.7, 0.7, 0.7, True, alpha.text),
-        ScoredAnswer("qa", gamma, 0.9, 0.9, 0.9, True, gamma.text),
-        ScoredAnswer("qa", beta, 0.8, 0.8, 0.8, True, beta.text),
+        passed_answer("qb", tiny_corpus, (0, 0, 0), 0.7),
+        passed_answer("qa", tiny_corpus, (1, 0, 0), 0.9),
+        passed_answer("qa", tiny_corpus, (0, 0, 1), 0.8),
     ]
-    summary = assemble(passed, bank, corpus, ref_embedder, RetrievalParams(),
-                       corpus_id="x", timestamp="t")
+    summary = assemble(passed, tiny_bank(), ref_embedder, RetrievalParams(), corpus_id="x", timestamp="t")
     assert [i.sent_id for i in summary.items] == ["d0#0:1", "d1#0:0", "d0#0:0"]
     assert [i.q_id for i in summary.items] == ["qa", "qa", "qb"]
 
 
-def test_assemble_applies_acronym_expansion(ref_embedder):
-    docs = [Document("d0", "p", "progress", None, "Pt admitted with SOB.")]
-    corpus = SegmentedCorpus(docs)
-    s0 = corpus.sentences("d0#0")[0]
-    passed = [ScoredAnswer("qa", s0, 0.9, 0.9, 0.9, True, s0.text)]
-    summary = assemble(passed, tiny_bank(), corpus, ref_embedder, RetrievalParams(),
-                       corpus_id="x", timestamp="t")
+def test_assemble_applies_acronym_expansion(ref_embedder, pin_documents):
+    corpus = pin_documents([Document("d0", "p", "progress", None, "Pt admitted with SOB.")])
+    passed = [passed_answer("qa", corpus, (0, 0, 0), 0.9)]
+    summary = assemble(passed, tiny_bank(), ref_embedder, RetrievalParams(), corpus_id="x", timestamp="t")
     assert summary.items[0].sentence_text == "Patient admitted with shortness of breath."
 
 
-def test_assembled_summary_is_diverse(ref_embedder):
-    corpus = SegmentedCorpus([
+def test_assembled_summary_is_diverse(ref_embedder, pin_documents):
+    corpus = pin_documents([
         Document("d0", "p", "progress", None, NEAR_DUP_A),
         Document("d1", "p", "progress", None, NEAR_DUP_B),
         Document("d2", "p", "discharge", None, "Gamma fact three."),
     ])
     params = RetrievalParams()
-    d0, d1, d2 = (corpus.sentences(f"d{i}#0")[0] for i in range(3))
     passed = [
-        ScoredAnswer("qa", d0, 0.9, 0.9, 0.9, True, d0.text),
-        ScoredAnswer("qb", d1, 0.8, 0.8, 0.8, True, d1.text),
-        ScoredAnswer("qb", d2, 0.7, 0.7, 0.7, True, d2.text),
+        passed_answer("qa", corpus, (0, 0, 0), 0.9),
+        passed_answer("qb", corpus, (1, 0, 0), 0.8),
+        passed_answer("qb", corpus, (2, 0, 0), 0.7),
     ]
-    summary = assemble(passed, tiny_bank(), corpus, ref_embedder, params,
-                       corpus_id="x", timestamp="t")
+    summary = assemble(passed, tiny_bank(), ref_embedder, params, corpus_id="x", timestamp="t")
     texts = [item.sentence_text for item in summary.items]
     assert len(texts) == 2
     for i in range(len(texts)):
@@ -281,13 +281,11 @@ def test_write_summary_emits_both_files(tmp_path):
 # -- determinism across completion order --------------------------------------
 
 
-def test_output_bytes_independent_of_input_ordering(bank, fixture_index, segmented, ref_embedder):
-    extractor = ae.MockExtractor(segmented)
-    results = ae.answer_questions(bank.questions, fixture_index, ref_embedder, segmented, extractor, bank.defaults)
+def test_output_bytes_independent_of_input_ordering(bank, fixture_index, pinned, ref_embedder):
+    extractor = ae.MockExtractor(pinned)
+    results = ae.answer_questions(bank.questions, fixture_index, ref_embedder, pinned, extractor, bank.defaults)
     passed = [r.answer for r in results if r.passed]
-    forward = assemble(passed, bank, segmented, ref_embedder, bank.defaults,
-                       corpus_id="c", timestamp="t")
-    backward = assemble(passed[::-1], bank, segmented, ref_embedder, bank.defaults,
-                        corpus_id="c", timestamp="t")
+    forward = assemble(passed, bank, ref_embedder, bank.defaults, corpus_id="c", timestamp="t")
+    backward = assemble(passed[::-1], bank, ref_embedder, bank.defaults, corpus_id="c", timestamp="t")
     assert summary_to_json(forward) == summary_to_json(backward)
     assert render_text(forward, bank) == render_text(backward, bank)

@@ -314,7 +314,7 @@ def cmd_summarize(cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(
-    cfg: PipelineConfig, candidate: str, reference: str, source: str, output_format: str = "table"
+    cfg: PipelineConfig, candidate: str, reference: str, source: str, output_format: str
 ) -> int:
     embedder = build_embedder(cfg.embedder, _build_gateway(cfg, extracts=False))
     report = evaluation.evaluate(candidate, reference, source, embedder)

@@ -405,6 +405,8 @@ class _TextDirCorpus(CorpusFile):
         return self.sha256, self._files
 
     def _check_locators(self, files: dict[str, bytes], locators: Sequence[int | str] | np.ndarray) -> None:
+        if isinstance(locators, np.ndarray):  # a JSONL index's byte offsets, named as plain numbers
+            locators = locators.tolist()
         missing = [loc for loc in locators if not (isinstance(loc, str) and loc in files)]
         if missing:
             raise CorruptIndexError(

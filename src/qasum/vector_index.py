@@ -186,10 +186,6 @@ class VectorIndex:
         return len(self._row_docs)
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def embedder(self) -> str:
         """The identity of the embedder that made the vectors."""
         return self._embedder
@@ -214,10 +210,10 @@ class VectorIndex:
         if not len(self):
             raise EmptyIndexError("search on an empty index")
         query = np.asarray(query)
-        if query.shape != (self.dim,):
+        if query.shape != (self._dim,):
             raise DimensionMismatchError(
                 f"query dim {query.shape[0] if query.ndim == 1 else query.shape} "
-                f"does not match index dim {self.dim}"
+                f"does not match index dim {self._dim}"
             )
         if self._squares is None:
             query = query.astype(np.float64, copy=False)
@@ -263,7 +259,7 @@ class VectorIndex:
             )
         typed_query = query.astype(exact)
         dots = np.empty(len(self), dtype=exact)
-        block = np.empty((min(len(self), _BLOCK_ROWS), self.dim), dtype=exact)
+        block = np.empty((min(len(self), _BLOCK_ROWS), self._dim), dtype=exact)
         for start in range(0, len(self), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             counts = self._counts[rows]

@@ -258,7 +258,7 @@ def fixture_queries():
 def test_save_load_preserves_rankings(saved_index, fixture_index):
     loaded = VectorIndex.load(saved_index)
     assert len(loaded) == len(fixture_index)
-    assert loaded.dim == fixture_index.dim
+    assert loaded._dim == fixture_index._dim
     assert loaded.embedder == fixture_index.embedder == "hashed-reference"
     for query in fixture_queries():
         before = fixture_index.search(query, k=10)
@@ -421,7 +421,7 @@ def test_load_rows_out_of_document_order(tmp_path):
     index_file(path, v5_table(), count=1)
     loaded = VectorIndex.load(path)
     assert [hit.para_id for hit in loaded.search(np.ones(2), k=1)] == ["a#0"]
-    assert loaded.corpus.locators == [0]
+    assert loaded.corpus.locators.tolist() == [0]
 
 
 @pytest.mark.parametrize(
@@ -440,7 +440,7 @@ def test_empty_index_saves_and_loads(tmp_path):
     path = tmp_path / "empty.qidx"
     write_index(path, [], dim=8)
     loaded = VectorIndex.load(path)
-    assert (len(loaded), loaded.dim, loaded.embedder) == (0, 8, "hashed-reference")
+    assert (len(loaded), loaded._dim, loaded.embedder) == (0, 8, "hashed-reference")
     with pytest.raises(EmptyIndexError):
         loaded.search(np.ones(8), k=1)
 

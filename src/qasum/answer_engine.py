@@ -55,7 +55,7 @@ class RetrievedContext:
 
 @dataclass(frozen=True)
 class RawAnswer:
-    """An extractor's answer: its text, the context sentence it came from with that sentence's order key, and a confidence."""
+    """An extractor's answer, the context sentence it came from with that sentence's order key, and a confidence."""
 
     answer_text: str
     sentence: Sentence
@@ -196,7 +196,7 @@ class RemoteExtractor:
         reply = self._gateway.chat_answer(prompt)
         if reply.no_answer:
             raise NoAnswerError(f"model declared no answer for question {ctx.question.q_id!r}")
-        sentence, key = self._locate(reply.source_sentence, ctx)
+        sentence, key = self._find_source(reply.source_sentence, ctx)
         answer_text = reply.answer if reply.answer in sentence.text else sentence.text
         return RawAnswer(
             answer_text=answer_text,
@@ -205,7 +205,7 @@ class RemoteExtractor:
             confidence=reply.confidence,
         )
 
-    def _locate(self, source_sentence: str, ctx: RetrievedContext) -> tuple[Sentence, tuple[int, int, int]]:
+    def _find_source(self, source_sentence: str, ctx: RetrievedContext) -> tuple[Sentence, tuple[int, int, int]]:
         candidates = _context_sentences(self._corpus, ctx)
         for sent, key in candidates:
             if sent.text == source_sentence:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+
 import numpy as np
 
 from .answer_engine import ScoredAnswer

@@ -606,12 +606,6 @@ def test_patterns_compile_on_python_3_10():
 # -- pinned corpus ------------------------------------------------------------
 
 
-def test_pinned_corpus_lookups(pinned, fixture_paragraphs):
-    para = fixture_paragraphs[0]
-    assert pinned.paragraph(0, 0) == para
-    assert pinned.sentences(0, 0) == split_sentences(para)
-
-
 def test_lazy_lookups_match_full_segmentation(pinned, corpus_docs):
     # Reverse order, so documents are cached in a different order than they are stored.
     for doc in reversed(range(len(corpus_docs))):
